@@ -14,7 +14,7 @@ import sys
 from .determinantal import LSequence, verify_main
 from .errors import BudgetExceeded, ExplosionGuard, ToolkitError
 from .homset import HomIdeal, enumerate_isotone
-from .ideals import coletterplace_ideal, letterplace_ideal, support
+from .ideals import _checked_support, coletterplace_ideal, letterplace_ideal, support
 from .monomial import (
     MonomialIdeal,
     alexander_dual,
@@ -137,9 +137,10 @@ def _cmd_markers(args) -> int:
 def _cmd_letterplace(args, side: str) -> int:
     J = _load_homideal(args.ideal)
     ideal = _side_ideal(J, side)
+    L = ideal if side == "letterplace" else letterplace_ideal(J)
     doc = {
         "generators": ideal.text_lines(J.poset.labels),
-        "support": sorted(list(s) for s in support(J)),
+        "support": sorted(list(s) for s in _checked_support(J, L)),
         "bound_used": J.nmax(),
         "unit": ideal.is_unit,
         "zero": ideal.is_zero,

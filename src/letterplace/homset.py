@@ -46,28 +46,43 @@ def dominates(u, v) -> bool:
 
 
 def enumerate_isotone(P: Poset, bound: int, cap: int = 10**7) -> list:
-    """All isotone maps P -> {0..bound}, in lexicographic value order."""
+    """All isotone maps P -> {0..bound}, in lexicographic value order.
+
+    Raises ExplosionGuard once more than cap maps have been produced.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if (bound + 1) ** P.n > cap:
-        raise ExplosionGuard(f"up to {(bound + 1) ** P.n} maps exceeds cap {cap}")
-    n = P.n
-    below = [[q for q in range(n) if P.lt(q, p)] for p in range(n)]
-    above = [[q for q in range(n) if P.lt(p, q)] for p in range(n)]
+    return _isotone_maps(P, [bound] * P.n, cap=cap)
+
+
+def _isotone_maps(P: Poset, upper, elements=None, cap=None) -> list:
+    """Isotone maps on `elements` (default: all of P) with value at p in
+    0..upper[p], as value tuples over sorted(elements), lexicographically.
+
+    `cap` (None: no limit) bounds the maps actually produced: ExplosionGuard
+    is raised as soon as there are more than cap of them.
+    """
+    order = sorted(range(P.n) if elements is None else elements)
+    m = len(order)
+    if not m:
+        return [()]
+    below = [[j for j in range(k) if P.lt(order[j], p)] for k, p in enumerate(order)]
+    above = [[j for j in range(k) if P.lt(p, order[j])] for k, p in enumerate(order)]
+    tops = [upper[p] for p in order]
     out = []
-    vals = [0] * n
 
-    def rec(k):
-        if k == n:
-            out.append(tuple(vals))
+    def rec(k, prefix):
+        lo = max([prefix[j] for j in below[k]], default=0)
+        hi = min([tops[k]] + [prefix[j] for j in above[k]])
+        if k + 1 < m:
+            for v in range(lo, hi + 1):
+                rec(k + 1, prefix + (v,))
             return
-        lo = max((vals[q] for q in below[k] if q < k), default=0)
-        hi = min((vals[q] for q in above[k] if q < k), default=bound)
-        for v in range(lo, hi + 1):
-            vals[k] = v
-            rec(k + 1)
+        out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+        if cap is not None and len(out) > cap:
+            raise ExplosionGuard(f"produced {len(out)} isotone maps, more than cap {cap}")
 
-    rec(0)
+    rec(0, ())
     return out
 
 
@@ -175,26 +190,7 @@ class HomIdeal:
         if self.kind == "finite":
             return sorted(self.maps)
         if self.kind == "principal":
-            P, alpha = self.poset, self.alpha
-            n = P.n
-            out = []
-            vals = [0] * n
-
-            def rec(k):
-                if k == n:
-                    out.append(tuple(vals))
-                    return
-                lo = max((vals[q] for q in range(k) if P.lt(q, k)), default=0)
-                hi = min(
-                    min((vals[q] for q in range(k) if P.lt(k, q)), default=alpha[k]),
-                    alpha[k],
-                )
-                for v in range(lo, hi + 1):
-                    vals[k] = v
-                    rec(k + 1)
-
-            rec(0)
-            return out
+            return _isotone_maps(self.poset, self.alpha)
         raise ValueError("cofinite ideals are not enumerable")
 
     # -- complement filter -------------------------------------------------------
@@ -247,7 +243,8 @@ class HomIdeal:
         For a finite ideal every marker's domain is all of P (a proper ideal
         leaves room for unbounded extensions), so the minimal markers are
         exactly the member maps.  Cofinite ideals get the general search over
-        (poset ideal, bounded isotone map) pairs.
+        (poset ideal, bounded isotone map) pairs; ExplosionGuard is raised when
+        one poset ideal carries more than cap such maps.
         """
         P = self.poset
         if self.is_finite_repr:
@@ -256,31 +253,13 @@ class HomIdeal:
         gens = self.complement_gens()
         if not gens:
             return [Marker(frozenset(), (None,) * P.n)]
-        nmax = self.nmax()
-        ideals = P.ideals()
-        if len(ideals) * (nmax + 1) ** P.n > cap:
-            raise ExplosionGuard("marker search space exceeds cap")
+        upper = [self.nmax()] * P.n
         found = []
-        for dom in ideals:
+        for dom in P.ideals():
             order = sorted(dom)
-            vals = {}
-
-            def rec(k):
-                if k == len(order):
-                    cand = Marker.on(order, vals, P.n)
-                    if all(any(cand.values[p] < g[p] for p in dom) for g in gens):
-                        found.append(cand)
-                    return
-                p = order[k]
-                lo = max((vals[q] for q in order[:k] if P.lt(q, p)), default=0)
-                for v in range(lo, nmax + 1):
-                    ok = all(v <= vals[q] for q in order[:k] if P.lt(p, q))
-                    if ok:
-                        vals[p] = v
-                        rec(k + 1)
-                vals.pop(p, None)
-
-            rec(0)
+            for vals in _isotone_maps(P, upper, order, cap):
+                if all(any(v < g[p] for p, v in zip(order, vals)) for g in gens):
+                    found.append(Marker.on(order, dict(zip(order, vals)), P.n))
         graphs = [m.graph() for m in found]
         keep = []
         for i, m in enumerate(found):

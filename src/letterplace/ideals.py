@@ -28,19 +28,6 @@ def ascent(P: Poset, phi) -> frozenset:
     return frozenset(out)
 
 
-def ascent_via_filters(P: Poset, phi) -> frozenset:
-    """Independent route: (p, i) is an ascent pair iff p is minimal in the
-    filter of elements with value >= i+1."""
-    phi = check_isotone(P, phi)
-    out = set()
-    top = max(phi, default=0)
-    for i in range(top):
-        level = {p for p in range(P.n) if phi[p] >= i + 1}
-        for p in P.min_elements(level):
-            out.add((p, i))
-    return frozenset(out)
-
-
 def graph_pairs(phi) -> frozenset:
     return frozenset((p, v) for p, v in enumerate(phi))
 
@@ -56,12 +43,16 @@ def ascent_monomial(P: Poset, phi) -> Monomial:
 def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal ascent monomials of the complement filter.
 
-    Maps with a value above the largest complement-generator value never give
-    inclusion-minimal ascents, so the enumeration stops at that bound.  An
-    empty ideal (complement = everything) yields the unit ideal, flagged by
-    MonomialIdeal.is_unit; J = Hom yields the zero ideal.
+    A principal ideal takes the multichain description of
+    principal_letterplace_gens.  Otherwise the complement filter is
+    enumerated: maps with a value above the largest complement-generator value
+    never give inclusion-minimal ascents, so the enumeration stops at that
+    bound.  An empty ideal (complement = everything) yields the unit ideal,
+    flagged by MonomialIdeal.is_unit; J = Hom yields the zero ideal.
     """
     P = J.poset
+    if J.kind == "principal":
+        return principal_letterplace_gens(P, J.alpha)
     if not J.complement_gens():
         return MonomialIdeal([])
     bound = J.nmax()
@@ -83,14 +74,19 @@ def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
     """Pairs (p, i) whose variable appears in the minimal generators.
 
     For finite ideals this must equal {(p, i) | i <= hull(p)}, which is
-    asserted here.
+    checked here.
     """
-    L = letterplace_ideal(J, cap)
+    return _checked_support(J, letterplace_ideal(J, cap))
+
+
+def _checked_support(J: HomIdeal, L: MonomialIdeal) -> frozenset:
+    """support(J) read off L = letterplace_ideal(J), checked against the hull."""
     out = frozenset((v.a, v.b) for g in L.gens for v in g.support())
     if J.is_finite_repr:
         alpha = hull_map(J)
         formula = frozenset((p, i) for p in range(J.poset.n) for i in range(alpha[p] + 1))
-        assert out == formula, "support disagrees with the hull formula"
+        if out != formula:
+            raise AssertionError(f"support {sorted(out)} disagrees with the hull formula")
     return out
 
 
@@ -111,8 +107,8 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     """Direct multichain description of the principal letterplace generators.
 
     Generators are monomials prod x[p_j, j] over multichains p_0 <= ... <= p_r
-    with alpha(p_r) = r and alpha(p_j) > j for j < r.  Must coincide with
-    letterplace_ideal of the principal ideal on alpha.
+    with alpha(p_r) = r and alpha(p_j) > j for j < r: the letterplace ideal of
+    the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
     alpha = check_isotone(P, alpha)
     gens = []

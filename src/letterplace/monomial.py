@@ -9,7 +9,7 @@ ones.  Tuple comparison of Var gives the canonical deterministic ordering
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, NamedTuple
 
 from .errors import ExplosionGuard, NotSquarefree
@@ -467,16 +467,11 @@ def height(ideal: MonomialIdeal) -> int:
 def monomials_up_to(variables: Iterable[Var], degree: int) -> list:
     """All monomials of degree <= degree over the given variables, sorted."""
     vs = sorted(variables)
-    out = []
-
-    def rec(i, left, current):
-        if i == len(vs):
-            out.append(Monomial(current))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, current + [(vs[i], e)] if e else current)
-
-    rec(0, degree, [])
+    out = [
+        Monomial((v, 1) for v in combo)
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(vs, d)
+    ]
     return sorted(out, key=Monomial.sort_key)
 
 
@@ -499,18 +494,11 @@ def associated_primes(ideal: MonomialIdeal, cap: int = 200_000) -> set:
             raise ExplosionGuard(f"exponent box larger than {cap}")
     out = set()
     vs = sorted(box)
-
-    def rec(i, current):
-        if i == len(vs):
-            m = Monomial(current)
-            if ideal.contains(m):
-                return
-            colon = _minimal_gens([g.colon(m) for g in ideal.gens])
-            if all(g.degree() == 1 for g in colon):
-                out.add(frozenset(v for g in colon for v in g.support()))
-            return
-        for e in range(box[vs[i]] + 1):
-            rec(i + 1, current + [(vs[i], e)] if e else current)
-
-    rec(0, [])
+    for exps in product(*(range(box[v] + 1) for v in vs)):
+        m = Monomial(zip(vs, exps))
+        if ideal.contains(m):
+            continue
+        colon = _minimal_gens([g.colon(m) for g in ideal.gens])
+        if all(g.degree() == 1 for g in colon):
+            out.add(frozenset(v for g in colon for v in g.support()))
     return out

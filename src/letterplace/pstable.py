@@ -10,7 +10,7 @@ which is what is_p_stable tests.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import ExplosionGuard, NotArtinian
 from .homset import check_isotone
@@ -122,18 +122,12 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
         total *= d
         if total > cap:
             raise ExplosionGuard(f"standard monomial box larger than {cap}")
+    variables = [elem_var(p) for p in range(P.n)]
     standard = []
-
-    def rec(p, current):
-        if p == P.n:
-            m = Monomial(current)
-            if not I.contains(m):
-                standard.append(m)
-            return
-        for e in range(bounds[p]):
-            rec(p + 1, current + [(elem_var(p), e)] if e else current)
-
-    rec(0, [])
+    for exps in product(*(range(d) for d in bounds)):
+        m = Monomial(zip(variables, exps))
+        if not I.contains(m):
+            standard.append(m)
     for m in standard:
         phi = lambda_bar_inv(P, m)
         for v, _ in m.exps:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +218,47 @@ def test_output_file_writing(running_example, tmp_path, capsys):
     )
     assert code == 0 and printed == ""
     assert json.loads(out_path.read_text())["bound_used"] == 3
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli"
+GOLDEN_IDEALS = ("principal", "finite", "cofinite")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("hom_enumerate", ["hom", "enumerate", "--poset", "poset.json", "--bound", "2"])]
+    + [
+        (f"{cmd}_{kind}", [cmd, "--ideal", f"{kind}.json"])
+        for cmd in ("markers", "letterplace", "coletterplace", "dual-check")
+        for kind in GOLDEN_IDEALS
+    ],
+)
+def test_golden_stdout(name, argv, capsys):
+    """Stdout is byte-identical to the recorded outputs in tests/data/golden_cli.
+
+    The inputs are a labelled fence a < c > b < d and one principal, one finite
+    and one cofinite HomIdeal on it; `<name>.out` holds what `letterplace
+    <argv>` printed when the outputs were recorded.
+    """
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monkeypatch):
+    import letterplace.cli
+    import letterplace.ideals
+
+    calls = []
+    original = letterplace.ideals.letterplace_ideal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(letterplace.ideals, "letterplace_ideal", counting)
+    monkeypatch.setattr(letterplace.cli, "letterplace_ideal", counting)
+    code, out = run(capsys, "letterplace", "--ideal", str(running_example))
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["support"] == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]

@@ -42,6 +42,23 @@ def test_enumerate_explosion_guard():
         enumerate_isotone(antichain(10), 9, cap=10**6)
 
 
+def test_enumerate_guard_counts_produced_maps():
+    # 6435 = C(15, 8) maps, far below the 8**8 the value box would allow
+    maps = enumerate_isotone(chain(8), 7)
+    assert len(maps) == 6435
+    assert maps == sorted(maps)
+    assert len(enumerate_isotone(chain(8), 7, cap=6435)) == 6435
+    with pytest.raises(ExplosionGuard, match="cap 6434"):
+        enumerate_isotone(chain(8), 7, cap=6434)
+
+
+def test_minimal_markers_cofinite_guard():
+    J = HomIdeal.cofinite(antichain(3), [(3, 3, 3)])
+    assert len(J.minimal_markers(cap=64)) == 9
+    with pytest.raises(ExplosionGuard):
+        J.minimal_markers(cap=10)
+
+
 def test_enumerate_empty_poset():
     P = poset_from_covers(0, [])
     assert enumerate_isotone(P, 3) == [()]

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterplace.errors import InfiniteIdeal
-from letterplace.homset import HomIdeal, enumerate_isotone
+from letterplace.homset import HomIdeal, dominates, enumerate_isotone
 from letterplace.ideals import (
+    _checked_support,
     ascent,
-    ascent_via_filters,
     coletterplace_ideal,
     graph_pairs,
     hull_map,
@@ -19,7 +21,13 @@ from letterplace.ideals import (
 from letterplace.monomial import Monomial, alexander_dual, pair_var
 from letterplace.poset import antichain, chain, poset_from_covers
 
-from util import all_labeled_posets, poset_classes, random_cofinite_ideal
+from util import (
+    all_labeled_posets,
+    ascent_via_filters,
+    brute_letterplace,
+    poset_classes,
+    random_cofinite_ideal,
+)
 
 
 def fence():
@@ -151,7 +159,7 @@ def test_hull_map_examples():
 
 def test_principal_gens_running_example():
     got = principal_letterplace_gens(chain(3), (1, 1, 2))
-    assert got.gens == letterplace_ideal(HomIdeal.principal(chain(3), (1, 1, 2))).gens
+    assert got.gens == brute_letterplace(HomIdeal.principal(chain(3), (1, 1, 2))).gens
 
 
 def test_principal_gens_antichain_zero():
@@ -172,7 +180,7 @@ def test_principal_gens_match_letterplace_small():
     for P in poset_classes(3) + poset_classes(4):
         for alpha in enumerate_isotone(P, 3):
             direct = principal_letterplace_gens(P, alpha)
-            general = letterplace_ideal(HomIdeal.principal(P, alpha))
+            general = brute_letterplace(HomIdeal.principal(P, alpha))
             assert direct.gens == general.gens
 
 
@@ -206,3 +214,36 @@ def test_graph_meets_ascent_lemma_small():
                 amoves = ascent(P, psi)
                 for phi in members:
                     assert graph_pairs(phi) & amoves
+
+
+def test_letterplace_principal_beyond_enumeration_reach():
+    # nmax is 8: enumeration would walk the 12870 maps valued <= 8, in a value
+    # box of 9**8; the multichains give the 2055 generators directly
+    J = HomIdeal.principal(chain(8), (1, 2, 3, 4, 5, 6, 7, 7))
+    L = letterplace_ideal(J)
+    assert len(L.gens) == 2055
+    assert L.gens == principal_letterplace_gens(J.poset, J.alpha).gens
+
+
+def test_support_hull_check_raises():
+    J = HomIdeal.principal(chain(2), (0, 1))
+    assert _checked_support(J, letterplace_ideal(J)) == {(0, 0), (1, 0), (1, 1)}
+    wrong = letterplace_ideal(HomIdeal.principal(chain(2), (0, 0)))
+    with pytest.raises(AssertionError, match="hull formula"):
+        _checked_support(J, wrong)
+
+
+POSETS_UP_TO_4 = [P for n in range(5) for P in all_labeled_posets(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_principal_routes_match_enumeration(data):
+    P = data.draw(st.sampled_from(POSETS_UP_TO_4))
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=P.n, max_size=P.n))
+    # raising each value to the maximum below it makes the draw isotone
+    alpha = tuple(max(raw[q] for q in P.down_set(p)) for p in range(P.n))
+    J = HomIdeal.principal(P, alpha)
+    assert letterplace_ideal(J) == brute_letterplace(J)
+    top = max(alpha, default=0)
+    assert J.members() == [m for m in enumerate_isotone(P, top) if dominates(alpha, m)]

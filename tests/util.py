@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from letterplace.homset import HomIdeal, dominates, enumerate_isotone
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to
+from letterplace.homset import HomIdeal, check_isotone, dominates, enumerate_isotone
+from letterplace.ideals import ascent
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, pair_var
 from letterplace.poset import Poset
 
 
@@ -80,6 +81,31 @@ def brute_is_marker(J: HomIdeal, marker, bound: int) -> bool:
             if not J.member(phi):
                 return False
     return True
+
+
+def ascent_via_filters(P: Poset, phi) -> frozenset:
+    """Oracle for ascent: (p, i) is an ascent pair iff p is minimal in the
+    filter of elements with value >= i+1."""
+    phi = check_isotone(P, phi)
+    out = set()
+    top = max(phi, default=0)
+    for i in range(top):
+        level = {p for p in range(P.n) if phi[p] >= i + 1}
+        for p in P.min_elements(level):
+            out.add((p, i))
+    return frozenset(out)
+
+
+def brute_letterplace(J: HomIdeal) -> MonomialIdeal:
+    """Oracle for letterplace_ideal: minimal ascent monomials of every
+    non-member map valued <= the largest complement-generator value."""
+    if not J.complement_gens():
+        return MonomialIdeal([])
+    return MonomialIdeal(
+        Monomial((pair_var(p, i), 1) for p, i in ascent(J.poset, psi))
+        for psi in enumerate_isotone(J.poset, J.nmax())
+        if not J.member(psi)
+    )
 
 
 def brute_alexander_dual_gens(I: MonomialIdeal):
