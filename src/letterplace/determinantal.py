@@ -220,12 +220,17 @@ def codim_formulas(seq: LSequence) -> dict:
     }
 
 
-def diagonal_leads_ok(seq: LSequence, order: TermOrder = None) -> bool:
-    """Every generating minor with nonzero main diagonal leads with it."""
+def diagonal_leads_ok(seq: LSequence, order: TermOrder = None, minors: list = None) -> bool:
+    """Every generating minor with nonzero main diagonal leads with it.
+
+    minors, if given, is minors_with_positions(seq), already computed.
+    """
     M = DetMatrix(seq)
     if order is None:
         order = diagonal_order(M.variables())
-    for _, rows, cols, det in minors_with_positions(seq):
+    if minors is None:
+        minors = minors_with_positions(seq)
+    for _, rows, cols, det in minors:
         diag = [M.entry(p, i) for p, i in zip(cols, rows)]
         if any(v is None for v in diag):
             continue
@@ -245,11 +250,12 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     t0 = time.perf_counter()
     M = DetMatrix(seq)
     order = diagonal_order(M.variables())
-    gens = ideal_gens(seq)
+    minors = minors_with_positions(seq)
+    gens = [det for _, _, _, det in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
-    diag_ok = diagonal_leads_ok(seq, order)
+    diag_ok = diagonal_leads_ok(seq, order, minors)
     effective_cap = (
         degree_cap
         if degree_cap is not None

@@ -54,4 +54,11 @@ class VariableOutsideSource(ToolkitError):
 
 
 class BudgetExceeded(ToolkitError):
-    """A degree or pair budget was hit; results are never silently truncated."""
+    """A degree or pair budget was hit; results are never silently truncated.
+
+    ``work`` holds the counts of the work done before the cap was hit.
+    """
+
+    def __init__(self, message: str, work: dict = None):
+        super().__init__(message)
+        self.work = dict(work or {})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from math import gcd
+from operator import add, le, mul, neg, sub
 from typing import Iterable
 
 from .errors import BudgetExceeded
@@ -52,6 +52,12 @@ class TermOrder:
         if self.kind == "lex":
             return e
         return (sum(e), tuple(-x for x in reversed(e)))
+
+    def heap_key(self, e: tuple):
+        """Key whose smallest value belongs to the largest exponent tuple."""
+        if self.kind == "lex":
+            return tuple(map(neg, e))
+        return (-sum(e), e[::-1])
 
     def monomial(self, e: tuple) -> Monomial:
         return Monomial((self.vars[i], k) for i, k in enumerate(e) if k)
@@ -210,54 +216,92 @@ def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
 
 
 # -- division and Buchberger ---------------------------------------------------
+#
+# Inside reduce and buchberger a polynomial is dense: a dict from exponent
+# tuples over order.vars to Fraction coefficients.  A divisor is held as
+# (lt, lc, tail), computed once: its leading exponent tuple, leading
+# coefficient and remaining (exponents, coefficient) pairs.
+
+
+def _dense(f: Polynomial, order: TermOrder) -> dict:
+    return {order.exponents(m): c for m, c in f.terms.items()}
+
+
+def _sparse(d: dict, order: TermOrder) -> Polynomial:
+    return Polynomial({order.monomial(e): c for e, c in d.items()})
+
+
+def _head(d: dict, order: TermOrder) -> tuple:
+    lt = max(d, key=order.tuple_key)
+    return lt, d[lt], [(e, c) for e, c in d.items() if e != lt]
+
+
+def _monic_head(d: dict, order: TermOrder) -> tuple:
+    lt, lc, tail = _head(d, order)
+    return lt, 1, [(e, c / lc) for e, c in tail]
+
+
+def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
+    """Full normal form of the dense polynomial work (consumed) modulo heads.
+
+    Terms are taken largest first from a heap of order keys; each is reduced
+    by the first head whose leading exponents it dominates, or kept.
+    """
+    key = order.heap_key
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue  # cancelled, or a second heap entry for the same term
+        for lt, lc, tail in heads:
+            if all(map(le, lt, e)):
+                q = tuple(map(sub, e, lt))
+                mult = c / lc
+                for te, tc in tail:
+                    t = tuple(map(add, te, q))
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -mult * tc
+                        heapq.heappush(heap, (key(t), t))
+                    else:
+                        old -= mult * tc
+                        if old:
+                            work[t] = old
+                        else:
+                            del work[t]
+                break
+        else:
+            remainder[e] = c
+    return remainder
 
 
 def reduce(f: Polynomial, basis: Iterable[Polynomial], order: TermOrder) -> Polynomial:
     """Full normal form of f modulo basis, deterministic in the listed order."""
-    heads = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if g]
-    work = dict(f.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        for lt, lc, g in heads:
-            if lt.divides(m):
-                q = m / lt
-                mult = c / lc
-                for gm, gc in g.terms.items():
-                    if gm == lt:
-                        continue
-                    key = gm * q
-                    acc = work.get(key, Fraction(0)) - mult * gc
-                    if acc:
-                        work[key] = acc
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(remainder)
+    heads = [_head(_dense(g, order), order) for g in basis if g]
+    return _sparse(_normal_form(_dense(f, order), heads, order), order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    L = lf.lcm(lg)
-    return f.scale_monomial(L / lf, 1 / f.leading_coeff(order)) - g.scale_monomial(
-        L / lg, 1 / g.leading_coeff(order)
-    )
+    hf, hg = _monic_head(_dense(f, order), order), _monic_head(_dense(g, order), order)
+    L = tuple(map(max, hf[0], hg[0]))
+    return _sparse(_dense_s_polynomial(hf, hg, L), order)
 
 
-def _primitive(f: Polynomial) -> Polynomial:
-    """Clear denominators and strip integer content; sign left as is."""
-    if not f:
-        return f
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    return Polynomial({m: Fraction(c.numerator * (den // c.denominator), num) for m, c in f.terms.items()})
+def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:
+    """S-polynomial of two monic heads whose leading exponents have lcm L."""
+    qi, qj = tuple(map(sub, L, hi[0])), tuple(map(sub, L, hj[0]))
+    s = {tuple(map(add, e, qi)): c for e, c in hi[2]}
+    for e, c in hj[2]:
+        t = tuple(map(add, e, qj))
+        c = s.get(t, 0) - c
+        if c:
+            s[t] = c
+        else:
+            del s[t]
+    return s
 
 
 def buchberger(
@@ -268,77 +312,89 @@ def buchberger(
 ) -> list:
     """Reduced Groebner basis: auto-reduced, monic, sorted by leading term.
 
-    Normal selection strategy (smallest lcm first), with the coprime
-    leading-term criterion.  degree_cap defaults to 3 plus the largest
-    generator degree; an S-pair whose lcm exceeds it raises BudgetExceeded.
+    Normal selection strategy (smallest lcm first, ties in the order the pairs
+    arose).  A popped pair is skipped when its leading terms are coprime, or by
+    Buchberger's chain criterion: some other leading term divides the lcm and
+    the pairs it forms with both are no longer pending.  pair_cap bounds the
+    pairs popped; degree_cap (default 3 plus the largest generator degree)
+    bounds the lcm degree of the pairs left to reduce.  Hitting either raises
+    BudgetExceeded with the counts of the work done so far.
     """
-    basis = []
-    for f in gens:
-        if f:
-            basis.append(_primitive(f))
-    if not basis:
+    polys = [_dense(f, order) for f in gens if f]
+    if not polys:
         return []
     if degree_cap is None:
-        degree_cap = 3 + max(f.total_degree() for f in basis)
+        degree_cap = 3 + max(sum(e) for d in polys for e in d)
 
-    heads = [(f.leading_monomial(order), f) for f in basis]
-    heap = []
-    counter = 0
+    heads = []  # monic (lt, 1, tail) per basis element
+    queue = []  # (lcm key, j, i, lcm): pairs i < j, in the order they arose
+    pending = set()
 
-    def push_pairs(j):
-        nonlocal counter
-        ltj = heads[j][0]
-        for i in range(j):
-            L = heads[i][0].lcm(ltj)
-            heapq.heappush(heap, (order.key(L), counter, i, j, L))
-            counter += 1
+    def join(d):
+        head = _monic_head(d, order)
+        j = len(heads)
+        for i, (lti, _, _) in enumerate(heads):
+            L = tuple(map(max, lti, head[0]))
+            heapq.heappush(queue, (order.tuple_key(L), j, i, L))
+            pending.add((i, j))
+        heads.append(head)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for d in polys:
+        join(d)
 
-    processed = 0
-    while heap:
-        _, _, i, j, L = heapq.heappop(heap)
-        processed += 1
-        if processed > pair_cap:
-            raise BudgetExceeded(f"more than {pair_cap} S-pairs processed")
-        lti, ltj = heads[i][0], heads[j][0]
-        if (lti * ltj) == L:
-            continue  # coprime leading terms: S-pair reduces to zero
-        if L.degree() > degree_cap:
-            raise BudgetExceeded(
-                f"S-pair lcm degree {L.degree()} exceeds cap {degree_cap}"
-            )
-        s = s_polynomial(heads[i][1], heads[j][1], order)
-        r = reduce(s, [g for _, g in heads], order)
+    counts = dict.fromkeys(("popped", "coprime", "chain", "reduced", "max_degree"), 0)
+
+    def over(cap):
+        raise BudgetExceeded(
+            f"{cap} after {counts['popped']} S-pairs popped: {counts['coprime']} skipped "
+            f"as coprime, {counts['chain']} by the chain criterion, {counts['reduced']} "
+            f"reduced, highest lcm degree reduced {counts['max_degree']}",
+            counts,
+        )
+
+    while queue:
+        _, j, i, L = heapq.heappop(queue)
+        pending.discard((i, j))
+        counts["popped"] += 1
+        if counts["popped"] > pair_cap:
+            over(f"more than {pair_cap} S-pairs processed")
+        if not any(map(mul, heads[i][0], heads[j][0])):
+            counts["coprime"] += 1
+            continue
+        if any(
+            k != i
+            and k != j
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            and all(map(le, heads[k][0], L))
+            for k in range(len(heads))
+        ):
+            counts["chain"] += 1
+            continue
+        degree = sum(L)
+        if degree > degree_cap:
+            over(f"S-pair lcm degree {degree} exceeds cap {degree_cap}")
+        r = _normal_form(_dense_s_polynomial(heads[i], heads[j], L), heads, order)
+        counts["reduced"] += 1
+        counts["max_degree"] = max(counts["max_degree"], degree)
         if r:
-            r = _primitive(r)
-            heads.append((r.leading_monomial(order), r))
-            push_pairs(len(heads) - 1)
+            join(r)
 
-    return _interreduce([g for _, g in heads], order)
+    return [_sparse(d, order) for d in _interreduce(heads, order)]
 
 
-def _interreduce(basis, order) -> list:
-    basis = [g for g in basis if g]
-    changed, passes = True, 0
-    while changed:
-        passes += 1
-        if passes > 1000:
-            raise RuntimeError("interreduction did not stabilize")
-        changed = False
-        trimmed = []
-        for idx, g in enumerate(basis):
-            others = [h for k, h in enumerate(basis) if k != idx and h]
-            r = reduce(g, others, order)
-            if r.terms != g.terms:
-                changed = True
-            if r:
-                trimmed.append(_primitive(r))
-        basis = trimmed
-    out = [g.monic(order) for g in basis]
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return out
+def _interreduce(heads: list, order: TermOrder) -> list:
+    """Reduced basis, as dense monic polynomials sorted by leading term, from
+    the monic heads of a Groebner basis."""
+    minimal = []
+    for h in sorted(heads, key=lambda h: order.tuple_key(h[0])):
+        if not any(all(map(le, g[0], h[0])) for g in minimal):
+            minimal.append(h)
+    # A tail term lies below its own leading term, so of all the heads only
+    # the others can reduce it.
+    return [
+        {lt: 1, **_normal_form(dict(tail), minimal, order)} for lt, _, tail in minimal
+    ]
 
 
 def initial_ideal(basis: Iterable[Polynomial], order: TermOrder) -> MonomialIdeal:

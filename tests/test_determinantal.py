@@ -1,9 +1,13 @@
 """Staircase matrices, terrace/i sequences, and the initial-ideal theorem."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import letterplace.determinantal as determinantal
+from letterplace.cli import main
 from letterplace.determinantal import (
     LSequence,
     build_matrix,
@@ -14,6 +18,7 @@ from letterplace.determinantal import (
     is_terrace,
     l_from_i,
     ly_ideal,
+    minors_with_positions,
     same_ideal_by_membership,
     terrace,
     verify_main,
@@ -197,6 +202,61 @@ def test_verify_main_reports_terrace_instance():
     assert report["terrace"] == [0, 1, 1]
     assert "terrace_instance" in report
     assert report["terrace_instance"]["ok"]
+
+
+def test_verify_main_six_rows_at_default_caps():
+    # every lcm-degree-9 pair of this instance is skipped by the chain criterion,
+    # so the default degree cap (8) no longer rejects it
+    report = verify_main(LSequence(0, (0, 2, 4, 6, 8, 10)))
+    assert report["budget"]["degree_cap"] == 8
+    assert report["ok"] and report["initial_equals_target"]
+    assert report["gb_size"] == 24
+
+
+def test_verify_main_computes_minors_once(monkeypatch):
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return minors_with_positions(seq)
+
+    monkeypatch.setattr(determinantal, "minors_with_positions", counted)
+    assert verify_main(LSequence(0, (0, 0, 3, 3, 6)))["ok"]
+    assert len(calls) == 1
+
+
+def test_diagonal_leads_with_given_minors():
+    for vals in [(0, 0, 3, 4, 6), (0, 1, 2), (0, 2, 3, 5, 8)]:
+        seq = LSequence(0, vals)
+        order = diagonal_order(build_matrix(seq).variables())
+        minors = minors_with_positions(seq)
+        assert diagonal_leads_ok(seq, order, minors) == diagonal_leads_ok(seq, order)
+    # the check reads the given list: the position of the minor y[1,0] paired
+    # with the polynomial y[2,0] does not lead with its diagonal
+    seq = LSequence(0, (0, 2))
+    (c, rows, cols, _), (_, _, _, other) = minors_with_positions(seq)
+    assert not diagonal_leads_ok(seq, minors=[(c, rows, cols, other)])
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli"
+
+
+def _strip_runtime(report: dict) -> dict:
+    out = {k: v for k, v in report.items() if k != "runtime_s"}
+    if "terrace_instance" in out:
+        out["terrace_instance"] = _strip_runtime(out["terrace_instance"])
+    return out
+
+
+@pytest.mark.parametrize("vals", ["0,0,3,4,6", "0,2,4,6,8", "0,2,3,5,8"])
+def test_det_verify_golden_report(vals, capsys):
+    """`letterplace det verify --l <vals>` prints the recorded report, apart
+    from its runtime_s; the files were written before the dense engine."""
+    assert main(["det", "verify", "--l", vals]) == 0
+    report = _strip_runtime(json.loads(capsys.readouterr().out))
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    expected = (GOLDEN / f"det_verify_{vals.replace(',', '_')}.json").read_text(encoding="utf-8")
+    assert text == expected
 
 
 def test_reduction_lemma_membership():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from letterplace.groebner import (
 )
 from letterplace.monomial import Monomial, elem_var, hilbert_numerator, pair_var
 
-X, Y, Z = elem_var(0), elem_var(1), elem_var(2)
+from util import ref_buchberger, ref_reduce
+
+X, Y, Z, W = elem_var(0), elem_var(1), elem_var(2), elem_var(3)
 LEX = lex_order([X, Y, Z])
 
 
@@ -127,6 +130,16 @@ def test_buchberger_generic_maximal_minors_2x3():
     }
 
 
+def test_buchberger_keeps_generators_equal_modulo_the_rest():
+    # elements equal up to a scalar, or modulo the other elements, must not
+    # reduce each other away during interreduction
+    f = poly(([(Y, 1)], 1))
+    assert buchberger([f, f], LEX) == [f]
+    assert buchberger([f * 2, f], LEX) == [f]
+    g, z = poly(([(X, 1)], 1), ([(Y, 1)], 1)), poly(([(Z, 1)], 1))
+    assert buchberger([g, g + z, z], LEX) == [z, g]
+
+
 def test_buchberger_input_order_independent():
     rng = random.Random(3)
     f = poly(([(X, 2)], 1), ([(Y, 1)], -1))
@@ -178,6 +191,69 @@ def test_budget_pair_cap():
     g = poly(([(X, 1), (Y, 1)], 1), ([], -1))
     with pytest.raises(BudgetExceeded):
         buchberger([f, g], lex_order([X, Y]), pair_cap=0)
+
+
+def test_budget_reports_work_done():
+    f = poly(([(X, 2)], 1), ([(Y, 1)], -1))
+    g = poly(([(X, 1), (Y, 1)], 1), ([], -1))
+    nothing_reduced = {"coprime": 0, "chain": 0, "reduced": 0, "max_degree": 0}
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger([f, g], lex_order([X, Y]), degree_cap=1)
+    assert exc.value.work == {"popped": 1, **nothing_reduced}
+    assert "S-pair lcm degree 3 exceeds cap 1 after 1 S-pairs popped" in str(exc.value)
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger([f, g], lex_order([X, Y]), pair_cap=0)
+    assert exc.value.work == {"popped": 1, **nothing_reduced}
+    assert "more than 0 S-pairs processed after 1 S-pairs popped" in str(exc.value)
+
+
+def test_chain_criterion_counts():
+    # Heads xy, yz, xz, zw^3 under lex x > y > z > w.  Pairs pop by lcm:
+    # (yz, zw^3) and (xz, zw^3) reduce (degree 5); (xy, yz) and (xy, xz) at xyz
+    # reduce; (yz, xz) at xyz is chain-skipped through xy, whose pairs with
+    # both are done; (xy, zw^3) is coprime.  The sixth pop exceeds pair_cap 5.
+    gens = [
+        poly(([(X, 1), (Y, 1)], 1)),
+        poly(([(Y, 1), (Z, 1)], 1)),
+        poly(([(X, 1), (Z, 1)], 1)),
+        poly(([(Z, 1), (W, 3)], 2)),
+    ]
+    order = lex_order([X, Y, Z, W])
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger(gens, order, pair_cap=5)
+    assert exc.value.work == {"popped": 6, "coprime": 0, "chain": 1, "reduced": 4, "max_degree": 5}
+    assert "1 by the chain criterion, 4 reduced, highest lcm degree reduced 5" in str(exc.value)
+    assert buchberger(gens, order, pair_cap=6) == [g.monic(order) for g in (gens[3], gens[1], gens[2], gens[0])]
+
+
+coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
+low_degree_monomials = st.sampled_from(
+    [
+        m(*[(v, e) for v, e in zip((X, Y, Z), es) if e])
+        for es in product(range(4), repeat=3)
+        if sum(es) <= 3
+    ]
+)
+polynomials = st.lists(st.tuples(low_degree_monomials, coefficients), min_size=1, max_size=4).map(Polynomial)
+ORDERS = [LEX, grevlex_order([X, Y, Z])]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=80, deadline=None)
+@given(system=st.lists(polynomials, min_size=1, max_size=3))
+def test_buchberger_matches_reference_engine(order, system):
+    try:
+        expected = ref_buchberger(system, order, pair_cap=2_000)
+    except BudgetExceeded:
+        return
+    assert buchberger(system, order, pair_cap=2_000) == expected
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=150, deadline=None)
+@given(f=polynomials, basis=st.lists(polynomials, max_size=3))
+def test_reduce_matches_reference_engine(order, f, basis):
+    assert reduce(f, basis, order) == ref_reduce(f, basis, order)
 
 
 def test_polynomial_text_round_trip():

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
+from letterplace.errors import BudgetExceeded
+from letterplace.groebner import Polynomial, TermOrder, s_polynomial
 from letterplace.homset import HomIdeal, check_isotone, dominates, enumerate_isotone
 from letterplace.ideals import ascent
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, pair_var
@@ -217,3 +222,127 @@ def nonstrict_merge_map(P, pairs):
                 assert fiber_kind(P, fmap) == "neither"
                 return fmap
     return None
+
+
+# -- reference Groebner engine ---------------------------------------------------
+#
+# The sparse engine the library used before its dense one: Monomial-keyed
+# polynomials, leading terms recomputed on every reduction, and only the coprime
+# pair criterion.  It is the oracle for letterplace.groebner.
+
+
+def ref_reduce(f: Polynomial, basis, order: TermOrder) -> Polynomial:
+    """Full normal form of f modulo basis, deterministic in the listed order."""
+    heads = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if g]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lt, lc, g in heads:
+            if lt.divides(m):
+                q = m / lt
+                mult = c / lc
+                for gm, gc in g.terms.items():
+                    if gm == lt:
+                        continue
+                    key = gm * q
+                    acc = work.get(key, Fraction(0)) - mult * gc
+                    if acc:
+                        work[key] = acc
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(remainder)
+
+
+def _primitive(f: Polynomial) -> Polynomial:
+    """Clear denominators and strip integer content; sign left as is."""
+    if not f:
+        return f
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in f.terms.values():
+        num = gcd(num, abs(c.numerator * (den // c.denominator)))
+    return Polynomial({m: Fraction(c.numerator * (den // c.denominator), num) for m, c in f.terms.items()})
+
+
+def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int = 200_000) -> list:
+    """Reduced Groebner basis: auto-reduced, monic, sorted by leading term.
+
+    Normal selection strategy (smallest lcm first), with the coprime
+    leading-term criterion.  degree_cap defaults to 3 plus the largest
+    generator degree; an S-pair whose lcm exceeds it raises BudgetExceeded.
+    """
+    basis = []
+    for f in gens:
+        if f:
+            basis.append(_primitive(f))
+    if not basis:
+        return []
+    if degree_cap is None:
+        degree_cap = 3 + max(f.total_degree() for f in basis)
+
+    heads = [(f.leading_monomial(order), f) for f in basis]
+    heap = []
+    counter = 0
+
+    def push_pairs(j):
+        nonlocal counter
+        ltj = heads[j][0]
+        for i in range(j):
+            L = heads[i][0].lcm(ltj)
+            heapq.heappush(heap, (order.key(L), counter, i, j, L))
+            counter += 1
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    processed = 0
+    while heap:
+        _, _, i, j, L = heapq.heappop(heap)
+        processed += 1
+        if processed > pair_cap:
+            raise BudgetExceeded(f"more than {pair_cap} S-pairs processed")
+        lti, ltj = heads[i][0], heads[j][0]
+        if (lti * ltj) == L:
+            continue  # coprime leading terms: S-pair reduces to zero
+        if L.degree() > degree_cap:
+            raise BudgetExceeded(
+                f"S-pair lcm degree {L.degree()} exceeds cap {degree_cap}"
+            )
+        s = s_polynomial(heads[i][1], heads[j][1], order)
+        r = ref_reduce(s, [g for _, g in heads], order)
+        if r:
+            r = _primitive(r)
+            heads.append((r.leading_monomial(order), r))
+            push_pairs(len(heads) - 1)
+
+    return _ref_interreduce([g for _, g in heads], order)
+
+
+def _ref_interreduce(basis, order) -> list:
+    basis = [g for g in basis if g]
+    changed, passes = True, 0
+    while changed:
+        passes += 1
+        if passes > 1000:
+            raise RuntimeError("interreduction did not stabilize")
+        changed = False
+        trimmed = []
+        for idx, g in enumerate(basis):
+            # Reduce against the elements already trimmed and those still to
+            # come, so that equal elements do not cancel each other out.
+            r = ref_reduce(g, trimmed + basis[idx + 1 :], order)
+            if r.terms != g.terms:
+                changed = True
+            if r:
+                trimmed.append(_primitive(r))
+        basis = trimmed
+    out = [g.monic(order) for g in basis]
+    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return out
