@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
 from .errors import NotTerrace
-from .groebner import Polynomial, TermOrder, buchberger, diagonal_order, initial_ideal, reduce
+from .groebner import (
+    Polynomial,
+    TermOrder,
+    buchberger,
+    default_degree_cap,
+    diagonal_order,
+    initial_ideal,
+    reduce,
+)
+from .ideals import principal_letterplace_gens
 from .monomial import Monomial, MonomialIdeal, height, pair_var
 from .poset import chain
 
@@ -83,34 +91,40 @@ def build_matrix(seq: LSequence) -> DetMatrix:
     return DetMatrix(seq)
 
 
-def _determinant(M: DetMatrix, rows: tuple, cols: tuple) -> Polynomial:
-    """Cofactor expansion along the first row, short-circuiting staircase zeros."""
-    if not rows:
-        return Polynomial.from_monomial(Monomial.one())
-    i, rest = rows[0], rows[1:]
-    acc = {}
-    for j, p in enumerate(cols):
-        e = M.entry(p, i)
-        if e is None:
-            continue
-        sub = _determinant(M, rest, cols[:j] + cols[j + 1 :])
-        sign = -1 if j % 2 else 1
-        for m, c in sub.terms.items():
-            key = m * Monomial.variable(e)
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return Polynomial(acc)
-
-
 def minors_with_positions(seq: LSequence) -> list:
-    """(c, rows, cols, polynomial) for every structurally nonzero generating minor."""
+    """(c, rows, cols, polynomial) for every structurally nonzero generating minor.
+
+    Each minor is a Laplace expansion along its last row into the minors of
+    the rows above on one column fewer.  Those row-prefix minors do not depend
+    on c, so every column tuple is expanded once.  Until the end a minor is a
+    dict from its terms, as variable tuples in row order, to integers.
+    """
     M = DetMatrix(seq)
+    memo = {(): {(): 1}}
+
+    def minor(cols):
+        if cols not in memo:
+            i = seq.a + len(cols) - 1
+            acc = {}
+            for j, p in enumerate(cols):
+                e = M.entry(p, i)
+                if e is None:
+                    continue
+                sign = -1 if (len(cols) - 1 + j) % 2 else 1
+                for term, k in minor(cols[:j] + cols[j + 1 :]).items():
+                    term += (e,)
+                    acc[term] = acc.get(term, 0) + sign * k
+            memo[cols] = acc
+        return memo[cols]
+
     out = []
     for c in range(seq.a + 1, seq.b + 1):
-        size = c - seq.a
         rows = tuple(range(seq.a, c))
         col_pool = range(seq[seq.a] + 1, seq[c] + 1)
-        for cols in combinations(col_pool, size):
-            det = _determinant(M, rows, cols)
+        for cols in combinations(col_pool, c - seq.a):
+            det = Polynomial(
+                (Monomial((v, 1) for v in term), k) for term, k in minor(cols).items()
+            )
             if det:
                 out.append((c, rows, cols, det))
     return out
@@ -174,34 +188,17 @@ def l_from_i(iseq: LSequence) -> LSequence:
 def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """Column-shifted principal letterplace ideal of the i-sequence.
 
-    The chain elements are i_a+1..i_b with value c on (i_c, i_{c+1}]; chain
-    positions run from a; the shift sends x[p,j] to y[p+j,j], injective on
-    variables, so the generators stay squarefree.
+    The principal ideal lives on the chain of the elements i_a+1..i_b, with
+    alpha equal to c - a on (i_c, i_{c+1}]; with lo = i_a + 1 the shift sends
+    x[p,j] to y[p+lo+j+a, j+a], injective on variables, so the generators stay
+    squarefree and minimal.
     """
-    a, b = iseq.a, iseq.b
-    lo, hi = iseq[a] + 1, iseq[b]
-    value = {}
-    for c in range(a, b):
-        for p in range(iseq[c] + 1, iseq[c + 1] + 1):
-            value[p] = c
-    gens = []
-    chain_buf = []
-
-    def rec(last, pos):
-        for q in range(lo if last is None else last, hi + 1):
-            if value.get(q, -1) < pos:
-                continue
-            chain_buf.append(q)
-            if value[q] == pos:
-                gens.append(
-                    Monomial((pair_var(p + j, j), 1) for j, p in enumerate(chain_buf, start=a))
-                )
-            else:
-                rec(q, pos + 1)
-            chain_buf.pop()
-
-    rec(None, a)
-    return MonomialIdeal(gens)
+    a, lo = iseq.a, iseq[iseq.a] + 1
+    alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
+    L = principal_letterplace_gens(chain(len(alpha)), alpha)
+    return MonomialIdeal(
+        Monomial((pair_var(v.a + lo + v.b + a, v.b + a), e) for v, e in g.exps) for g in L.gens
+    )
 
 
 def codim_formulas(seq: LSequence) -> dict:
@@ -256,11 +253,7 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
     diag_ok = diagonal_leads_ok(seq, order, minors)
-    effective_cap = (
-        degree_cap
-        if degree_cap is not None
-        else 3 + max((g.total_degree() for g in gens), default=0)
-    )
+    effective_cap = degree_cap if degree_cap is not None else default_degree_cap(gens)
     basis = buchberger(gens, order, degree_cap, pair_cap)
     init = initial_ideal(basis, order)
     initial_ok = init.gens == target.gens

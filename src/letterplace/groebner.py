@@ -15,7 +15,7 @@ from operator import add, le, mul, neg, sub
 from typing import Iterable
 
 from .errors import BudgetExceeded
-from .monomial import Monomial, MonomialIdeal, Var, nat_var, pair_var
+from .monomial import Monomial, MonomialIdeal, Var, parse_monomial
 
 
 class TermOrder:
@@ -180,11 +180,14 @@ class Polynomial:
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR_RE = re.compile(r"([A-Za-z]+)\[(\d+)(?:,(\d+))?\](?:\^(\d+))?")
 
 
 def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
-    """Parse the sign-prefixed text form emitted by Polynomial.text."""
+    """Parse the sign-prefixed text form emitted by Polynomial.text.
+
+    In each term, factors that start with a letter are variables, read by
+    parse_monomial with the given family; the others are rational coefficients.
+    """
     text = text.replace(" ", "")
     if text in ("", "0"):
         return Polynomial.zero()
@@ -194,24 +197,14 @@ def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
     for chunk in _TERM_SPLIT.split(text):
         if not chunk:
             continue
-        sign = -1 if chunk[0] == "-" else 1
-        body = chunk[1:]
-        coeff = Fraction(1)
-        exps = []
-        for piece in body.split("*"):
-            m = _FACTOR_RE.fullmatch(piece)
-            if m:
-                _, a, b, e = m.groups()
-                e = int(e) if e else 1
-                if b is not None:
-                    exps.append((pair_var(int(a), int(b)), e))
-                elif family == "nat":
-                    exps.append((nat_var(int(a)), e))
-                else:
-                    exps.append((Var("elem", int(a)), e))
+        coeff = Fraction(-1 if chunk[0] == "-" else 1)
+        factors = []
+        for piece in chunk[1:].split("*"):
+            if piece[:1].isalpha():
+                factors.append(piece)
             else:
                 coeff *= Fraction(piece)
-        terms.append((Monomial(exps), sign * coeff))
+        terms.append((parse_monomial("*".join(factors) or "1", family=family), coeff))
     return Polynomial(terms)
 
 
@@ -304,6 +297,12 @@ def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:
     return s
 
 
+def default_degree_cap(gens: Iterable[Polynomial]) -> int:
+    """The degree cap of buchberger when none is given: 3 plus the largest
+    generator degree."""
+    return 3 + max((f.total_degree() for f in gens), default=0)
+
+
 def buchberger(
     gens: Iterable[Polynomial],
     order: TermOrder,
@@ -320,11 +319,12 @@ def buchberger(
     bounds the lcm degree of the pairs left to reduce.  Hitting either raises
     BudgetExceeded with the counts of the work done so far.
     """
-    polys = [_dense(f, order) for f in gens if f]
-    if not polys:
+    gens = [f for f in gens if f]
+    if not gens:
         return []
     if degree_cap is None:
-        degree_cap = 3 + max(sum(e) for d in polys for e in d)
+        degree_cap = default_degree_cap(gens)
+    polys = [_dense(f, order) for f in gens]
 
     heads = []  # monic (lt, 1, tail) per basis element
     queue = []  # (lcm key, j, i, lcm): pairs i < j, in the order they arose

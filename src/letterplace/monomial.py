@@ -386,15 +386,10 @@ def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     Pivot-splitting recursion on the most frequent variable:
     K(I) = K(I + (x)) + t * K(I : x), with K(I + (x)) = (1-t) * K(drop x-gens).
     K depends only on the generators, not on the ambient variable count.
-    Cross-checked against inclusion-exclusion whenever there are <= 8
-    generators.
     """
     if ideal.is_unit:
         return IntPoly.zero()
-    result = _hilbert_rec(ideal.gens, {})
-    if len(ideal.gens) <= 8:
-        assert result == _hilbert_incl_excl(ideal.gens), "hilbert cross-check failed"
-    return result
+    return _hilbert_rec(ideal.gens, {})
 
 
 def _hilbert_rec(gens, memo) -> IntPoly:
@@ -424,20 +419,6 @@ def _hilbert_rec(gens, memo) -> IntPoly:
     out = IntPoly.one_minus_tpow(1) * _hilbert_rec(tuple(plus), memo)
     out = out + IntPoly({1: 1}) * _hilbert_rec(tuple(colon), memo)
     memo[gens] = out
-    return out
-
-
-def _hilbert_incl_excl(gens) -> IntPoly:
-    """Independent oracle: K(I) = sum over generator subsets of (-1)^|S| t^deg(lcm S)."""
-    out = IntPoly.zero()
-    n = len(gens)
-    for r in range(n + 1):
-        sign = -1 if r % 2 else 1
-        for subset in combinations(gens, r):
-            m = Monomial.one()
-            for g in subset:
-                m = m.lcm(g)
-            out = out + IntPoly({m.degree(): sign})
     return out
 
 

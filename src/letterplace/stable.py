@@ -66,7 +66,8 @@ def ss_from_homideal(J: HomIdeal) -> MonomialIdeal:
         return MonomialIdeal(L.gens, [elem_var(p) for p in range(J.poset.n)])
     out = project_ideal(L, FiberMap.projection_first(pairs))
     out = out.with_universe([elem_var(p) for p in range(J.poset.n)])
-    assert is_strongly_stable(out), "projected letterplace ideal must be strongly stable"
+    if not is_strongly_stable(out):
+        raise AssertionError("projected letterplace ideal must be strongly stable")
     return out
 
 
@@ -94,8 +95,10 @@ def dualize_ss(I: MonomialIdeal) -> MonomialIdeal:
         return MonomialIdeal(C.gens, [])
     out = project_ideal(C, FiberMap.projection_second(pairs))
     m = len(I.universe)
-    assert out.max_degree() <= m, "dual must be generated in degrees <= m"
-    assert is_strongly_stable(out), "dual must be strongly stable"
+    if out.max_degree() > m:
+        raise AssertionError(f"dual must be generated in degrees <= {m}")
+    if not is_strongly_stable(out):
+        raise AssertionError("dual must be strongly stable")
     return out
 
 
@@ -110,6 +113,7 @@ def dualize_ss_bounded(I: MonomialIdeal, bound: int) -> MonomialIdeal:
         raise ValueError(f"ideal is not generated in degrees <= {bound}")
     nat = dualize_ss(I)
     top = max((v.a for g in nat.gens for v in g.support()), default=-1)
-    assert top < bound, "dual exceeded the regularity window"
+    if top >= bound:
+        raise AssertionError("dual exceeded the regularity window")
     gens = [Monomial((elem_var(v.a), e) for v, e in g.exps) for g in nat.gens]
     return MonomialIdeal(gens, [elem_var(p) for p in range(bound)])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ from letterplace.determinantal import (
 from letterplace.errors import NotTerrace
 from letterplace.groebner import diagonal_order
 from letterplace.monomial import Monomial, MonomialIdeal, pair_var
+
+from util import ref_ly_ideal, ref_minors
 
 
 def ymono(*pairs):
@@ -138,6 +141,16 @@ def test_terrace_i_round_trip_random():
 def test_ly_ideal_examples():
     assert set(ly_ideal(LSequence(0, (0, 2))).gens) == {ymono((1, 0)), ymono((2, 0))}
     assert ly_ideal(LSequence(0, (0, 1, 1))).gens == (ymono((1, 0)),)
+
+
+def test_minors_and_ly_ideal_match_reference_routes():
+    # every weakly increasing sequence with a in {0, 1}, length 2..5, values 0..5
+    for a in (0, 1):
+        for length in range(2, 6):
+            for vals in combinations_with_replacement(range(6), length):
+                seq = LSequence(a, vals)
+                assert minors_with_positions(seq) == ref_minors(seq), seq
+                assert ly_ideal(seq) == ref_ly_ideal(seq), seq
 
 
 def test_ly_ideal_inside_staircase():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import letterplace.stable as stable
 from letterplace.errors import NotAChain, NotStronglyStable
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var
@@ -226,3 +227,33 @@ def test_degenerate_duals():
     assert dualize_ss(zero).is_unit
     assert dualize_ss(unit).is_zero
     assert dualize_ss_bounded(dualize_ss_bounded(zero, 2), 2).is_zero
+
+
+# The guards below are explicit raises, so they hold under python -O as well.
+
+
+def test_ss_from_homideal_guard_raises(monkeypatch):
+    monkeypatch.setattr(stable, "is_strongly_stable", lambda I: False)
+    with pytest.raises(AssertionError, match="strongly stable"):
+        ss_from_homideal(HomIdeal.principal(chain(3), (1, 1, 2)))
+
+
+def test_dualize_ss_degree_guard_raises(monkeypatch):
+    monkeypatch.setattr(stable, "project_ideal", lambda C, f: MonomialIdeal([nmono((0, 3))]))
+    with pytest.raises(AssertionError, match="degrees <= 2"):
+        dualize_ss(MonomialIdeal([emono((0, 1))], elem_universe(2)))
+
+
+def test_dualize_ss_stability_guard_raises(monkeypatch):
+    # the input in elem variables passes, the dual in nat variables fails
+    monkeypatch.setattr(
+        stable, "is_strongly_stable", lambda I: all(v.kind == "elem" for v in I.universe)
+    )
+    with pytest.raises(AssertionError, match="dual must be strongly stable"):
+        dualize_ss(MonomialIdeal([emono((0, 1))], elem_universe(2)))
+
+
+def test_dualize_ss_bounded_guard_raises(monkeypatch):
+    monkeypatch.setattr(stable, "dualize_ss", lambda I: MonomialIdeal([nmono((2, 1))]))
+    with pytest.raises(AssertionError, match="regularity window"):
+        dualize_ss_bounded(MonomialIdeal([emono((0, 1))], elem_universe(2)), 1)

@@ -7,11 +7,19 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from letterplace.determinantal import DetMatrix, LSequence
 from letterplace.errors import BudgetExceeded
 from letterplace.groebner import Polynomial, TermOrder, s_polynomial
 from letterplace.homset import HomIdeal, check_isotone, dominates, enumerate_isotone
 from letterplace.ideals import ascent
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, pair_var
+from letterplace.monomial import (
+    IntPoly,
+    Monomial,
+    MonomialIdeal,
+    elem_var,
+    monomials_up_to,
+    pair_var,
+)
 from letterplace.poset import Poset
 
 
@@ -129,6 +137,21 @@ def brute_alexander_dual_gens(I: MonomialIdeal):
     return sorted(
         Monomial((v, 1) for v in h) for h in minimal
     )
+
+
+def hilbert_incl_excl(gens) -> IntPoly:
+    """Oracle for hilbert_numerator: K(I) = sum over generator subsets of
+    (-1)^|S| t^deg(lcm S)."""
+    out = IntPoly.zero()
+    n = len(gens)
+    for r in range(n + 1):
+        sign = -1 if r % 2 else 1
+        for subset in combinations(gens, r):
+            m = Monomial.one()
+            for g in subset:
+                m = m.lcm(g)
+            out = out + IntPoly({m.degree(): sign})
+    return out
 
 
 def random_cofinite_ideal(P: Poset, rng, max_val=3, max_gens=3) -> HomIdeal:
@@ -346,3 +369,69 @@ def _ref_interreduce(basis, order) -> list:
     out = [g.monic(order) for g in basis]
     out.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return out
+
+
+# -- reference determinantal routes ----------------------------------------------
+#
+# The routes letterplace.determinantal used before it expanded each minor once
+# and built its target through principal_letterplace_gens.
+
+
+def _ref_determinant(M: DetMatrix, rows: tuple, cols: tuple) -> Polynomial:
+    """Cofactor expansion along the first row, short-circuiting staircase zeros."""
+    if not rows:
+        return Polynomial.from_monomial(Monomial.one())
+    i, rest = rows[0], rows[1:]
+    acc = {}
+    for j, p in enumerate(cols):
+        e = M.entry(p, i)
+        if e is None:
+            continue
+        sub = _ref_determinant(M, rest, cols[:j] + cols[j + 1 :])
+        sign = -1 if j % 2 else 1
+        for m, c in sub.terms.items():
+            key = m * Monomial.variable(e)
+            acc[key] = acc.get(key, Fraction(0)) + sign * c
+    return Polynomial(acc)
+
+
+def ref_minors(seq: LSequence) -> list:
+    """Oracle for minors_with_positions: every minor by its own cofactor expansion."""
+    M = DetMatrix(seq)
+    out = []
+    for c in range(seq.a + 1, seq.b + 1):
+        rows = tuple(range(seq.a, c))
+        for cols in combinations(range(seq[seq.a] + 1, seq[c] + 1), c - seq.a):
+            det = _ref_determinant(M, rows, cols)
+            if det:
+                out.append((c, rows, cols, det))
+    return out
+
+
+def ref_ly_ideal(iseq: LSequence) -> MonomialIdeal:
+    """Oracle for ly_ideal: the multichain recursion written out on the shifted
+    chain i_a+1..i_b, with value c on (i_c, i_{c+1}] and positions from a."""
+    a, b = iseq.a, iseq.b
+    lo, hi = iseq[a] + 1, iseq[b]
+    value = {}
+    for c in range(a, b):
+        for p in range(iseq[c] + 1, iseq[c + 1] + 1):
+            value[p] = c
+    gens = []
+    chain_buf = []
+
+    def rec(last, pos):
+        for q in range(lo if last is None else last, hi + 1):
+            if value.get(q, -1) < pos:
+                continue
+            chain_buf.append(q)
+            if value[q] == pos:
+                gens.append(
+                    Monomial((pair_var(p + j, j), 1) for j, p in enumerate(chain_buf, start=a))
+                )
+            else:
+                rec(q, pos + 1)
+            chain_buf.pop()
+
+    rec(None, a)
+    return MonomialIdeal(gens)
