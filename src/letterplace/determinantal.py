@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .errors import NotTerrace
 from .groebner import (
@@ -23,9 +22,8 @@ from .groebner import (
     default_degree_cap,
     diagonal_order,
     initial_ideal,
-    reduce,
 )
-from .ideals import principal_letterplace_gens
+from .ideals import _multichains
 from .monomial import Monomial, MonomialIdeal, height, pair_var
 from .poset import chain
 
@@ -195,9 +193,9 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    L = principal_letterplace_gens(chain(len(alpha)), alpha)
     return MonomialIdeal(
-        Monomial((pair_var(v.a + lo + v.b + a, v.b + a), e) for v, e in g.exps) for g in L.gens
+        Monomial((pair_var(p + lo + j + a, j + a), 1) for j, p in enumerate(c))
+        for c in _multichains(chain(len(alpha)), alpha)
     )
 
 
@@ -281,19 +279,3 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
         report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
     return report
 
-
-def same_ideal_by_membership(
-    gens_a: Iterable[Polynomial],
-    gens_b: Iterable[Polynomial],
-    order: TermOrder,
-    degree_cap: int = None,
-    pair_cap: int = 200_000,
-) -> bool:
-    """Bidirectional membership: each side's generators reduce to zero against
-    the other side's reduced basis."""
-    ga, gb = list(gens_a), list(gens_b)
-    basis_a = buchberger(ga, order, degree_cap, pair_cap)
-    basis_b = buchberger(gb, order, degree_cap, pair_cap)
-    return all(not reduce(f, basis_b, order) for f in ga) and all(
-        not reduce(f, basis_a, order) for f in gb
-    )

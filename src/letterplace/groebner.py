@@ -140,9 +140,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale_monomial(self, m: Monomial, c=1) -> "Polynomial":
-        return Polynomial({t * m: k * Fraction(c) for t, k in self.terms.items()})
-
     def leading_monomial(self, order: TermOrder) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
+from .monomial import _minimal
 from .poset import Poset
 
 
@@ -88,15 +89,10 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None) -> list:
 
 def minimal_of(maps: Iterable[tuple]) -> list:
     """Pointwise-minimal elements of a finite set of maps over one poset."""
-    maps = sorted(set(tuple(m) for m in maps))
-    if maps and any(len(m) != len(maps[0]) for m in maps):
+    maps = {tuple(m) for m in maps}
+    if len({len(m) for m in maps}) > 1:
         raise MixedPosets("maps have different lengths")
-    out = []
-    for m in maps:
-        if not any(dominates(m, kept) for kept in out):
-            out = [kept for kept in out if not dominates(kept, m)]
-            out.append(m)
-    return sorted(out)
+    return sorted(_minimal(maps, lambda m: (sum(m), m), lambda u, v: dominates(v, u)))
 
 
 @dataclass(frozen=True)
@@ -112,11 +108,6 @@ class Marker:
 
     def graph(self) -> frozenset:
         return frozenset((p, self.values[p]) for p in self.domain)
-
-    def restriction_of(self, other: "Marker") -> bool:
-        return self.domain <= other.domain and all(
-            self.values[p] == other.values[p] for p in self.domain
-        )
 
     @classmethod
     def on(cls, domain: Iterable[int], values: dict, n: int) -> "Marker":
@@ -260,13 +251,9 @@ class HomIdeal:
             for vals in _isotone_maps(P, upper, order, cap):
                 if all(any(v < g[p] for p, v in zip(order, vals)) for g in gens):
                     found.append(Marker.on(order, dict(zip(order, vals)), P.n))
-        graphs = [m.graph() for m in found]
-        keep = []
-        for i, m in enumerate(found):
-            if not any(j != i and graphs[j] < graphs[i] for j in range(len(found))):
-                keep.append(m)
-        keep.sort(key=lambda m: (len(m.domain), sorted(m.graph())))
-        return keep
+        by_graph = {m.graph(): m for m in found}
+        keep = _minimal(by_graph, lambda g: (len(g), sorted(g)), frozenset.__le__)
+        return [by_graph[g] for g in keep]
 
     # -- serialization ---------------------------------------------------------
 

@@ -110,22 +110,26 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     with alpha(p_r) = r and alpha(p_j) > j for j < r: the letterplace ideal of
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
-    alpha = check_isotone(P, alpha)
-    gens = []
-    chain = []
+    chains = _multichains(P, check_isotone(P, alpha))
+    return MonomialIdeal(_pairs_monomial((p, j) for j, p in enumerate(c)) for c in chains)
 
-    def rec(last, pos):
+
+def _multichains(P: Poset, alpha) -> list:
+    """The multichains (p_0, ..., p_r) of principal_letterplace_gens, as
+    element tuples; alpha must be isotone."""
+    out = []
+
+    def rec(last, prefix):
+        pos = len(prefix)
         for q in range(P.n):
             if last is not None and not P.leq(last, q):
                 continue
             if alpha[q] < pos:
                 continue
-            chain.append(q)
             if alpha[q] == pos:
-                gens.append(_pairs_monomial((p, j) for j, p in enumerate(chain)))
+                out.append(prefix + (q,))
             else:
-                rec(q, pos + 1)
-            chain.pop()
+                rec(q, prefix + (q,))
 
-    rec(None, 0)
-    return MonomialIdeal(gens)
+    rec(None, ())
+    return out

@@ -191,7 +191,7 @@ class MonomialIdeal:
     __slots__ = ("gens", "universe")
 
     def __init__(self, gens: Iterable[Monomial] = (), universe: Iterable[Var] = None):
-        gens = _minimal_gens(list(gens))
+        gens = _minimal(gens, Monomial.sort_key, Monomial.divides)
         used = set()
         for g in gens:
             used |= g.support()
@@ -201,7 +201,7 @@ class MonomialIdeal:
             universe = set(universe)
             if not used <= universe:
                 raise ValueError("universe does not cover generator variables")
-        self.gens = tuple(sorted(gens, key=Monomial.sort_key))
+        self.gens = tuple(gens)
         self.universe = tuple(sorted(universe))
 
     @property
@@ -243,22 +243,28 @@ class MonomialIdeal:
         return [g.text(labels, letter) for g in self.gens]
 
 
-def _minimal_gens(gens):
-    gens = sorted(set(gens), key=Monomial.sort_key)
+def _minimal(items, key, below) -> list:
+    """Minimal elements of `items` under the order `below(x, y)` (x <= y),
+    sorted by `key`.
+
+    key(x)[0] is a grade that strictly increases along `below`, so two
+    distinct items of one grade are never comparable and each item is tested
+    only against the kept items of smaller grade.
+    """
     out = []
-    for g in gens:
-        if not any(h.divides(g) for h in out):
-            out.append(g)
+    grade, lower = None, 0
+    for x in sorted(set(items), key=key):
+        g = key(x)[0]
+        if g != grade:
+            grade, lower = g, len(out)
+        if not any(below(y, x) for y in out[:lower]):
+            out.append(x)
     return out
 
 
 def minimalize(gens: Iterable[Monomial], universe=None) -> MonomialIdeal:
     """Divisibility-minimal generating set, canonically sorted."""
     return MonomialIdeal(gens, universe)
-
-
-def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    return ideal.contains(m)
 
 
 # -- Alexander duality -------------------------------------------------------
@@ -393,7 +399,7 @@ def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
 
 
 def _hilbert_rec(gens, memo) -> IntPoly:
-    gens = tuple(sorted(gens, key=Monomial.sort_key))
+    """K of the ideal on `gens`, a minimal generating tuple in sort_key order."""
     if gens in memo:
         return memo[gens]
     if not gens:
@@ -414,9 +420,9 @@ def _hilbert_rec(gens, memo) -> IntPoly:
     best = max(counts.values())
     pivot = min(v for v, k in counts.items() if k == best)
     x = Monomial.variable(pivot)
-    plus = _minimal_gens([g for g in gens if pivot not in g.support()])
-    colon = _minimal_gens([g.colon(x) for g in gens])
-    out = IntPoly.one_minus_tpow(1) * _hilbert_rec(tuple(plus), memo)
+    plus = tuple(g for g, s in zip(gens, supports) if pivot not in s)
+    colon = _minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides)
+    out = IntPoly.one_minus_tpow(1) * _hilbert_rec(plus, memo)
     out = out + IntPoly({1: 1}) * _hilbert_rec(tuple(colon), memo)
     memo[gens] = out
     return out
@@ -479,7 +485,7 @@ def associated_primes(ideal: MonomialIdeal, cap: int = 200_000) -> set:
         m = Monomial(zip(vs, exps))
         if ideal.contains(m):
             continue
-        colon = _minimal_gens([g.colon(m) for g in ideal.gens])
+        colon = _minimal([g.colon(m) for g in ideal.gens], Monomial.sort_key, Monomial.divides)
         if all(g.degree() == 1 for g in colon):
             out.add(frozenset(v for g in colon for v in g.support()))
     return out

@@ -76,9 +76,6 @@ class Poset:
     def down_set(self, p: int) -> frozenset:
         return _mask_to_set(self.down[p])
 
-    def strict_down(self, p: int) -> frozenset:
-        return _mask_to_set(self.down[p] & ~(1 << p))
-
     def covers(self) -> list:
         """Canonical cover list (the Hasse diagram), sorted."""
         out = []
@@ -98,10 +95,6 @@ class Poset:
             twin._opposite = self
             self._opposite = twin
         return self._opposite
-
-    def topo_order(self) -> list:
-        """Elements in some linear extension (smaller elements first)."""
-        return sorted(range(self.n), key=lambda p: (bin(self.down[p]).count("1"), p))
 
     def is_chain(self) -> bool:
         return all(self.comparable(p, q) for p in range(self.n) for q in range(p))

@@ -53,9 +53,6 @@ class FiberMap:
         src = sorted(tuple(s) for s in source)
         return cls(tuple(src), tuple(pair_var(p, i) for p, i in src))
 
-    def target_of(self, pair) -> Var:
-        return self.targets[self.source.index(tuple(pair))]
-
     def fibers(self) -> dict:
         out = {}
         for s, t in zip(self.source, self.targets):

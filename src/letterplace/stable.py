@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import NotAChain, NotStronglyStable
-from .homset import HomIdeal, minimal_of
+from .homset import HomIdeal
 from .ideals import coletterplace_ideal, letterplace_ideal
-from .monomial import Monomial, MonomialIdeal, Var, elem_var, monomials_up_to
+from .monomial import Monomial, MonomialIdeal, Var, elem_var
 from .poset import Poset, chain
 from .pstable import lambda_bar_inv
 from .quotient import FiberMap, project_ideal
@@ -73,16 +73,16 @@ def ss_from_homideal(J: HomIdeal) -> MonomialIdeal:
 
 def homideal_from_ss(I: MonomialIdeal) -> HomIdeal:
     """Inverse of ss_from_homideal: the complement filter is generated by the
-    preimages of the ideal's monomials up to the generator degree bound."""
+    preimages of the ideal's generators.  On a chain lambda_bar_inv is partial
+    sums, so g | m gives lambda_bar_inv(g) <= lambda_bar_inv(m), and the
+    cofinite constructor keeps the minimal preimages."""
     if not is_strongly_stable(I):
         raise NotStronglyStable("input fails the exchange test")
     m = len(I.universe)
     P = chain(m)
     if I.is_zero:
         return HomIdeal.cofinite(P, [])
-    monos = [mm for mm in monomials_up_to(I.universe, I.max_degree()) if I.contains(mm)]
-    gens = minimal_of([lambda_bar_inv(P, mm) for mm in monos])
-    return HomIdeal.cofinite(P, gens)
+    return HomIdeal.cofinite(P, [lambda_bar_inv(P, g) for g in I.gens])
 
 
 def dualize_ss(I: MonomialIdeal) -> MonomialIdeal:

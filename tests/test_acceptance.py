@@ -12,7 +12,6 @@ from letterplace.determinantal import (
     build_matrix,
     i_sequence,
     ideal_gens,
-    same_ideal_by_membership,
     terrace,
     verify_main,
 )
@@ -45,6 +44,7 @@ from util import (
     nonstrict_merge_map,
     poset_classes,
     random_cofinite_ideal,
+    same_ideal_by_membership,
     single_merge_maps,
 )
 

@@ -20,7 +20,6 @@ from letterplace.determinantal import (
     l_from_i,
     ly_ideal,
     minors_with_positions,
-    same_ideal_by_membership,
     terrace,
     verify_main,
 )
@@ -28,7 +27,7 @@ from letterplace.errors import NotTerrace
 from letterplace.groebner import diagonal_order
 from letterplace.monomial import Monomial, MonomialIdeal, pair_var
 
-from util import ref_ly_ideal, ref_minors
+from util import ref_ly_ideal, ref_minors, same_ideal_by_membership
 
 
 def ymono(*pairs):
@@ -287,6 +286,23 @@ def test_reduction_lemma_membership():
         assert same_ideal_by_membership(
             ideal_gens(long_seq), ideal_gens(short_seq), order
         )
+
+
+def test_ly_ideal_builds_one_ideal(monkeypatch):
+    # the shifted generators go straight from the multichains into one ideal
+    builds = []
+    init = MonomialIdeal.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+    iseq = LSequence(0, (0, 1, 2, 3, 4))
+    target = ly_ideal(iseq)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    assert target == ref_ly_ideal(iseq)
 
 
 def test_minor_leads_lie_in_target():

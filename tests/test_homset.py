@@ -1,6 +1,8 @@
 """Isotone-map enumeration, HomIdeal representations, markers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterplace.errors import ExplosionGuard, MixedPosets, NotIsotone
 from letterplace.homset import (
@@ -17,6 +19,7 @@ from util import (
     brute_complement_gens,
     brute_is_marker,
     brute_minimal,
+    brute_minimal_markers,
     random_cofinite_ideal,
 )
 
@@ -295,3 +298,27 @@ def test_json_round_trip():
     ):
         K = HomIdeal.from_json(J.to_json())
         assert K.kind == J.kind and K.to_json() == J.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    maps=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=12
+    )
+)
+def test_minimal_of_matches_bruteforce(maps):
+    # repeated maps and maps of every value sum
+    assert minimal_of(maps + maps[:3]) == brute_minimal(maps)
+
+
+SMALL_POSETS = [P for n in range(4) for P in all_labeled_posets(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minimal_markers_match_bruteforce(data):
+    P = data.draw(st.sampled_from(SMALL_POSETS))
+    pool = enumerate_isotone(P, 2)
+    gens = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    J = HomIdeal.cofinite(P, gens)
+    assert J.minimal_markers() == brute_minimal_markers(J)

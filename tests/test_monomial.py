@@ -1,6 +1,7 @@
 """Monomial arithmetic, duality, Hilbert numerators, height, associated primes."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from letterplace.errors import NotSquarefree
 from letterplace.monomial import (
     IntPoly,
     Monomial,
+    MonomialIdeal,
     alexander_dual,
     associated_primes,
     elem_var,
@@ -20,7 +22,7 @@ from letterplace.monomial import (
     parse_monomial,
 )
 
-from util import brute_alexander_dual_gens, hilbert_incl_excl
+from util import brute_alexander_dual_gens, brute_minimal_elements, hilbert_incl_excl
 
 x, y, z = elem_var(0), elem_var(1), elem_var(2)
 
@@ -50,6 +52,23 @@ def test_minimalize_examples():
     assert set(J.gens) == {mono((x, 1), (y, 1)), mono((y, 1), (z, 1))}
     assert minimalize([]).is_zero
     assert minimalize([Monomial.one(), mono((x, 1))]).gens == (Monomial.one(),)
+
+
+def test_equal_degree_generators_need_no_divisibility_test(monkeypatch):
+    # generators of one degree divide each other only if they are equal
+    calls = []
+    divides = Monomial.divides
+
+    def counted(a, b):
+        calls.append(1)
+        return divides(a, b)
+
+    monkeypatch.setattr(Monomial, "divides", counted)
+    variables = [elem_var(p) for p in range(8)]
+    gens = [Monomial((v, 1) for v in combo) for combo in combinations(variables, 4)]
+    I = MonomialIdeal(gens)
+    assert len(I.gens) == 70
+    assert calls == []
 
 
 def test_contains_examples():
@@ -236,3 +255,18 @@ def test_intpoly_ring_laws(cs, ds):
     assert f * g == g * f
     assert (f - g) + g == f
     assert f * IntPoly.one() == f
+
+
+small_monomials = st.builds(
+    lambda es: Monomial((v, e) for v, e in zip((x, y, z), es) if e),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(st.one_of(small_monomials, h_monomials), max_size=12))
+def test_minimal_generators_match_bruteforce(gens):
+    # small exponents make duplicates and divisibility across degrees common
+    I = MonomialIdeal(gens)
+    assert set(I.gens) == brute_minimal_elements(gens, Monomial.divides)
+    assert list(I.gens) == sorted(I.gens, key=Monomial.sort_key)

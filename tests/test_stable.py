@@ -19,6 +19,8 @@ from letterplace.stable import (
     ss_from_homideal,
 )
 
+from util import ref_homideal_from_ss
+
 
 def emono(*pairs):
     return Monomial((elem_var(p), e) for p, e in pairs)
@@ -130,6 +132,19 @@ def test_round_trip_random_strongly_stable():
         J = homideal_from_ss(I)
         assert ss_from_homideal(J).gens == I.gens
         count += 1
+
+
+def test_homideal_from_ss_matches_monomial_route():
+    # the generator route against the preimages of every monomial of I
+    from letterplace.monomial import monomials_up_to
+
+    rng = random.Random(23)
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        universe = elem_universe(m)
+        pool = [x for x in monomials_up_to(universe, 4) if x]
+        I = borel_closure(rng.sample(pool, rng.randint(1, 3)), universe)
+        assert homideal_from_ss(I).gens == ref_homideal_from_ss(I).gens
 
 
 def test_dualize_single_variable_in_two():

@@ -9,8 +9,15 @@ from math import gcd
 
 from letterplace.determinantal import DetMatrix, LSequence
 from letterplace.errors import BudgetExceeded
-from letterplace.groebner import Polynomial, TermOrder, s_polynomial
-from letterplace.homset import HomIdeal, check_isotone, dominates, enumerate_isotone
+from letterplace.groebner import Polynomial, TermOrder, buchberger, reduce, s_polynomial
+from letterplace.homset import (
+    HomIdeal,
+    Marker,
+    check_isotone,
+    dominates,
+    enumerate_isotone,
+    minimal_of,
+)
 from letterplace.ideals import ascent
 from letterplace.monomial import (
     IntPoly,
@@ -20,7 +27,8 @@ from letterplace.monomial import (
     monomials_up_to,
     pair_var,
 )
-from letterplace.poset import Poset
+from letterplace.poset import Poset, chain
+from letterplace.pstable import lambda_bar_inv
 
 
 def all_labeled_posets(n: int):
@@ -73,11 +81,30 @@ def poset_classes(n: int):
     return list(seen.values())
 
 
+def brute_minimal_elements(items, below) -> set:
+    """Oracle for monomial._minimal: the items with no other item below them."""
+    items = set(items)
+    return {x for x in items if not any(y != x and below(y, x) for y in items)}
+
+
 def brute_minimal(maps):
-    maps = sorted(set(maps))
-    return sorted(
-        m for m in maps if not any(o != m and dominates(m, o) for o in maps)
-    )
+    return sorted(brute_minimal_elements(maps, lambda u, v: dominates(v, u)))
+
+
+def brute_minimal_markers(J: HomIdeal) -> list:
+    """Oracle for HomIdeal.minimal_markers on a cofinite ideal: every marker
+    restricted from a total map valued <= nmax, kept when no other marker's
+    graph lies inside its graph, in (domain size, sorted graph) order."""
+    P = J.poset
+    markers = {
+        Marker.on(dom, {p: phi[p] for p in dom}, P.n)
+        for dom in P.ideals()
+        for phi in enumerate_isotone(P, J.nmax())
+    }
+    markers = [m for m in markers if J.is_marker(m)]
+    keep = brute_minimal_elements([m.graph() for m in markers], frozenset.__le__)
+    out = [m for m in markers if m.graph() in keep]
+    return sorted(out, key=lambda m: (len(m.domain), sorted(m.graph())))
 
 
 def brute_complement_gens(J: HomIdeal, bound: int):
@@ -137,6 +164,16 @@ def brute_alexander_dual_gens(I: MonomialIdeal):
     return sorted(
         Monomial((v, 1) for v in h) for h in minimal
     )
+
+
+def ref_homideal_from_ss(I: MonomialIdeal) -> HomIdeal:
+    """Oracle for stable.homideal_from_ss: minimal preimages of every monomial
+    of I up to its largest generator degree."""
+    P = chain(len(I.universe))
+    if I.is_zero:
+        return HomIdeal.cofinite(P, [])
+    monos = [m for m in monomials_up_to(I.universe, I.max_degree()) if I.contains(m)]
+    return HomIdeal.cofinite(P, minimal_of([lambda_bar_inv(P, m) for m in monos]))
 
 
 def hilbert_incl_excl(gens) -> IntPoly:
@@ -435,3 +472,20 @@ def ref_ly_ideal(iseq: LSequence) -> MonomialIdeal:
 
     rec(None, a)
     return MonomialIdeal(gens)
+
+
+def same_ideal_by_membership(
+    gens_a,
+    gens_b,
+    order: TermOrder,
+    degree_cap: int = None,
+    pair_cap: int = 200_000,
+) -> bool:
+    """Bidirectional membership: each side's generators reduce to zero against
+    the other side's reduced basis."""
+    ga, gb = list(gens_a), list(gens_b)
+    basis_a = buchberger(ga, order, degree_cap, pair_cap)
+    basis_b = buchberger(gb, order, degree_cap, pair_cap)
+    return all(not reduce(f, basis_b, order) for f in ga) and all(
+        not reduce(f, basis_a, order) for f in gb
+    )
