@@ -28,7 +28,7 @@ from .pstable import is_p_stable
 from .quotient import FiberMap, project_ideal, regular_quotient_check
 from .stable import dualize_ss, dualize_ss_bounded
 
-VERSION = 1
+VERSION = 2
 
 
 def _emit(doc: dict, out_path=None, fmt: str = "json") -> None:
@@ -291,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = det.add_parser("verify", help="initial ideal and codimension report")
     p.add_argument("--l", required=True, help="comma-separated weakly increasing values")
     p.add_argument("--a", type=int, default=0, help="starting index of the sequence")
-    p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--pair-cap", type=int, default=200_000)
+    p.add_argument("--degree-cap", type=int, default=None,
+                   help="largest lcm degree of an S-pair to reduce (default: no cap)")
+    p.add_argument("--pair-cap", type=int, default=200_000,
+                   help="most S-pairs to reduce")
     add_output(p)
     p.set_defaults(func=_cmd_det_verify)
 

@@ -1,8 +1,9 @@
 """Exact multivariate polynomials, term orders, and Buchberger's algorithm.
 
-Desk-scale engine: coefficients are arbitrary-precision rationals, monomials
-are the shared sparse Monomial type, and the basis computation works on dense
-exponent tuples over the order's variable ranking.  Budgets fail loudly via
+Desk-scale engine: coefficients are exact (arbitrary-precision rationals,
+held as integers inside the engine while they are integers), monomials are the
+shared sparse Monomial type, and the basis computation works on dense exponent
+tuples over the order's variable ranking.  Budgets fail loudly via
 BudgetExceeded; results are never truncated silently.
 """
 
@@ -208,31 +209,34 @@ def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
 # -- division and Buchberger ---------------------------------------------------
 #
 # Inside reduce and buchberger a polynomial is dense: a dict from exponent
-# tuples over order.vars to Fraction coefficients.  A divisor is held as
-# (lt, lc, tail), computed once: its leading exponent tuple, leading
-# coefficient and remaining (exponents, coefficient) pairs.
+# tuples over order.vars to coefficients, kept as int while they are integers
+# and as Fraction otherwise.  A divisor is held monic as (lt, tail), computed
+# once: its leading exponent tuple and its other (exponents, coefficient) pairs
+# divided by the leading coefficient.
 
 
 def _dense(f: Polynomial, order: TermOrder) -> dict:
-    return {order.exponents(m): c for m, c in f.terms.items()}
+    return {
+        order.exponents(m): c.numerator if c.denominator == 1 else c
+        for m, c in f.terms.items()
+    }
 
 
 def _sparse(d: dict, order: TermOrder) -> Polynomial:
     return Polynomial({order.monomial(e): c for e, c in d.items()})
 
 
-def _head(d: dict, order: TermOrder) -> tuple:
-    lt = max(d, key=order.tuple_key)
-    return lt, d[lt], [(e, c) for e, c in d.items() if e != lt]
-
-
 def _monic_head(d: dict, order: TermOrder) -> tuple:
-    lt, lc, tail = _head(d, order)
-    return lt, 1, [(e, c / lc) for e, c in tail]
+    lt = max(d, key=order.tuple_key)
+    lc = d[lt]
+    # a unit is its own inverse, so integer coefficients stay integers
+    inv = lc if lc == 1 or lc == -1 else 1 / Fraction(lc)
+    return lt, [(e, c * inv) for e, c in d.items() if e != lt]
 
 
 def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
-    """Full normal form of the dense polynomial work (consumed) modulo heads.
+    """Full normal form of the dense polynomial work (consumed) modulo the
+    monic heads.
 
     Terms are taken largest first from a heap of order keys; each is reduced
     by the first head whose leading exponents it dominates, or kept.
@@ -246,18 +250,17 @@ def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
         c = work.pop(e, None)
         if c is None:
             continue  # cancelled, or a second heap entry for the same term
-        for lt, lc, tail in heads:
+        for lt, tail in heads:
             if all(map(le, lt, e)):
                 q = tuple(map(sub, e, lt))
-                mult = c / lc
                 for te, tc in tail:
                     t = tuple(map(add, te, q))
                     old = work.get(t)
                     if old is None:
-                        work[t] = -mult * tc
+                        work[t] = -c * tc
                         heapq.heappush(heap, (key(t), t))
                     else:
-                        old -= mult * tc
+                        old -= c * tc
                         if old:
                             work[t] = old
                         else:
@@ -270,7 +273,7 @@ def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
 
 def reduce(f: Polynomial, basis: Iterable[Polynomial], order: TermOrder) -> Polynomial:
     """Full normal form of f modulo basis, deterministic in the listed order."""
-    heads = [_head(_dense(g, order), order) for g in basis if g]
+    heads = [_monic_head(_dense(g, order), order) for g in basis if g]
     return _sparse(_normal_form(_dense(f, order), heads, order), order)
 
 
@@ -283,8 +286,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:
     """S-polynomial of two monic heads whose leading exponents have lcm L."""
     qi, qj = tuple(map(sub, L, hi[0])), tuple(map(sub, L, hj[0]))
-    s = {tuple(map(add, e, qi)): c for e, c in hi[2]}
-    for e, c in hj[2]:
+    s = {tuple(map(add, e, qi)): c for e, c in hi[1]}
+    for e, c in hj[1]:
         t = tuple(map(add, e, qj))
         c = s.get(t, 0) - c
         if c:
@@ -292,12 +295,6 @@ def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:
         else:
             del s[t]
     return s
-
-
-def default_degree_cap(gens: Iterable[Polynomial]) -> int:
-    """The degree cap of buchberger when none is given: 3 plus the largest
-    generator degree."""
-    return 3 + max((f.total_degree() for f in gens), default=0)
 
 
 def buchberger(
@@ -308,89 +305,108 @@ def buchberger(
 ) -> list:
     """Reduced Groebner basis: auto-reduced, monic, sorted by leading term.
 
-    Normal selection strategy (smallest lcm first, ties in the order the pairs
-    arose).  A popped pair is skipped when its leading terms are coprime, or by
-    Buchberger's chain criterion: some other leading term divides the lcm and
-    the pairs it forms with both are no longer pending.  pair_cap bounds the
-    pairs popped; degree_cap (default 3 plus the largest generator degree)
-    bounds the lcm degree of the pairs left to reduce.  Hitting either raises
-    BudgetExceeded with the counts of the work done so far.
-    """
-    gens = [f for f in gens if f]
-    if not gens:
-        return []
-    if degree_cap is None:
-        degree_cap = default_degree_cap(gens)
-    polys = [_dense(f, order) for f in gens]
+    The inputs join in ascending order of leading term, each first reduced to
+    its normal form modulo the elements already joined, so an input that
+    reduces to zero forms no pairs.  Every join runs the Gebauer-Moeller
+    update (J. Symb. Comp. 6, 1988).  Criterion B deletes each pending pair
+    whose lcm the new leading term divides, unless the lcm of the new leading
+    term with one element of the pair equals that lcm.  Of the new pairs,
+    criteria M and F keep one per lcm and none whose lcm another new lcm
+    properly divides; a pair with coprime leading terms is dropped, and so is
+    every new pair whose lcm is a multiple of its lcm.  Elements whose leading
+    term the new one divides form no more pairs and no longer reduce.  The
+    pairs left are reduced smallest lcm first, ties in the order they arose.
 
-    heads = []  # monic (lt, 1, tail) per basis element
-    queue = []  # (lcm key, j, i, lcm): pairs i < j, in the order they arose
-    pending = set()
+    pair_cap bounds the pairs reduced; degree_cap, off unless given, bounds
+    their lcm degree.  Hitting either raises BudgetExceeded with the counts of
+    the work done so far: pairs popped (each is reduced unless a cap stops
+    it), dropped as coprime, dropped by criteria B, M and F ("chain"),
+    reduced, and the highest lcm degree reduced.
+    """
+    key = order.tuple_key
+    heads = []  # monic (lt, tail) of every element that joined
+    live = []  # indices of the heads that still form pairs and reduce
+    reducers = []  # those heads
+    queue = []  # (lcm key, j, i, lcm) per pending pair of heads i < j
+    counts = dict.fromkeys(("popped", "coprime", "chain", "reduced", "max_degree"), 0)
 
     def join(d):
-        head = _monic_head(d, order)
-        j = len(heads)
-        for i, (lti, _, _) in enumerate(heads):
-            L = tuple(map(max, lti, head[0]))
-            heapq.heappush(queue, (order.tuple_key(L), j, i, L))
-            pending.add((i, j))
-        heads.append(head)
-
-    for d in polys:
-        join(d)
-
-    counts = dict.fromkeys(("popped", "coprime", "chain", "reduced", "max_degree"), 0)
+        h = _monic_head(d, order)
+        lt, j = h[0], len(heads)
+        # criterion B on the pending pairs
+        kept = [
+            p
+            for p in queue
+            if not all(map(le, lt, p[3]))
+            or tuple(map(max, heads[p[1]][0], lt)) == p[3]
+            or tuple(map(max, heads[p[2]][0], lt)) == p[3]
+        ]
+        if len(kept) < len(queue):
+            counts["chain"] += len(queue) - len(kept)
+            queue[:] = kept
+            heapq.heapify(queue)
+        # Criteria M and F on the new pairs, taken by ascending lcm, coprime
+        # ones first among equal lcms: the lcm of a pair kept, or dropped as
+        # coprime, rules out its multiples.
+        lcms = []
+        for k, shared, i, L in sorted(
+            (key(L), any(map(mul, heads[i][0], lt)), i, L)
+            for i, L in ((i, tuple(map(max, heads[i][0], lt))) for i in live)
+        ):
+            if not shared:
+                counts["coprime"] += 1
+            elif any(all(map(le, M, L)) for M in lcms):
+                counts["chain"] += 1
+                continue
+            else:
+                heapq.heappush(queue, (k, j, i, L))
+            lcms.append(L)
+        heads.append(h)
+        live[:] = [i for i in live if not all(map(le, lt, heads[i][0]))] + [j]
+        reducers[:] = [heads[i] for i in live]
 
     def over(cap):
         raise BudgetExceeded(
-            f"{cap} after {counts['popped']} S-pairs popped: {counts['coprime']} skipped "
-            f"as coprime, {counts['chain']} by the chain criterion, {counts['reduced']} "
-            f"reduced, highest lcm degree reduced {counts['max_degree']}",
+            f"{cap} after {counts['popped']} S-pairs popped and {counts['reduced']} "
+            f"reduced, highest lcm degree reduced {counts['max_degree']}; "
+            f"{counts['coprime']} pairs dropped as coprime, {counts['chain']} by "
+            f"criteria B, M and F",
             counts,
         )
 
+    inputs = [_dense(f, order) for f in gens if f]
+    for d in sorted(inputs, key=lambda d: key(max(d, key=key))):
+        r = _normal_form(d, reducers, order)
+        if r:
+            join(r)
+
     while queue:
         _, j, i, L = heapq.heappop(queue)
-        pending.discard((i, j))
         counts["popped"] += 1
-        if counts["popped"] > pair_cap:
-            over(f"more than {pair_cap} S-pairs processed")
-        if not any(map(mul, heads[i][0], heads[j][0])):
-            counts["coprime"] += 1
-            continue
-        if any(
-            k != i
-            and k != j
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            and all(map(le, heads[k][0], L))
-            for k in range(len(heads))
-        ):
-            counts["chain"] += 1
-            continue
         degree = sum(L)
-        if degree > degree_cap:
+        if degree_cap is not None and degree > degree_cap:
             over(f"S-pair lcm degree {degree} exceeds cap {degree_cap}")
-        r = _normal_form(_dense_s_polynomial(heads[i], heads[j], L), heads, order)
+        if counts["reduced"] >= pair_cap:
+            over(f"more than {pair_cap} S-pairs to reduce")
+        r = _normal_form(_dense_s_polynomial(heads[i], heads[j], L), reducers, order)
         counts["reduced"] += 1
         counts["max_degree"] = max(counts["max_degree"], degree)
         if r:
             join(r)
 
-    return [_sparse(d, order) for d in _interreduce(heads, order)]
+    return [_sparse(d, order) for d in _interreduce(reducers, order)]
 
 
 def _interreduce(heads: list, order: TermOrder) -> list:
     """Reduced basis, as dense monic polynomials sorted by leading term, from
-    the monic heads of a Groebner basis."""
-    minimal = []
-    for h in sorted(heads, key=lambda h: order.tuple_key(h[0])):
-        if not any(all(map(le, g[0], h[0])) for g in minimal):
-            minimal.append(h)
-    # A tail term lies below its own leading term, so of all the heads only
-    # the others can reduce it.
+    the monic heads of a Groebner basis none of whose leading terms divides
+    another."""
+    heads = sorted(heads, key=lambda h: order.tuple_key(h[0]))
+    # A tail term lies below its own leading term, and a leading term that
+    # divides it lies below it too, so only the heads before it can reduce it.
     return [
-        {lt: 1, **_normal_form(dict(tail), minimal, order)} for lt, _, tail in minimal
+        {lt: 1, **_normal_form(dict(tail), heads[:k], order)}
+        for k, (lt, tail) in enumerate(heads)
     ]
 
 

@@ -40,7 +40,7 @@ def test_letterplace_running_example(running_example, capsys):
         "x[3,0]*x[3,1]*x[3,2]",
     ]
     assert doc["bound_used"] == 3
-    assert doc["version"] == 1
+    assert doc["version"] == 2
 
 
 def test_byte_identical_reruns(running_example, capsys):
@@ -208,7 +208,10 @@ def test_det_verify_echoes_budget(capsys):
     code, out = run(capsys, "det", "verify", "--l", "0,1,3")
     assert code == 0
     doc = json.loads(out)
-    assert doc["budget"] == {"degree_cap": 5, "pair_cap": 200000}
+    assert doc["budget"] == {"degree_cap": None, "pair_cap": 200000}
+    code, out = run(capsys, "det", "verify", "--l", "0,1,3", "--degree-cap", "5", "--pair-cap", "9")
+    assert code == 0
+    assert json.loads(out)["budget"] == {"degree_cap": 5, "pair_cap": 9}
 
 
 def test_output_file_writing(running_example, tmp_path, capsys):

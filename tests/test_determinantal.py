@@ -1,6 +1,5 @@
 """Staircase matrices, terrace/i sequences, and the initial-ideal theorem."""
 
-import json
 import random
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -217,12 +216,18 @@ def test_verify_main_reports_terrace_instance():
 
 
 def test_verify_main_six_rows_at_default_caps():
-    # every lcm-degree-9 pair of this instance is skipped by the chain criterion,
-    # so the default degree cap (8) no longer rejects it
+    # there is no default degree cap; the report echoes none
     report = verify_main(LSequence(0, (0, 2, 4, 6, 8, 10)))
-    assert report["budget"]["degree_cap"] == 8
+    assert report["budget"] == {"degree_cap": None, "pair_cap": 200_000}
     assert report["ok"] and report["initial_equals_target"]
     assert report["gb_size"] == 24
+
+
+def test_verify_main_seven_rows_at_default_caps():
+    # 624 minors, none of which extends the basis
+    report = verify_main(LSequence(0, (0, 2, 4, 6, 8, 10, 12)))
+    assert report["ok"] and report["initial_equals_target"]
+    assert report["gb_size"] == 66
 
 
 def test_verify_main_computes_minors_once(monkeypatch):
@@ -253,22 +258,13 @@ def test_diagonal_leads_with_given_minors():
 GOLDEN = Path(__file__).parent / "data" / "golden_cli"
 
 
-def _strip_runtime(report: dict) -> dict:
-    out = {k: v for k, v in report.items() if k != "runtime_s"}
-    if "terrace_instance" in out:
-        out["terrace_instance"] = _strip_runtime(out["terrace_instance"])
-    return out
-
-
 @pytest.mark.parametrize("vals", ["0,0,3,4,6", "0,2,4,6,8", "0,2,3,5,8"])
 def test_det_verify_golden_report(vals, capsys):
-    """`letterplace det verify --l <vals>` prints the recorded report, apart
-    from its runtime_s; the files were written before the dense engine."""
+    """`letterplace det verify --l <vals>` prints the recorded report, byte for
+    byte; the files were recorded at format version 2."""
     assert main(["det", "verify", "--l", vals]) == 0
-    report = _strip_runtime(json.loads(capsys.readouterr().out))
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     expected = (GOLDEN / f"det_verify_{vals.replace(',', '_')}.json").read_text(encoding="utf-8")
-    assert text == expected
+    assert capsys.readouterr().out == expected
 
 
 def test_reduction_lemma_membership():

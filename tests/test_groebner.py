@@ -204,14 +204,17 @@ def test_budget_reports_work_done():
     with pytest.raises(BudgetExceeded) as exc:
         buchberger([f, g], lex_order([X, Y]), pair_cap=0)
     assert exc.value.work == {"popped": 1, **nothing_reduced}
-    assert "more than 0 S-pairs processed after 1 S-pairs popped" in str(exc.value)
+    assert "more than 0 S-pairs to reduce after 1 S-pairs popped" in str(exc.value)
 
 
 def test_chain_criterion_counts():
-    # Heads xy, yz, xz, zw^3 under lex x > y > z > w.  Pairs pop by lcm:
-    # (yz, zw^3) and (xz, zw^3) reduce (degree 5); (xy, yz) and (xy, xz) at xyz
-    # reduce; (yz, xz) at xyz is chain-skipped through xy, whose pairs with
-    # both are done; (xy, zw^3) is coprime.  The sixth pop exceeds pair_cap 5.
+    # Heads xy, yz, xz, zw^3 under lex x > y > z > w join in ascending order:
+    # zw^3, yz, xz, xy.  yz queues (zw^3, yz) at yzw^3; xz queues (zw^3, xz) at
+    # xzw^3 and (yz, xz) at xyz.  xy deletes no pending pair: xy divides only
+    # the lcm xyz, which it shares with yz.  Of its new pairs, (zw^3, xy) is
+    # coprime, (yz, xy) at xyz is queued and (xz, xy), with the same lcm, is
+    # dropped by criterion F.  The four pairs left pop at yzw^3, xzw^3, xyz,
+    # xyz and all reduce to zero; the fourth exceeds pair_cap 3.
     gens = [
         poly(([(X, 1), (Y, 1)], 1)),
         poly(([(Y, 1), (Z, 1)], 1)),
@@ -220,10 +223,55 @@ def test_chain_criterion_counts():
     ]
     order = lex_order([X, Y, Z, W])
     with pytest.raises(BudgetExceeded) as exc:
-        buchberger(gens, order, pair_cap=5)
-    assert exc.value.work == {"popped": 6, "coprime": 0, "chain": 1, "reduced": 4, "max_degree": 5}
-    assert "1 by the chain criterion, 4 reduced, highest lcm degree reduced 5" in str(exc.value)
-    assert buchberger(gens, order, pair_cap=6) == [g.monic(order) for g in (gens[3], gens[1], gens[2], gens[0])]
+        buchberger(gens, order, pair_cap=3)
+    assert exc.value.work == {"popped": 4, "coprime": 1, "chain": 1, "reduced": 3, "max_degree": 5}
+    assert "1 pairs dropped as coprime, 1 by criteria B, M and F" in str(exc.value)
+    assert buchberger(gens, order, pair_cap=4) == [g.monic(order) for g in (gens[3], gens[1], gens[2], gens[0])]
+
+
+def test_gebauer_moeller_criteria_counts():
+    # Heads y^2z, xz^2, xyz, xy^2 under lex x > y > z join in that order.
+    # xz^2 queues (y^2z, xz^2) at xy^2z^2.  xyz divides that lcm and its lcms
+    # with y^2z (xy^2z) and xz^2 (xyz^2) are both smaller, so criterion B
+    # deletes the pair; xyz queues (xz^2, xyz) at xyz^2 and (y^2z, xyz) at
+    # xy^2z.  xy^2 deletes nothing: the one lcm it divides, xy^2z, is its lcm
+    # with y^2z.  Its new pairs: (y^2z, xy^2) at xy^2z is queued, (xyz, xy^2)
+    # at the same lcm is dropped by criterion F, and (xz^2, xy^2) at xy^2z^2 by
+    # criterion M.  Three pairs are left, all of lcm degree 4.
+    gens = [
+        poly(([(X, 1), (Y, 2)], 1)),
+        poly(([(X, 1), (Y, 1), (Z, 1)], 1)),
+        poly(([(X, 1), (Z, 2)], 1)),
+        poly(([(Y, 2), (Z, 1)], 1)),
+    ]
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger(gens, LEX, pair_cap=2)
+    assert exc.value.work == {"popped": 3, "coprime": 0, "chain": 3, "reduced": 2, "max_degree": 4}
+    assert buchberger(gens, LEX, pair_cap=3) == gens[::-1]
+
+
+def test_inputs_reducing_to_zero_form_no_pairs():
+    # x^2 - y^2 = (x + y)(x - y) reduces to zero modulo x - y, which joins
+    # first (smaller leading term), so no S-pair is left to reduce
+    f = poly(([(X, 1)], 1), ([(Y, 1)], -1))
+    g = poly(([(X, 2)], 1), ([(Y, 2)], -1))
+    assert buchberger([g, f], LEX, pair_cap=0) == [f]
+
+
+def test_unit_ideal_at_default_caps():
+    # The reference engine's pair order finds 1 below lcm degree 6; this
+    # engine's reaches a pair of lcm degree 9 first.  A degree cap of 3 plus
+    # the largest generator degree would reject this valid input, so there is
+    # no default degree cap.
+    system = [
+        poly(([(Y, 2), (Z, 1)], -3), ([(X, 2), (Y, 1)], -3), ([], -3)),
+        poly(([(X, 2)], -3)),
+        poly(([(X, 1), (Z, 2)], -3), ([], -3)),
+    ]
+    assert buchberger(system, LEX) == [poly(([], 1))]
+    assert ref_buchberger(system, LEX) == [poly(([], 1))]
+    with pytest.raises(BudgetExceeded, match="lcm degree 9 exceeds cap 6"):
+        buchberger(system, LEX, degree_cap=6)
 
 
 coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -247,6 +295,16 @@ def test_buchberger_matches_reference_engine(order, system):
     except BudgetExceeded:
         return
     assert buchberger(system, order, pair_cap=2_000) == expected
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=80, deadline=None)
+@given(system=st.lists(polynomials, min_size=1, max_size=3), data=st.data())
+def test_buchberger_ignores_input_order(order, system, data):
+    # a multiple of the first input gives two inputs with equal leading terms
+    system = system + [system[0] * 2]
+    shuffled = data.draw(st.permutations(system))
+    assert buchberger(shuffled, order) == buchberger(system, order)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
