@@ -9,7 +9,7 @@ ones.  Tuple comparison of Var gives the canonical deterministic ordering
 from __future__ import annotations
 
 import re
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, NamedTuple
 
 from .errors import ExplosionGuard, NotSquarefree
@@ -44,10 +44,42 @@ def var_text(v: Var, labels=None, letter: str = "x") -> str:
     return f"{letter}[{v.a}]"
 
 
-class Monomial:
-    """Sparse exponent vector; immutable and hashable.  Empty product is 1."""
+# Each Var gets one bit on first sight; a monomial's support is the OR of the
+# bits of its variables.  The table only grows, and a bit never reaches output.
+_BIT = {}
+_BIT_VAR = []
 
-    __slots__ = ("exps",)
+
+def _new_bit(v: Var) -> int:
+    b = _BIT[v] = 1 << len(_BIT_VAR)
+    _BIT_VAR.append(v)
+    return b
+
+
+def _mask_of(variables) -> int:
+    """The support mask of the given variables; new ones get a bit."""
+    mask = 0
+    for v in variables:
+        mask |= _BIT.get(v) or _new_bit(v)
+    return mask
+
+
+def _mask_vars(mask: int):
+    """The variables whose bits are set in mask, lowest bit first."""
+    while mask:
+        low = mask & -mask
+        yield _BIT_VAR[low.bit_length() - 1]
+        mask ^= low
+
+
+class Monomial:
+    """Sparse exponent vector; immutable and hashable.  Empty product is 1.
+
+    Besides the sorted exponent table it carries its degree and its support
+    bitmask, so that divisibility is mostly decided without looking at `exps`.
+    """
+
+    __slots__ = ("exps", "_deg", "_mask")
 
     def __init__(self, exps: Iterable = ()):
         acc = {}
@@ -57,6 +89,12 @@ class Monomial:
             if e:
                 acc[v] = acc.get(v, 0) + e
         self.exps = tuple(sorted(acc.items()))
+        self._deg = sum(acc.values())
+        self._mask = _mask_of(acc)
+
+    def __reduce__(self):
+        # the mask is only valid in the process that interned the bits
+        return Monomial, (self.exps,)
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -83,7 +121,7 @@ class Monomial:
         return bool(self.exps)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self._deg
 
     def exp(self, v: Var) -> int:
         for w, e in self.exps:
@@ -95,11 +133,22 @@ class Monomial:
         return frozenset(v for v, _ in self.exps)
 
     def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
+        return self._deg == len(self.exps)
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
+        if self._mask & ~other._mask or self._deg > other._deg:
+            return False
+        if self._deg == len(self.exps):
+            return True
+        # Every variable of self occurs in other: walk both sorted tables.
+        theirs = iter(other.exps)
+        for v, e in self.exps:
+            for w, f in theirs:
+                if w == v:
+                    if f < e:
+                        return False
+                    break
+        return True
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.exps + other.exps)
@@ -129,6 +178,8 @@ class Monomial:
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other, i.e. self / gcd(self, other)."""
+        if not self._mask & other._mask:
+            return self
         return self / self.gcd(other)
 
     def text(self, labels=None, letter: str = "x") -> str:
@@ -192,14 +243,14 @@ class MonomialIdeal:
 
     def __init__(self, gens: Iterable[Monomial] = (), universe: Iterable[Var] = None):
         gens = _minimal(gens, Monomial.sort_key, Monomial.divides)
-        used = set()
+        used = 0
         for g in gens:
-            used |= g.support()
+            used |= g._mask
         if universe is None:
-            universe = used
+            universe = _mask_vars(used)
         else:
             universe = set(universe)
-            if not used <= universe:
+            if used & ~_mask_of(universe):
                 raise ValueError("universe does not cover generator variables")
         self.gens = tuple(gens)
         self.universe = tuple(sorted(universe))
@@ -213,7 +264,12 @@ class MonomialIdeal:
         return bool(self.gens) and not self.gens[0]
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        # the mask test of divides, inlined: most generators fail it
+        outside = ~m._mask
+        for g in self.gens:
+            if not g._mask & outside and g.divides(m):
+                return True
+        return False
 
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.gens)
@@ -285,10 +341,7 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
     if ideal.is_unit:
         return MonomialIdeal([], universe)
 
-    vs = sorted(set().union(*(g.support() for g in ideal.gens)))
-    pos = {v: i for i, v in enumerate(vs)}
-    supports = sorted((sum(1 << pos[v] for v in g.support()) for g in ideal.gens),
-                      key=lambda m: bin(m).count("1"))
+    supports = sorted((g._mask for g in ideal.gens), key=int.bit_count)
     transversals = [0]
     for hyper in supports:
         hit, missed = [], []
@@ -306,7 +359,7 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
                 fresh = [f for f in fresh if cand & f != cand]
                 fresh.append(cand)
         transversals = hit + fresh
-    gens = [Monomial((vs[i], 1) for i in range(len(vs)) if t >> i & 1) for t in transversals]
+    gens = [Monomial((v, 1) for v in _mask_vars(t)) for t in transversals]
     return MonomialIdeal(gens, universe)
 
 
@@ -406,21 +459,25 @@ def _hilbert_rec(gens, memo) -> IntPoly:
         return IntPoly.one()
     if not gens[0]:
         return IntPoly.zero()
-    supports = [g.support() for g in gens]
-    if all(not (supports[i] & supports[j]) for i in range(len(gens)) for j in range(i)):
+    seen = 0
+    for g in gens:
+        if seen & g._mask:
+            break
+        seen |= g._mask
+    else:  # pairwise disjoint supports
         out = IntPoly.one()
         for g in gens:
             out = out * IntPoly.one_minus_tpow(g.degree())
         memo[gens] = out
         return out
     counts = {}
-    for s in supports:
-        for v in s:
+    for g in gens:
+        for v, _ in g.exps:
             counts[v] = counts.get(v, 0) + 1
     best = max(counts.values())
     pivot = min(v for v, k in counts.items() if k == best)
     x = Monomial.variable(pivot)
-    plus = tuple(g for g, s in zip(gens, supports) if pivot not in s)
+    plus = tuple(g for g in gens if not g._mask & x._mask)
     colon = _minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides)
     out = IntPoly.one_minus_tpow(1) * _hilbert_rec(plus, memo)
     out = out + IntPoly({1: 1}) * _hilbert_rec(tuple(colon), memo)
@@ -434,21 +491,16 @@ def _hilbert_rec(gens, memo) -> IntPoly:
 def height(ideal: MonomialIdeal) -> int:
     """Minimum size of a variable set meeting every generator's support.
 
-    Depends only on the radical, so exponents are ignored.  The zero ideal
-    reports 0 (height undefined there); the unit ideal is rejected.
+    That is the least generator degree of the Alexander dual of the radical.
+    The zero ideal reports 0 (height undefined there); the unit ideal is
+    rejected.
     """
     if ideal.is_zero:
         return 0
     if ideal.is_unit:
         raise ValueError("height of the unit ideal is undefined")
-    supports = [g.support() for g in ideal.gens]
-    vs = sorted(set().union(*supports))
-    for k in range(1, len(vs) + 1):
-        for cand in combinations(vs, k):
-            cand = set(cand)
-            if all(cand & s for s in supports):
-                return k
-    raise AssertionError("unreachable: full variable set is a transversal")
+    radical = MonomialIdeal(Monomial((v, 1) for v, _ in g.exps) for g in ideal.gens)
+    return alexander_dual(radical).gens[0].degree()
 
 
 def monomials_up_to(variables: Iterable[Var], degree: int) -> list:

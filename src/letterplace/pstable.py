@@ -10,7 +10,7 @@ which is what is_p_stable tests.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .errors import ExplosionGuard, NotArtinian
 from .homset import check_isotone
@@ -30,17 +30,21 @@ def lambda_bar(P: Poset, phi) -> Monomial:
 
 
 def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
-    """The unique map with lambda_bar image m, by minimal-antichain subtraction."""
+    """The unique map with lambda_bar image m, by minimal-antichain subtraction.
+
+    The levels at which the antichain stays the same are peeled in one step.
+    """
     counts = {v.a: e for v, e in m.exps}
     phi = [0] * P.n
     level = 0
     while counts:
-        level += 1
         antichain = P.min_elements(set(counts))
+        run = min(counts[p] for p in antichain)
+        level += run
         for p in P.closure(antichain, "up"):
             phi[p] = level
         for p in antichain:
-            counts[p] -= 1
+            counts[p] -= run
             if not counts[p]:
                 del counts[p]
     return tuple(phi)
@@ -89,6 +93,8 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     exact mode (artinian ideals only): the finitely many monomials outside I
     pull back to a finite set of maps; the ideal is stable iff that set is
     closed under single-value decrements, i.e. its complement is a filter.
+    The standard monomials are walked up from 1, and `cap` bounds how many
+    of them are produced; past it ExplosionGuard is raised.
 
     bounded mode: the definitional test applied to every monomial of I with
     degree <= depth (default: max generator degree + 2).  Sound but
@@ -103,38 +109,31 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     raise ValueError(f"mode must be 'exact' or 'bounded', got {mode!r}")
 
 
-def _pure_power_bounds(P: Poset, I: MonomialIdeal) -> list:
-    bounds = [None] * P.n
-    for g in I.gens:
-        if len(g.exps) == 1:
-            v, e = g.exps[0]
-            bounds[v.a] = e
-    missing = [p for p in range(P.n) if bounds[p] is None]
+def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
+    powered = {g.exps[0][0].a for g in I.gens if len(g.exps) == 1}
+    missing = [p for p in range(P.n) if p not in powered]
     if missing:
         raise NotArtinian(f"no pure power of elements {missing} in the ideal")
-    return bounds
-
-
-def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
-    bounds = _pure_power_bounds(P, I)
-    total = 1
-    for d in bounds:
-        total *= d
-        if total > cap:
-            raise ExplosionGuard(f"standard monomial box larger than {cap}")
-    variables = [elem_var(p) for p in range(P.n)]
-    standard = []
-    for exps in product(*(range(d) for d in bounds)):
-        m = Monomial(zip(variables, exps))
-        if not I.contains(m):
-            standard.append(m)
-    for m in standard:
+    # Depth-first over the order ideal of standard monomials: each one is
+    # reached once, from 1 by raising variables in ascending order.
+    xs = [Monomial.variable(elem_var(p)) for p in range(P.n)]
+    stack = [(Monomial.one(), 0)]
+    produced = 0
+    while stack:
+        m, low = stack.pop()
+        produced += 1
+        if produced > cap:
+            raise ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
         phi = lambda_bar_inv(P, m)
         for v, _ in m.exps:
             p = v.a
             stepped = tuple(x - 1 if q == p else x for q, x in enumerate(phi))
             if I.contains(lambda_bar(P, stepped)):
                 return False
+        for p in range(low, P.n):
+            child = m * xs[p]
+            if not I.contains(child):
+                stack.append((child, p))
     return True
 
 
@@ -162,7 +161,7 @@ def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
 def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
     """The d-th power of (x_p : p in P), generated by all degree-d monomials."""
     variables = [elem_var(p) for p in range(P.n)]
-    gens = [m for m in monomials_up_to(variables, d) if m.degree() == d]
+    gens = [Monomial((v, 1) for v in combo) for combo in combinations_with_replacement(variables, d)]
     return MonomialIdeal(gens, variables)
 
 

@@ -1,6 +1,10 @@
 """Monomial arithmetic, duality, Hilbert numerators, height, associated primes."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -22,7 +26,14 @@ from letterplace.monomial import (
     parse_monomial,
 )
 
-from util import brute_alexander_dual_gens, brute_minimal_elements, hilbert_incl_excl
+from util import (
+    brute_alexander_dual_gens,
+    brute_height,
+    brute_minimal_elements,
+    hilbert_incl_excl,
+    ref_contains,
+    ref_divides,
+)
 
 x, y, z = elem_var(0), elem_var(1), elem_var(2)
 
@@ -213,6 +224,24 @@ def test_monomial_text_and_parse():
     assert parse_monomial(nv.text(), family="nat") == nv
 
 
+def test_pickled_monomials_carry_no_support_bits():
+    # Another process assigns the support bits in another order; monomials
+    # pickled there must still divide correctly here.
+    code = (
+        "import pickle, sys\n"
+        "from letterplace.monomial import Monomial, elem_var\n"
+        "x, y, z = elem_var(0), elem_var(1), elem_var(2)\n"
+        "ms = [Monomial([(z, 1)]), Monomial([(y, 2)]), Monomial([(x, 1), (y, 3)])]\n"
+        "sys.stdout.buffer.write(pickle.dumps(ms))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, env=env)
+    z1, y2, x1y3 = pickle.loads(out.stdout)
+    assert y2.divides(x1y3) and not z1.divides(x1y3)
+    assert minimalize([mono((z, 1))]).contains(z1)
+    assert not minimalize([mono((x, 1))]).contains(y2)
+
+
 def test_ideal_universe_handling():
     I = minimalize([mono((x, 1))], universe=[x, y])
     assert I.universe == (x, y)
@@ -270,3 +299,41 @@ def test_minimal_generators_match_bruteforce(gens):
     I = MonomialIdeal(gens)
     assert set(I.gens) == brute_minimal_elements(gens, Monomial.divides)
     assert list(I.gens) == sorted(I.gens, key=Monomial.sort_key)
+
+
+# Variables of all three kinds, so that their support bits interleave with
+# their sort order; exponents up to 4 exercise the walk past the squarefree
+# shortcut.
+MIXED_VARS = [elem_var(0), elem_var(1), nat_var(0), nat_var(2), pair_var(0, 1), pair_var(1, 0)]
+mixed_monomials = st.builds(
+    lambda es: Monomial((v, e) for v, e in zip(MIXED_VARS, es) if e),
+    st.tuples(*[st.sampled_from([0, 0, 1, 1, 2, 3, 4])] * len(MIXED_VARS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=mixed_monomials, b=mixed_monomials, c=mixed_monomials)
+def test_divides_matches_reference(a, b, c):
+    assert a.divides(b) == ref_divides(a, b)
+    assert a.divides(a * c) and ref_divides(a, a * c)
+    assert (a * c).divides(a) == ref_divides(a * c, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(mixed_monomials, max_size=6), m=mixed_monomials, c=mixed_monomials)
+def test_contains_matches_reference(gens, m, c):
+    I = MonomialIdeal(gens)
+    assert I.contains(m) == ref_contains(I, m)
+    for g in I.gens:
+        assert I.contains(g * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(mixed_monomials, max_size=7))
+def test_height_matches_bruteforce(gens):
+    I = MonomialIdeal(gens)
+    if I.is_unit:
+        with pytest.raises(ValueError):
+            height(I)
+    else:
+        assert height(I) == brute_height(I)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from letterplace.errors import NotArtinian
+from letterplace.errors import ExplosionGuard, NotArtinian
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import letterplace_ideal, support
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to
@@ -20,7 +20,7 @@ from letterplace.pstable import (
 from letterplace.quotient import FiberMap, project_ideal
 from letterplace.monomial import associated_primes
 
-from util import all_labeled_posets, poset_classes
+from util import all_labeled_posets, poset_classes, ref_stable_exact
 
 
 def fence():
@@ -110,6 +110,26 @@ def test_exact_requires_artinian():
     with pytest.raises(NotArtinian):
         is_p_stable(P, I, "exact")
     assert is_p_stable(P, I, "bounded")
+
+
+def test_exact_walks_standard_monomials_only():
+    # (x0^2000, x1^2000, x0*x1) has the 3999 standard monomials 1, x0^a and
+    # x1^a with 1 <= a <= 1999, inside a box of 4M points.  On an antichain
+    # lambda_bar is the identity on exponents, so the exchange move lowers
+    # one exponent: the result divides a standard monomial and is standard.
+    # Hence the ideal is stable.
+    P = antichain(2)
+    I = MonomialIdeal([emono((0, 2000)), emono((1, 2000)), emono((0, 1), (1, 1))])
+    assert is_p_stable(P, I, "exact")
+
+
+def test_exact_cap_counts_standard_monomials():
+    # (x0^3, x1^3) has 9 standard monomials; the walk stops at the sixth
+    P = antichain(2)
+    I = MonomialIdeal([emono((0, 3)), emono((1, 3))])
+    assert is_p_stable(P, I, "exact", cap=9)
+    with pytest.raises(ExplosionGuard, match="6 standard monomials produced, more than the cap 5"):
+        is_p_stable(P, I, "exact", cap=5)
 
 
 def test_max_ideal_power_criterion_examples():
@@ -205,3 +225,32 @@ def test_order_weakening_diagnostic_search():
                             found = (P.covers(), Q.covers(), alpha, psi, p)
     # diagnostic only: record whether a counterexample was seen
     print("order-weakening counterexample:", found)
+
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+POSETS_UP_TO_4 = [P for n in range(5) for P in all_labeled_posets(n)]
+
+
+@st.composite
+def posets_with_artinian_ideals(draw):
+    """A labelled poset on at most 4 elements and an artinian ideal of
+    k[x_P]: a pure power of each variable plus a few mixed monomials."""
+    P = draw(st.sampled_from(POSETS_UP_TO_4))
+    vs = [elem_var(p) for p in range(P.n)]
+    gens = [Monomial([(v, draw(st.integers(1, 3)))]) for v in vs]
+    if P.n >= 2:
+        mixed = st.builds(
+            lambda es: Monomial((v, e) for v, e in zip(vs, es) if e),
+            st.tuples(*[st.integers(0, 2)] * P.n),
+        )
+        gens += [m for m in draw(st.lists(mixed, max_size=3)) if len(m.exps) >= 2]
+    return P, MonomialIdeal(gens, vs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=posets_with_artinian_ideals())
+def test_exact_matches_box_scan(instance):
+    P, I = instance
+    assert is_p_stable(P, I, "exact") == ref_stable_exact(P, I)

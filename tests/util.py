@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 from letterplace.determinantal import DetMatrix, LSequence
@@ -28,7 +28,7 @@ from letterplace.monomial import (
     pair_var,
 )
 from letterplace.poset import Poset, chain
-from letterplace.pstable import lambda_bar_inv
+from letterplace.pstable import lambda_bar, lambda_bar_inv
 
 
 def all_labeled_posets(n: int):
@@ -79,6 +79,54 @@ def poset_classes(n: int):
         if canon not in seen:
             seen[canon] = P
     return list(seen.values())
+
+
+def ref_divides(a: Monomial, b: Monomial) -> bool:
+    """Oracle for Monomial.divides: compare exponents variable by variable."""
+    it = dict(b.exps)
+    return all(it.get(v, 0) >= e for v, e in a.exps)
+
+
+def ref_contains(I: MonomialIdeal, m: Monomial) -> bool:
+    """Oracle for MonomialIdeal.contains."""
+    return any(ref_divides(g, m) for g in I.gens)
+
+
+def brute_height(I: MonomialIdeal) -> int:
+    """Oracle for height: the smallest variable set meeting every generator's
+    support, by trying all sets in increasing size."""
+    if I.is_zero:
+        return 0
+    supports = [g.support() for g in I.gens]
+    vs = sorted(set().union(*supports))
+    for k in range(len(vs) + 1):
+        for cand in combinations(vs, k):
+            cand = set(cand)
+            if all(cand & s for s in supports):
+                return k
+    raise ValueError("height of the unit ideal is undefined")
+
+
+def ref_stable_exact(P: Poset, I: MonomialIdeal) -> bool:
+    """Oracle for is_p_stable(P, I, "exact"): scan the box below the pure
+    powers for standard monomials and apply the exchange move to each."""
+    bounds = [None] * P.n
+    for g in I.gens:
+        if len(g.exps) == 1:
+            v, e = g.exps[0]
+            bounds[v.a] = e
+    variables = [elem_var(p) for p in range(P.n)]
+    for exps in product(*(range(d) for d in bounds)):
+        m = Monomial(zip(variables, exps))
+        if ref_contains(I, m):
+            continue
+        phi = lambda_bar_inv(P, m)
+        for v, _ in m.exps:
+            p = v.a
+            stepped = tuple(x - 1 if q == p else x for q, x in enumerate(phi))
+            if ref_contains(I, lambda_bar(P, stepped)):
+                return False
+    return True
 
 
 def brute_minimal_elements(items, below) -> set:
@@ -335,8 +383,8 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
     """Reduced Groebner basis: auto-reduced, monic, sorted by leading term.
 
     Normal selection strategy (smallest lcm first), with the coprime
-    leading-term criterion.  degree_cap defaults to 3 plus the largest
-    generator degree; an S-pair whose lcm exceeds it raises BudgetExceeded.
+    leading-term criterion.  An S-pair whose lcm degree exceeds degree_cap
+    (None: no cap), or more than pair_cap S-pairs, raise BudgetExceeded.
     """
     basis = []
     for f in gens:
@@ -344,8 +392,6 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
             basis.append(_primitive(f))
     if not basis:
         return []
-    if degree_cap is None:
-        degree_cap = 3 + max(f.total_degree() for f in basis)
 
     heads = [(f.leading_monomial(order), f) for f in basis]
     heap = []
@@ -371,7 +417,7 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
         lti, ltj = heads[i][0], heads[j][0]
         if (lti * ltj) == L:
             continue  # coprime leading terms: S-pair reduces to zero
-        if L.degree() > degree_cap:
+        if degree_cap is not None and L.degree() > degree_cap:
             raise BudgetExceeded(
                 f"S-pair lcm degree {L.degree()} exceeds cap {degree_cap}"
             )
