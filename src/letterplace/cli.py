@@ -67,17 +67,19 @@ def read_ideal_file(path: str) -> MonomialIdeal:
     lines = [ln.strip() for ln in _read(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("ideal file must start with a '# family=... n=...' header")
-    fields = dict(tok.split("=", 1) for tok in lines[0][1:].split())
+    tokens = lines[0][1:].split()
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"ideal file header token {tok!r} is not of the form key=value")
+    fields = dict(tok.split("=", 1) for tok in tokens)
     family = fields.get("family", "pair")
+    families = {"elem": elem_var, "nat": nat_var, "pair": None}
+    if family not in families:
+        raise ValueError(f"unknown family {family!r} in the ideal file header; expected elem, nat or pair")
     n = int(fields.get("n", "0"))
-    if family == "elem":
-        universe = [elem_var(p) for p in range(n)]
-    elif family == "nat":
-        universe = [nat_var(i) for i in range(n)]
-    else:
-        universe = None
+    universe = [families[family](i) for i in range(n)] if families[family] and n else None
     gens = [parse_monomial(ln, family=family) for ln in lines[1:]]
-    return MonomialIdeal(gens, universe if universe else None)
+    return MonomialIdeal(gens, universe)
 
 
 def write_ideal_file(I: MonomialIdeal, family: str, path=None) -> str:

@@ -41,6 +41,12 @@ def check_isotone(P: Poset, values) -> tuple:
     return values
 
 
+def _floor(P: Poset, values, p: int) -> int:
+    """The largest value at an element strictly below p; 0 at a minimal p."""
+    below = P.down[p] & ~(1 << p)
+    return max((values[q] for q in range(P.n) if below >> q & 1), default=0)
+
+
 def dominates(u, v) -> bool:
     """u >= v pointwise."""
     return all(a >= b for a, b in zip(u, v))
@@ -148,8 +154,7 @@ class HomIdeal:
         maps = frozenset(check_isotone(P, m) for m in maps)
         for m in maps:
             for p in range(P.n):
-                lower = max((m[q] for q in range(P.n) if P.lt(q, p)), default=0)
-                if m[p] > lower:
+                if m[p] > _floor(P, m, p):
                     step = tuple(v - 1 if i == p else v for i, v in enumerate(m))
                     if step not in maps:
                         raise ValueError(

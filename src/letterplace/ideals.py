@@ -9,7 +9,7 @@ x[p,i] and are Alexander dual to each other.
 from __future__ import annotations
 
 from .errors import InfiniteIdeal
-from .homset import HomIdeal, check_isotone, enumerate_isotone
+from .homset import HomIdeal, _floor, check_isotone, enumerate_isotone
 from .monomial import Monomial, MonomialIdeal, pair_var
 from .poset import Poset
 
@@ -20,12 +20,7 @@ def ascent(P: Poset, phi) -> frozenset:
     For minimal p the lower constraint is vacuous, so i runs from 0.
     """
     phi = check_isotone(P, phi)
-    out = set()
-    for p in range(P.n):
-        lo = max((phi[q] for q in range(P.n) if P.lt(q, p)), default=0)
-        for i in range(lo, phi[p]):
-            out.add((p, i))
-    return frozenset(out)
+    return frozenset((p, i) for p in range(P.n) for i in range(_floor(P, phi, p), phi[p]))
 
 
 def graph_pairs(phi) -> frozenset:

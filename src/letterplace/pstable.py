@@ -1,11 +1,11 @@
 """The bijection between isotone maps and monomials of k[x_P], and P-stability.
 
 lambda_bar sends a map to the monomial recording, at each element, how far the
-value jumps above the maximum over strictly smaller elements.  It is a
-bijection from Hom(P, N) onto all monomials; the inverse peels off minimal
-antichains of the remaining support.  An ideal of k[x_P] arises from a filter
-of Hom(P, N) exactly when it is closed under the longest-chain exchange move,
-which is what is_p_stable tests.
+value jumps above the largest value strictly below it.  It is a bijection
+from Hom(P, N) onto all monomials; the inverse is the heaviest-multichain
+recursion phi(p) = m_p + max over q < p of phi(q).  An ideal of k[x_P] arises
+from a filter of Hom(P, N) exactly when it is closed under the longest-chain
+exchange move, which is what is_p_stable tests.
 """
 
 from __future__ import annotations
@@ -13,77 +13,57 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from .errors import ExplosionGuard, NotArtinian
-from .homset import check_isotone
-from .monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to
+from .homset import _floor, check_isotone
+from .monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, var_text
 from .poset import Poset
 
 
 def lambda_bar(P: Poset, phi) -> Monomial:
     """Monomial with exponent phi(p) - max over strictly smaller elements."""
-    phi = check_isotone(P, phi)
-    exps = []
-    for p in range(P.n):
-        below = max((phi[q] for q in range(P.n) if P.lt(q, p)), default=0)
-        if phi[p] > below:
-            exps.append((elem_var(p), phi[p] - below))
-    return Monomial(exps)
+    return _jumps(P, check_isotone(P, phi))
+
+
+def _jumps(P: Poset, phi) -> Monomial:
+    """lambda_bar of a map known to be isotone."""
+    return Monomial((elem_var(p), phi[p] - _floor(P, phi, p)) for p in range(P.n))
 
 
 def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
-    """The unique map with lambda_bar image m, by minimal-antichain subtraction.
+    """The unique map with lambda_bar image m.
 
-    The levels at which the antichain stays the same are peeled in one step.
+    Its value at p is the weight of a heaviest multichain in m ending at p,
+    where a multichain repeats each element at most its exponent many times:
+    phi(p) = m_p + the largest phi strictly below p.
     """
-    counts = {v.a: e for v, e in m.exps}
+    return tuple(_heaviest(P, {v.a: e for v, e in m.exps}, range(P.n)))
+
+
+def _heaviest(P: Poset, weight: dict, elements) -> list:
+    """phi(p) = weight[p] + the largest phi strictly below p, filled over
+    `elements` in a linear extension and 0 elsewhere: the weight of a
+    heaviest multichain inside `elements` ending at p."""
+    P._check_range(weight)
     phi = [0] * P.n
-    level = 0
-    while counts:
-        antichain = P.min_elements(set(counts))
-        run = min(counts[p] for p in antichain)
-        level += run
-        for p in P.closure(antichain, "up"):
-            phi[p] = level
-        for p in antichain:
-            counts[p] -= run
-            if not counts[p]:
-                del counts[p]
-    return tuple(phi)
+    for p in sorted(elements, key=lambda p: P.down[p].bit_count()):
+        phi[p] = weight.get(p, 0) + _floor(P, phi, p)
+    return phi
 
 
 def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
-    """(length, witnesses, through) for multichains inside m ending at or below b.
+    """(length, through) for multichains inside m ending at or below b.
 
-    A multichain in m repeats each element at most its exponent many times; a
-    longest one uses every available copy along some pairwise comparable
-    support subset.  `through` collects the elements a <= b insertable into at
-    least one longest witness, i.e. comparable with everything in it.
+    A multichain in m repeats each element at most its exponent many times.
+    `length` is the weight of a longest one, lambda_bar_inv(P, m)[b].
+    `through` holds the elements a <= b on some longest one: a heaviest
+    multichain ending at a and one from a up to b (the same recursion run
+    downward from b inside its down-set) weigh `length`, counting m_a once.
     """
-    exps = {v.a: e for v, e in m.exps}
-    pool = [p for p in exps if P.leq(p, b)]
-    best = 0
-    chains = [()]
-    for r in range(1, len(pool) + 1):
-        for sub in combinations(sorted(pool), r):
-            if all(P.comparable(x, y) for i, x in enumerate(sub) for y in sub[:i]):
-                w = sum(exps[p] for p in sub)
-                if w > best:
-                    best, chains = w, [sub]
-                elif w == best:
-                    chains.append(sub)
-    witnesses = tuple(
-        tuple(
-            p
-            for p in sorted(sub, key=lambda q: (sum(P.leq(r, q) for r in sub), q))
-            for _ in range(exps[p])
-        )
-        for sub in chains
-    )
-    through = frozenset(
-        a
-        for a in P.down_set(b)
-        if any(all(P.comparable(a, s) for s in sub) for sub in chains)
-    )
-    return best, witnesses, through
+    weight = {v.a: e for v, e in m.exps}
+    below = P.down_set(b)
+    ending = _heaviest(P, weight, below)
+    starting = _heaviest(P.op, weight, below)
+    length = ending[b]
+    return length, frozenset(a for a in below if ending[a] + starting[a] - weight.get(a, 0) == length)
 
 
 def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
@@ -99,7 +79,14 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     bounded mode: the definitional test applied to every monomial of I with
     degree <= depth (default: max generator degree + 2).  Sound but
     incomplete; violations beyond the depth are not seen.
+
+    ValueError is raised when a generator uses a variable other than x[p]
+    for an element p of P.
     """
+    foreign = sorted({v for g in I.gens for v, _ in g.exps} - {elem_var(p) for p in range(P.n)})
+    if foreign:
+        names = ", ".join(f"{v.kind} variable {var_text(v)}" for v in foreign)
+        raise ValueError(f"generators use {names}, not x[p] for an element p of the {P.n}-element poset")
     if mode == "exact":
         return _stable_exact(P, I, cap)
     if mode == "bounded":
@@ -110,6 +97,8 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
 
 
 def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
+    if I.is_unit:
+        return True  # it holds every pure power and has no standard monomials
     powered = {g.exps[0][0].a for g in I.gens if len(g.exps) == 1}
     missing = [p for p in range(P.n) if p not in powered]
     if missing:
@@ -124,12 +113,13 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
         produced += 1
         if produced > cap:
             raise ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
-        phi = lambda_bar_inv(P, m)
+        # lowering phi at a support element keeps it isotone
+        phi = list(lambda_bar_inv(P, m))
         for v, _ in m.exps:
-            p = v.a
-            stepped = tuple(x - 1 if q == p else x for q, x in enumerate(phi))
-            if I.contains(lambda_bar(P, stepped)):
+            phi[v.a] -= 1
+            if I.contains(_jumps(P, phi)):
                 return False
+            phi[v.a] += 1
         for p in range(low, P.n):
             child = m * xs[p]
             if not I.contains(child):
@@ -143,7 +133,7 @@ def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
         if not I.contains(m):
             continue
         supp = sorted(v.a for v in m.support())
-        through = {b: longest_b_chain(P, m, b)[2] for b in supp}
+        through = {b: longest_b_chain(P, m, b)[1] for b in supp}
         for r in range(1, len(supp) + 1):
             for B in combinations(supp, r):
                 if not P.is_antichain(B):

@@ -122,6 +122,41 @@ def test_pstable_command(tmp_path, capsys):
     assert json.loads(out)["p_stable"] is True
 
 
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+@pytest.mark.parametrize(
+    "text, shown",
+    [("# family=nat n=2\nx[0]^2\nx[1]^2\n", "nat variable x[0], nat variable x[1]"),
+     ("# family=elem n=4\nx[0]^2\nx[1]^2\nx[3]\n", "elem variable x[3]")],
+)
+def test_pstable_rejects_foreign_variables(tmp_path, capsys, mode, text, shown):
+    poset_path = tmp_path / "poset.json"
+    poset_path.write_text(chain(2).to_json())
+    gens_path = tmp_path / "gens.txt"
+    gens_path.write_text(text)
+    code, out = run(
+        capsys, "pstable", "--poset", str(poset_path), "--gens", str(gens_path), "--mode", mode,
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["reason"] == "ValueError"
+    assert doc["error"].startswith(f"generators use {shown}, not x[p]")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("# family=elm n=2", "unknown family 'elm'"),
+     ("# family elem n=2", "header token 'family' is not of the form key=value")],
+)
+def test_ideal_file_header_is_checked(tmp_path, capsys, header, message):
+    path = tmp_path / "gens.txt"
+    path.write_text(f"{header}\nx[0]^2\n")
+    with pytest.raises(ValueError, match=message):
+        read_ideal_file(path)
+    code, out = run(capsys, "hilbert", "--gens", str(path))
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def test_ideal_file_round_trip(tmp_path):
     I = MonomialIdeal(
         [Monomial([(elem_var(0), 2)]), Monomial([(elem_var(0), 1), (elem_var(1), 1)])],

@@ -1,13 +1,14 @@
 """The map-monomial bijection, longest chains, and stability over a poset."""
 
 import random
+import re
 
 import pytest
 
 from letterplace.errors import ExplosionGuard, NotArtinian
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import letterplace_ideal, support
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, nat_var, pair_var
 from letterplace.poset import antichain, chain, poset_from_covers
 from letterplace.pstable import (
     is_p_stable,
@@ -20,7 +21,13 @@ from letterplace.pstable import (
 from letterplace.quotient import FiberMap, project_ideal
 from letterplace.monomial import associated_primes
 
-from util import all_labeled_posets, poset_classes, ref_stable_exact
+from util import (
+    all_labeled_posets,
+    poset_classes,
+    ref_lambda_bar_inv,
+    ref_longest_b_chain,
+    ref_stable_exact,
+)
 
 
 def fence():
@@ -70,11 +77,10 @@ def test_longest_chain_worked_example():
     # x < b, a < b, a < c, y < c with m = x^4 a^2 y^3 b c^2
     P = poset_from_covers(5, [(0, 3), (1, 3), (1, 4), (2, 4)], labels=["x", "a", "y", "b", "c"])
     m = emono((0, 4), (1, 2), (2, 3), (3, 1), (4, 2))
-    length, witnesses, through = longest_b_chain(P, m, 3)
+    length, through = longest_b_chain(P, m, 3)
     assert length == 5
-    assert witnesses == ((0, 0, 0, 0, 3),)
-    assert 1 not in through
-    assert 0 in through and 3 in through
+    assert through == {0, 3}
+    assert ref_longest_b_chain(P, m, 3) == (5, ((0, 0, 0, 0, 3),), through)
 
 
 def test_longest_chain_trivial():
@@ -110,6 +116,29 @@ def test_exact_requires_artinian():
     with pytest.raises(NotArtinian):
         is_p_stable(P, I, "exact")
     assert is_p_stable(P, I, "bounded")
+
+
+def test_unit_ideal_is_stable_in_both_modes():
+    # the unit ideal holds every pure power and has no standard monomials
+    P = chain(2)
+    I = MonomialIdeal([Monomial.one()], [elem_var(0), elem_var(1)])
+    assert I.is_unit
+    assert is_p_stable(P, I, "exact")
+    assert is_p_stable(P, I, "bounded")
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded"])
+@pytest.mark.parametrize(
+    "var, shown",
+    [(nat_var(0), "nat variable x[0]"), (elem_var(3), "elem variable x[3]"),
+     (pair_var(0, 1), "pair variable x[0,1]")],
+)
+def test_foreign_variables_are_rejected(mode, var, shown):
+    # x[0]^2 and x[1]^2 make the ideal artinian on the 2-chain; the third
+    # generator is in a variable that is not x[p] for an element p
+    gens = [emono((0, 2)), emono((1, 2)), Monomial([(var, 1)])]
+    with pytest.raises(ValueError, match=rf"generators use {re.escape(shown)}, not x\[p\]"):
+        is_p_stable(chain(2), MonomialIdeal(gens), mode)
 
 
 def test_exact_walks_standard_monomials_only():
@@ -254,3 +283,28 @@ def posets_with_artinian_ideals(draw):
 def test_exact_matches_box_scan(instance):
     P, I = instance
     assert is_p_stable(P, I, "exact") == ref_stable_exact(P, I)
+
+
+@st.composite
+def posets_with_monomials(draw):
+    """A labelled poset on at most 4 elements and a monomial of k[x_P] with
+    exponents 0..4."""
+    P = draw(st.sampled_from(POSETS_UP_TO_4))
+    exps = draw(st.tuples(*[st.integers(0, 4)] * P.n))
+    return P, emono(*enumerate(exps))
+
+
+@settings(max_examples=500, deadline=None)
+@given(instance=posets_with_monomials())
+def test_lambda_bar_inv_matches_peel(instance):
+    P, m = instance
+    assert lambda_bar_inv(P, m) == ref_lambda_bar_inv(P, m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(instance=posets_with_monomials())
+def test_longest_b_chain_matches_subset_enumeration(instance):
+    P, m = instance
+    for b in range(P.n):
+        length, _, through = ref_longest_b_chain(P, m, b)
+        assert longest_b_chain(P, m, b) == (length, through)

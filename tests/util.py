@@ -28,7 +28,7 @@ from letterplace.monomial import (
     pair_var,
 )
 from letterplace.poset import Poset, chain
-from letterplace.pstable import lambda_bar, lambda_bar_inv
+from letterplace.pstable import lambda_bar
 
 
 def all_labeled_posets(n: int):
@@ -107,6 +107,60 @@ def brute_height(I: MonomialIdeal) -> int:
     raise ValueError("height of the unit ideal is undefined")
 
 
+def ref_lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
+    """Oracle for lambda_bar_inv: peel minimal antichains of the remaining
+    support; the elements above the antichain rise by the smallest exponent
+    on it, and that exponent comes off the antichain."""
+    counts = {v.a: e for v, e in m.exps}
+    phi = [0] * P.n
+    level = 0
+    while counts:
+        antichain = P.min_elements(set(counts))
+        run = min(counts[p] for p in antichain)
+        level += run
+        for p in P.closure(antichain, "up"):
+            phi[p] = level
+        for p in antichain:
+            counts[p] -= run
+            if not counts[p]:
+                del counts[p]
+    return tuple(phi)
+
+
+def ref_longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
+    """Oracle for longest_b_chain, plus the longest multichains themselves:
+    (length, witnesses, through) from every pairwise comparable subset of the
+    support below b.  A witness lists each element of a heaviest subset its
+    exponent many times, bottom first; `through` holds the elements a <= b
+    comparable with everything in at least one heaviest subset."""
+    exps = {v.a: e for v, e in m.exps}
+    pool = [p for p in exps if P.leq(p, b)]
+    best = 0
+    chains = [()]
+    for r in range(1, len(pool) + 1):
+        for sub in combinations(sorted(pool), r):
+            if all(P.comparable(x, y) for i, x in enumerate(sub) for y in sub[:i]):
+                w = sum(exps[p] for p in sub)
+                if w > best:
+                    best, chains = w, [sub]
+                elif w == best:
+                    chains.append(sub)
+    witnesses = tuple(
+        tuple(
+            p
+            for p in sorted(sub, key=lambda q: (sum(P.leq(r, q) for r in sub), q))
+            for _ in range(exps[p])
+        )
+        for sub in chains
+    )
+    through = frozenset(
+        a
+        for a in P.down_set(b)
+        if any(all(P.comparable(a, s) for s in sub) for sub in chains)
+    )
+    return best, witnesses, through
+
+
 def ref_stable_exact(P: Poset, I: MonomialIdeal) -> bool:
     """Oracle for is_p_stable(P, I, "exact"): scan the box below the pure
     powers for standard monomials and apply the exchange move to each."""
@@ -120,7 +174,7 @@ def ref_stable_exact(P: Poset, I: MonomialIdeal) -> bool:
         m = Monomial(zip(variables, exps))
         if ref_contains(I, m):
             continue
-        phi = lambda_bar_inv(P, m)
+        phi = ref_lambda_bar_inv(P, m)
         for v, _ in m.exps:
             p = v.a
             stepped = tuple(x - 1 if q == p else x for q, x in enumerate(phi))
@@ -221,7 +275,7 @@ def ref_homideal_from_ss(I: MonomialIdeal) -> HomIdeal:
     if I.is_zero:
         return HomIdeal.cofinite(P, [])
     monos = [m for m in monomials_up_to(I.universe, I.max_degree()) if I.contains(m)]
-    return HomIdeal.cofinite(P, minimal_of([lambda_bar_inv(P, m) for m in monos]))
+    return HomIdeal.cofinite(P, minimal_of([ref_lambda_bar_inv(P, m) for m in monos]))
 
 
 def hilbert_incl_excl(gens) -> IntPoly:
