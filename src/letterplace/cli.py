@@ -71,12 +71,17 @@ def read_ideal_file(path: str) -> MonomialIdeal:
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"ideal file header token {tok!r} is not of the form key=value")
+        if tok.split("=", 1)[0] not in ("family", "n"):
+            raise ValueError(f"ideal file header token {tok!r} has an unknown key; expected family and n")
     fields = dict(tok.split("=", 1) for tok in tokens)
     family = fields.get("family", "pair")
     families = {"elem": elem_var, "nat": nat_var, "pair": None}
     if family not in families:
         raise ValueError(f"unknown family {family!r} in the ideal file header; expected elem, nat or pair")
-    n = int(fields.get("n", "0"))
+    n = fields.get("n", "0")
+    if not n.isdecimal():
+        raise ValueError(f"n={n!r} in the ideal file header is not a non-negative integer")
+    n = int(n)
     universe = [families[family](i) for i in range(n)] if families[family] and n else None
     gens = [parse_monomial(ln, family=family) for ln in lines[1:]]
     return MonomialIdeal(gens, universe)

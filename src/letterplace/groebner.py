@@ -1,10 +1,10 @@
-"""Exact multivariate polynomials, term orders, and Buchberger's algorithm.
+"""Exact polynomials, term orders, and Buchberger's algorithm.
 
-Desk-scale engine: coefficients are exact (arbitrary-precision rationals,
-held as integers inside the engine while they are integers), monomials are the
-shared sparse Monomial type, and the basis computation works on dense exponent
-tuples over the order's variable ranking.  Budgets fail loudly via
-BudgetExceeded; results are never truncated silently.
+Polynomial is the value type that goes in and out: sparse terms over the
+shared Monomial type.  All arithmetic happens in the desk-scale engine below,
+on dense exponent tuples over the order's variable ranking, with exact
+coefficients (integers while they are integers, Fraction otherwise).  Budgets
+fail loudly via BudgetExceeded; results are never truncated silently.
 """
 
 from __future__ import annotations
@@ -84,26 +84,15 @@ def diagonal_order(variables: Iterable[Var]) -> TermOrder:
 
 
 class Polynomial:
-    """Terms mapping Monomial -> nonzero Fraction."""
+    """Terms mapping Monomial -> nonzero Fraction; the engine does the arithmetic."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for m, c in items:
-            c = Fraction(c)
-            if c:
-                acc[m] = acc.get(m, Fraction(0)) + c
+        for m, c in terms.items() if isinstance(terms, dict) else terms:
+            acc[m] = acc.get(m, 0) + Fraction(c)
         self.terms = {m: c for m, c in acc.items() if c}
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, c=1) -> "Polynomial":
-        return cls([(m, Fraction(c))])
 
     def __bool__(self):
         return bool(self.terms)
@@ -113,33 +102,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0].sort_key())))
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Polynomial(acc)
-
-    def __sub__(self, other):
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Polynomial(acc)
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            acc = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-            return Polynomial(acc)
-        return Polynomial({m: c * Fraction(other) for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def leading_monomial(self, order: TermOrder) -> Monomial:
         if not self.terms:
@@ -153,24 +115,15 @@ class Polynomial:
         lc = self.leading_coeff(order)
         return Polynomial({m: c / lc for m, c in self.terms.items()})
 
-    def total_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
-
     def text(self, order: TermOrder = None, labels=None, letter: str = "y") -> str:
         if not self.terms:
             return "0"
-        if order is not None:
-            monos = sorted(self.terms, key=order.key, reverse=True)
-        else:
-            monos = sorted(self.terms, key=Monomial.sort_key, reverse=True)
+        monos = sorted(self.terms, key=Monomial.sort_key if order is None else order.key, reverse=True)
         parts = []
         for m in monos:
             c = self.terms[m]
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            coeff = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = coeff if not m else f"{coeff}*{m.text(labels, letter)}"
-            parts.append(sign + body)
+            coeff = str(abs(c))  # "3" or "3/2"
+            parts.append(("+" if c > 0 else "-") + (f"{coeff}*{m.text(labels, letter)}" if m else coeff))
         return "".join(parts)
 
     def __repr__(self):
@@ -188,7 +141,7 @@ def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
     """
     text = text.replace(" ", "")
     if text in ("", "0"):
-        return Polynomial.zero()
+        return Polynomial()
     if text[0] not in "+-":
         text = "+" + text
     terms = []
@@ -275,12 +228,6 @@ def reduce(f: Polynomial, basis: Iterable[Polynomial], order: TermOrder) -> Poly
     """Full normal form of f modulo basis, deterministic in the listed order."""
     heads = [_monic_head(_dense(g, order), order) for g in basis if g]
     return _sparse(_normal_form(_dense(f, order), heads, order), order)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    hf, hg = _monic_head(_dense(f, order), order), _monic_head(_dense(g, order), order)
-    L = tuple(map(max, hf[0], hg[0]))
-    return _sparse(_dense_s_polynomial(hf, hg, L), order)
 
 
 def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:

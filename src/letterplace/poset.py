@@ -104,14 +104,17 @@ class Poset:
 
     # -- subsets ------------------------------------------------------------
 
-    def _check_range(self, A) -> None:
+    def _check_range(self, A) -> set:
+        """The elements of A, read once, as a set; each must lie in 0..n-1."""
+        A = set(A)
         for p in A:
             if not 0 <= p < self.n:
                 raise IdentifierOutOfRange(f"element {p} not in 0..{self.n - 1}")
+        return A
 
     def closure(self, A: Iterable[int], direction: str) -> PSubset:
         """Smallest ideal ("down") or filter ("up") containing A."""
-        self._check_range(A)
+        A = self._check_range(A)
         masks = self.down if direction == "down" else self.up
         if direction not in ("down", "up"):
             raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -122,14 +125,12 @@ class Poset:
 
     def min_elements(self, S: Iterable[int]) -> PSubset:
         """Elements of S with no strictly smaller element of S; an antichain."""
-        self._check_range(S)
-        S = set(S)
+        S = self._check_range(S)
         mins = {p for p in S if not any(self.lt(q, p) for q in S)}
         return PSubset(frozenset(mins), "antichain")
 
     def max_elements(self, S: Iterable[int]) -> PSubset:
-        self._check_range(S)
-        S = set(S)
+        S = self._check_range(S)
         maxs = {p for p in S if not any(self.lt(p, q) for q in S)}
         return PSubset(frozenset(maxs), "antichain")
 

@@ -81,7 +81,7 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     incomplete; violations beyond the depth are not seen.
 
     ValueError is raised when a generator uses a variable other than x[p]
-    for an element p of P.
+    for an element p of P, and in bounded mode for a negative depth.
     """
     foreign = sorted({v for g in I.gens for v, _ in g.exps} - {elem_var(p) for p in range(P.n)})
     if foreign:
@@ -92,6 +92,8 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     if mode == "bounded":
         if depth is None:
             depth = I.max_degree() + 2
+        if depth < 0:
+            raise ValueError(f"depth must be a non-negative integer, got {depth}")
         return _stable_bounded(P, I, depth)
     raise ValueError(f"mode must be 'exact' or 'bounded', got {mode!r}")
 

@@ -69,10 +69,18 @@ class FiberMap:
     @classmethod
     def from_json(cls, text: str) -> "FiberMap":
         doc = json.loads(text)
-        return cls.make(
-            [tuple(s) for s in doc["source"]],
-            [Var(t[0], int(t[1]), int(t[2]) if len(t) > 2 else 0) for t in doc["assignment"]],
-        )
+        return cls.make([tuple(s) for s in doc["source"]], [_target(t) for t in doc["assignment"]])
+
+
+def _target(t) -> Var:
+    """The variable of an assignment entry ["elem", p], ["nat", i] or ["pair", p, i];
+    ["elem", p, 0] and ["nat", i, 0], as to_json writes them, are read too."""
+    if isinstance(t, list) and 2 <= len(t) <= 3 and all(type(k) is int for k in t[1:]):
+        v = Var(*t)
+        if v in (elem_var(v.a), nat_var(v.a)) or (v.kind == "pair" and len(t) == 3):
+            return v
+    raise ValueError(f'assignment entry {json.dumps(t)} is not ["elem", p], ["nat", i] or ["pair", p, i] '
+                     "with integer indices")
 
 
 def fiber_kind(P: Poset, f: FiberMap) -> str:

@@ -10,7 +10,7 @@ import pytest
 from letterplace.cli import main, read_ideal_file, write_ideal_file
 from letterplace.homset import HomIdeal
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var
-from letterplace.poset import chain, antichain
+from letterplace.poset import antichain, chain, poset_from_covers
 
 
 @pytest.fixture
@@ -104,6 +104,40 @@ def test_regular_check_failure_exit_one(tmp_path, capsys):
     assert json.loads(out)["regular"] is False
 
 
+@pytest.mark.parametrize("command", ["project", "regular-check"])
+def test_fiber_map_with_unknown_variables_exit_two(tmp_path, capsys, command):
+    # "foo" is no variable family, and an elem variable has one index
+    J = HomIdeal.principal(chain(2), (1, 1))
+    ideal_path = tmp_path / "ideal.json"
+    ideal_path.write_text(J.to_json())
+    fmap_path = tmp_path / "fmap.json"
+    fmap_path.write_text(json.dumps({
+        "source": [[0, 0], [0, 1], [1, 0], [1, 1]],
+        "assignment": [["foo", 0], ["foo", 0], ["elem", 1, 7], ["elem", 1, 7]],
+    }))
+    code, out = run(
+        capsys, command, "--ideal", str(ideal_path), "--side", "letterplace", "--map", str(fmap_path),
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["reason"] == "ValueError"
+    assert doc["error"].startswith('assignment entry ["foo", 0] is not')
+
+
+def test_pstable_rejects_negative_depth(tmp_path, capsys):
+    poset_path = tmp_path / "poset.json"
+    poset_path.write_text(poset_from_covers(3, [(0, 1), (0, 2)]).to_json())
+    gens_path = tmp_path / "gens.txt"
+    gens_path.write_text("# family=elem n=3\n" + "\n".join(
+        ["x[0]^2", "x[1]^2", "x[2]^2", "x[0]*x[1]", "x[0]*x[2]", "x[1]*x[2]"]) + "\n")
+    argv = ["pstable", "--poset", str(poset_path), "--gens", str(gens_path), "--mode", "bounded"]
+    code, out = run(capsys, *argv)
+    assert (code, json.loads(out)["p_stable"]) == (0, False)
+    code, out = run(capsys, *argv, "--depth", "-1")
+    assert code == 2
+    assert json.loads(out)["error"] == "depth must be a non-negative integer, got -1"
+
+
 def test_pstable_command(tmp_path, capsys):
     poset_path = tmp_path / "poset.json"
     poset_path.write_text(chain(3).to_json())
@@ -145,7 +179,10 @@ def test_pstable_rejects_foreign_variables(tmp_path, capsys, mode, text, shown):
 @pytest.mark.parametrize(
     "header, message",
     [("# family=elm n=2", "unknown family 'elm'"),
-     ("# family elem n=2", "header token 'family' is not of the form key=value")],
+     ("# family elem n=2", "header token 'family' is not of the form key=value"),
+     ("# family=elem N=3", "header token 'N=3' has an unknown key; expected family and n"),
+     ("# family=elem n=x", "n='x' in the ideal file header is not a non-negative integer"),
+     ("# family=elem n=-1", "n='-1' in the ideal file header is not a non-negative integer")],
 )
 def test_ideal_file_header_is_checked(tmp_path, capsys, header, message):
     path = tmp_path / "gens.txt"

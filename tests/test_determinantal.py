@@ -70,7 +70,7 @@ def test_matrix_five_by_eight_staircase():
 
 def test_ideal_gens_running_example_counts():
     gens = ideal_gens(LSequence(0, (0, 0, 3, 4, 6)))
-    degrees = sorted(g.total_degree() for g in gens)
+    degrees = sorted(max(m.degree() for m in g.terms) for g in gens)
     # 3 two-minors, 3 nonzero three-minors, 12 nonzero four-minors
     assert degrees == [2] * 3 + [3] * 3 + [4] * 12
 

@@ -77,6 +77,18 @@ def test_min_elements_examples():
     assert F.min_elements({2, 3, 1}).kind == "antichain"
 
 
+@pytest.mark.parametrize("kind", [list, set, frozenset, iter, lambda xs: (p for p in xs)],
+                         ids=["list", "set", "frozenset", "iterator", "generator"])
+def test_subset_queries_read_any_iterable_once(kind):
+    P = chain(3)
+    assert set(P.closure(kind([1]), "down")) == {0, 1}
+    assert set(P.closure(kind([1]), "up")) == {1, 2}
+    assert set(P.min_elements(kind([1, 2]))) == {1}
+    assert set(P.max_elements(kind([1, 2]))) == {2}
+    with pytest.raises(IdentifierOutOfRange):
+        P.min_elements(kind([1, 3]))
+
+
 def test_closure_idempotent_small():
     from util import poset_classes
 

@@ -141,6 +141,17 @@ def test_foreign_variables_are_rejected(mode, var, shown):
         is_p_stable(chain(2), MonomialIdeal(gens), mode)
 
 
+def test_bounded_rejects_negative_depth():
+    # on the vee 0 < 1, 0 < 2 the square of the maximal ideal is not stable;
+    # a negative depth would test no monomial and so report it stable
+    vee = poset_from_covers(3, [(0, 1), (0, 2)])
+    I = maximal_ideal_power(vee, 2)
+    assert not is_p_stable(vee, I, "bounded")
+    assert is_p_stable(vee, I, "bounded", depth=1)  # no member of degree <= 1
+    with pytest.raises(ValueError, match="depth must be a non-negative integer, got -1"):
+        is_p_stable(vee, I, "bounded", depth=-1)
+
+
 def test_exact_walks_standard_monomials_only():
     # (x0^2000, x1^2000, x0*x1) has the 3999 standard monomials 1, x0^a and
     # x1^a with 1 <= a <= 1999, inside a box of 4M points.  On an antichain

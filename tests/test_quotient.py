@@ -1,5 +1,6 @@
 """Fiber maps, projections, and Hilbert-series regularity checks."""
 
+import json
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from letterplace.errors import VariableOutsideSource
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import coletterplace_ideal, letterplace_ideal, support
-from letterplace.monomial import Monomial, elem_var, pair_var
+from letterplace.monomial import Monomial, elem_var, nat_var, pair_var
 from letterplace.quotient import (
     FiberMap,
     fiber_kind,
@@ -30,6 +31,28 @@ def test_fiber_kind_projections():
     assert fiber_kind(P, FiberMap.projection_first(S)) == "right"
     assert fiber_kind(P, FiberMap.projection_second(S)) == "left"
     assert fiber_kind(P, FiberMap.identity(S)) == "both"
+
+
+def test_fiber_map_json_round_trip():
+    S = [(0, 0), (0, 1), (1, 0)]
+    for fmap in (FiberMap.projection_first(S), FiberMap.projection_second(S), FiberMap.identity(S)):
+        assert FiberMap.from_json(fmap.to_json()) == fmap
+    short = {"source": S, "assignment": [["elem", 0], ["nat", 1], ["pair", 1, 0]]}
+    assert FiberMap.from_json(json.dumps(short)).targets == (elem_var(0), nat_var(1), pair_var(1, 0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["foo", 0], ["elem", 1, 7], ["nat", 0, 1], ["pair", 0], ["pair", 0, 1, 2], ["elem"], [],
+     ["elem", "1"], ["elem", 1.0], ["elem", True], "elem", ["nat", None], [["elem"], 0]],
+    ids=["unknown-kind", "elem-second-index", "nat-second-index", "pair-one-index", "pair-three-indices",
+         "no-index", "empty", "string-index", "float-index", "bool-index", "bare-string", "null-index",
+         "list-kind"],
+)
+def test_fiber_map_json_rejects_unknown_variables(entry):
+    doc = {"source": [[0, 0]], "assignment": [entry]}
+    with pytest.raises(ValueError, match="is not"):
+        FiberMap.from_json(json.dumps(doc))
 
 
 def test_fiber_kind_second_projection_needs_chain():

@@ -9,7 +9,7 @@ from math import gcd
 
 from letterplace.determinantal import DetMatrix, LSequence
 from letterplace.errors import BudgetExceeded
-from letterplace.groebner import Polynomial, TermOrder, buchberger, reduce, s_polynomial
+from letterplace.groebner import Polynomial, TermOrder, buchberger, reduce
 from letterplace.homset import (
     HomIdeal,
     Marker,
@@ -390,7 +390,9 @@ def nonstrict_merge_map(P, pairs):
 #
 # The sparse engine the library used before its dense one: Monomial-keyed
 # polynomials, leading terms recomputed on every reduction, and only the coprime
-# pair criterion.  It is the oracle for letterplace.groebner.
+# pair criterion.  It is the oracle for letterplace.groebner and shares none of
+# its arithmetic: from that module it uses only Polynomial's terms and leading
+# terms, and TermOrder.key.
 
 
 def ref_reduce(f: Polynomial, basis, order: TermOrder) -> Polynomial:
@@ -418,6 +420,20 @@ def ref_reduce(f: Polynomial, basis, order: TermOrder) -> Polynomial:
         else:
             remainder[m] = c
     return Polynomial(remainder)
+
+
+def ref_s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
+    """(L / lt f) f / lc f - (L / lt g) g / lc g, with L the lcm of the leading
+    monomials, term by term on Monomial keys."""
+    L = f.leading_monomial(order).lcm(g.leading_monomial(order))
+    acc = {}
+    for h, sign in ((f, 1), (g, -1)):
+        lt = h.leading_monomial(order)
+        q, lc = L / lt, h.terms[lt]
+        for m, c in h.terms.items():
+            key = m * q
+            acc[key] = acc.get(key, Fraction(0)) + sign * c / lc
+    return Polynomial(acc)
 
 
 def _primitive(f: Polynomial) -> Polynomial:
@@ -475,7 +491,7 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
             raise BudgetExceeded(
                 f"S-pair lcm degree {L.degree()} exceeds cap {degree_cap}"
             )
-        s = s_polynomial(heads[i][1], heads[j][1], order)
+        s = ref_s_polynomial(heads[i][1], heads[j][1], order)
         r = ref_reduce(s, [g for _, g in heads], order)
         if r:
             r = _primitive(r)
@@ -517,7 +533,7 @@ def _ref_interreduce(basis, order) -> list:
 def _ref_determinant(M: DetMatrix, rows: tuple, cols: tuple) -> Polynomial:
     """Cofactor expansion along the first row, short-circuiting staircase zeros."""
     if not rows:
-        return Polynomial.from_monomial(Monomial.one())
+        return Polynomial({Monomial.one(): 1})
     i, rest = rows[0], rows[1:]
     acc = {}
     for j, p in enumerate(cols):
