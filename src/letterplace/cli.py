@@ -67,13 +67,16 @@ def read_ideal_file(path: str) -> MonomialIdeal:
     lines = [ln.strip() for ln in _read(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("ideal file must start with a '# family=... n=...' header")
-    tokens = lines[0][1:].split()
-    for tok in tokens:
+    fields = {}
+    for tok in lines[0][1:].split():
         if "=" not in tok:
             raise ValueError(f"ideal file header token {tok!r} is not of the form key=value")
-        if tok.split("=", 1)[0] not in ("family", "n"):
+        key, value = tok.split("=", 1)
+        if key not in ("family", "n"):
             raise ValueError(f"ideal file header token {tok!r} has an unknown key; expected family and n")
-    fields = dict(tok.split("=", 1) for tok in tokens)
+        if key in fields:
+            raise ValueError(f"ideal file header gives the key {key!r} twice")
+        fields[key] = value
     family = fields.get("family", "pair")
     families = {"elem": elem_var, "nat": nat_var, "pair": None}
     if family not in families:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InfiniteIdeal
 from .homset import HomIdeal, _floor, check_isotone, enumerate_isotone
-from .monomial import Monomial, MonomialIdeal, pair_var
+from .monomial import Monomial, MonomialIdeal, _of_sorted_vars, pair_var
 from .poset import Poset
 
 
@@ -28,7 +28,7 @@ def graph_pairs(phi) -> frozenset:
 
 
 def _pairs_monomial(pairs) -> Monomial:
-    return Monomial((pair_var(p, i), 1) for p, i in pairs)
+    return _of_sorted_vars(sorted(pair_var(p, i) for p, i in pairs))
 
 
 def ascent_monomial(P: Poset, phi) -> Monomial:

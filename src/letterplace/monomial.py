@@ -92,6 +92,18 @@ class Monomial:
         self._deg = sum(acc.values())
         self._mask = _mask_of(acc)
 
+    @staticmethod
+    def _make(exps: tuple, deg: int, mask: int) -> "Monomial":
+        """The monomial with these parts, taken as they are: `exps` sorted
+        with positive exponents, `deg` their sum, `mask` the bits of their
+        variables.  Only for tables taken from existing monomials or built
+        over sorted variables; Monomial(...) checks its input."""
+        m = _new_monomial(Monomial)
+        m.exps = exps
+        m._deg = deg
+        m._mask = mask
+        return m
+
     def __reduce__(self):
         # the mask is only valid in the process that interned the bits
         return Monomial, (self.exps,)
@@ -151,30 +163,64 @@ class Monomial:
         return True
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
+        a, b = self.exps, other.exps
+        if not a:
+            return other
+        if not b:
+            return self
+        if self._mask & other._mask:
+            acc = dict(a)
+            for v, e in b:
+                acc[v] = acc.get(v, 0) + e
+            exps = tuple(sorted(acc.items()))
+        elif a[-1][0] < b[0][0]:
+            exps = a + b
+        elif b[-1][0] < a[0][0]:
+            exps = b + a
+        else:
+            exps = tuple(sorted(a + b))
+        return _make(exps, self._deg + other._deg, self._mask | other._mask)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if other does not divide self."""
+        if other._mask & ~self._mask or other._deg > self._deg:
+            raise ValueError(f"{other} does not divide {self}")
         acc = dict(self.exps)
+        mask = self._mask
         for v, e in other.exps:
-            left = acc.get(v, 0) - e
+            left = acc[v] - e
             if left < 0:
                 raise ValueError(f"{other} does not divide {self}")
             if left:
                 acc[v] = left
             else:
-                acc.pop(v, None)
-        return Monomial(acc.items())
+                del acc[v]
+                mask ^= _BIT[v]
+        return _make(tuple(acc.items()), self._deg - other._deg, mask)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        it = dict(other.exps)
-        return Monomial((v, min(e, it[v])) for v, e in self.exps if v in it)
+        mask = self._mask & other._mask
+        if not mask:
+            return _ONE
+        theirs = dict(other.exps)
+        exps = []
+        deg = 0
+        for v, e in self.exps:
+            f = theirs.get(v)
+            if f:
+                if f < e:
+                    e = f
+                exps.append((v, e))
+                deg += e
+        return _make(tuple(exps), deg, mask)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         acc = dict(self.exps)
         for v, e in other.exps:
-            acc[v] = max(acc.get(v, 0), e)
-        return Monomial(acc.items())
+            if acc.get(v, 0) < e:
+                acc[v] = e
+        exps = tuple(sorted(acc.items())) if other._mask & ~self._mask else tuple(acc.items())
+        return _make(exps, sum(acc.values()), self._mask | other._mask)
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other, i.e. self / gcd(self, other)."""
@@ -193,6 +239,24 @@ class Monomial:
 
     def __repr__(self):
         return self.text()
+
+
+_new_monomial = object.__new__
+_make = Monomial._make
+_ONE = Monomial()
+
+
+def _of_sorted_vars(variables) -> Monomial:
+    """The product of a sorted sequence of variables; repeats raise the exponent."""
+    exps = []
+    mask = 0
+    for v in variables:
+        if exps and exps[-1][0] == v:
+            exps[-1] = (v, exps[-1][1] + 1)
+        else:
+            exps.append((v, 1))
+            mask |= _BIT.get(v) or _new_bit(v)
+    return _make(tuple(exps), len(variables), mask)
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")
@@ -359,7 +423,7 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
                 fresh = [f for f in fresh if cand & f != cand]
                 fresh.append(cand)
         transversals = hit + fresh
-    gens = [Monomial((v, 1) for v in _mask_vars(t)) for t in transversals]
+    gens = [_of_sorted_vars(sorted(_mask_vars(t))) for t in transversals]
     return MonomialIdeal(gens, universe)
 
 
@@ -499,7 +563,7 @@ def height(ideal: MonomialIdeal) -> int:
         return 0
     if ideal.is_unit:
         raise ValueError("height of the unit ideal is undefined")
-    radical = MonomialIdeal(Monomial((v, 1) for v, _ in g.exps) for g in ideal.gens)
+    radical = MonomialIdeal(_of_sorted_vars([v for v, _ in g.exps]) for g in ideal.gens)
     return alexander_dual(radical).gens[0].degree()
 
 
@@ -507,7 +571,7 @@ def monomials_up_to(variables: Iterable[Var], degree: int) -> list:
     """All monomials of degree <= degree over the given variables, sorted."""
     vs = sorted(variables)
     out = [
-        Monomial((v, 1) for v in combo)
+        _of_sorted_vars(combo)
         for d in range(degree + 1)
         for combo in combinations_with_replacement(vs, d)
     ]

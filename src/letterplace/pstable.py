@@ -14,17 +14,22 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import ExplosionGuard, NotArtinian
 from .homset import _floor, check_isotone
-from .monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, var_text
+from .monomial import (
+    Monomial,
+    MonomialIdeal,
+    _make,
+    _mask_of,
+    _of_sorted_vars,
+    elem_var,
+    monomials_up_to,
+    var_text,
+)
 from .poset import Poset
 
 
 def lambda_bar(P: Poset, phi) -> Monomial:
     """Monomial with exponent phi(p) - max over strictly smaller elements."""
-    return _jumps(P, check_isotone(P, phi))
-
-
-def _jumps(P: Poset, phi) -> Monomial:
-    """lambda_bar of a map known to be isotone."""
+    phi = check_isotone(P, phi)
     return Monomial((elem_var(p), phi[p] - _floor(P, phi, p)) for p in range(P.n))
 
 
@@ -105,9 +110,26 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
     missing = [p for p in range(P.n) if p not in powered]
     if missing:
         raise NotArtinian(f"no pure power of elements {missing} in the ideal")
+    n = P.n
+    # Tables for this call: the elements strictly below and strictly above
+    # each element, a linear extension, and each x_p's variable and bit.
+    strict = [P.down[p] & ~(1 << p) for p in range(n)]
+    below = [[q for q in range(n) if strict[p] >> q & 1] for p in range(n)]
+    above = [[q for q in range(n) if strict[q] >> p & 1] for p in range(n)]
+    order = sorted(range(n), key=lambda p: P.down[p].bit_count())
+    variables = [elem_var(p) for p in range(n)]
+    bits = [_mask_of((v,)) for v in variables]
+
+    def floor(phi, p):
+        top = 0
+        for q in below[p]:
+            if phi[q] > top:
+                top = phi[q]
+        return top
+
     # Depth-first over the order ideal of standard monomials: each one is
-    # reached once, from 1 by raising variables in ascending order.
-    xs = [Monomial.variable(elem_var(p)) for p in range(P.n)]
+    # reached once, from 1 by raising variables in ascending order, so every
+    # variable of m has index <= low.
     stack = [(Monomial.one(), 0)]
     produced = 0
     while stack:
@@ -115,15 +137,36 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
         produced += 1
         if produced > cap:
             raise ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
-        # lowering phi at a support element keeps it isotone
-        phi = list(lambda_bar_inv(P, m))
-        for v, _ in m.exps:
-            phi[v.a] -= 1
-            if I.contains(_jumps(P, phi)):
+        w = [0] * n
+        for v, e in m.exps:
+            w[v.a] = e
+        phi = [0] * n  # lambda_bar_inv(P, m)
+        for p in order:
+            phi[p] = w[p] + floor(phi, p)
+        # Lowering phi at a support element a keeps it isotone; the jumps
+        # change only at a and above it.
+        for v, e in m.exps:
+            a = v.a
+            phi[a] -= 1
+            jumps = w[:]
+            jumps[a] = e - 1
+            for p in above[a]:
+                jumps[p] = phi[p] - floor(phi, p)
+            phi[a] += 1
+            exps, mask, deg = [], 0, 0
+            for p in range(n):
+                j = jumps[p]
+                if j:
+                    exps.append((variables[p], j))
+                    mask |= bits[p]
+                    deg += j
+            if I.contains(_make(tuple(exps), deg, mask)):
                 return False
-            phi[v.a] += 1
-        for p in range(low, P.n):
-            child = m * xs[p]
+        for p in range(low, n):
+            if w[p]:  # p is low, the last variable of m
+                child = _make(m.exps[:-1] + ((variables[p], w[p] + 1),), m._deg + 1, m._mask)
+            else:
+                child = _make(m.exps + ((variables[p], 1),), m._deg + 1, m._mask | bits[p])
             if not I.contains(child):
                 stack.append((child, p))
     return True
@@ -131,6 +174,7 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
 
 def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
     variables = [elem_var(p) for p in range(P.n)]
+    xs = [Monomial.variable(v) for v in variables]
     for m in monomials_up_to(variables, depth):
         if not I.contains(m):
             continue
@@ -143,9 +187,9 @@ def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
                 candidates = frozenset.intersection(*(through[b] for b in B))
                 if not candidates:
                     continue
-                stripped = m / Monomial((elem_var(b), 1) for b in B)
+                stripped = m / _of_sorted_vars([variables[b] for b in B])
                 for a in candidates:
-                    if not I.contains(stripped * Monomial.variable(elem_var(a))):
+                    if not I.contains(stripped * xs[a]):
                         return False
     return True
 
@@ -153,7 +197,7 @@ def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
 def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
     """The d-th power of (x_p : p in P), generated by all degree-d monomials."""
     variables = [elem_var(p) for p in range(P.n)]
-    gens = [Monomial((v, 1) for v in combo) for combo in combinations_with_replacement(variables, d)]
+    gens = [_of_sorted_vars(combo) for combo in combinations_with_replacement(variables, d)]
     return MonomialIdeal(gens, variables)
 
 

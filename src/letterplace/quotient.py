@@ -32,8 +32,18 @@ class FiberMap:
 
     @classmethod
     def make(cls, source: Iterable, targets: Iterable) -> "FiberMap":
-        src = tuple(sorted(tuple(s) for s in source))
-        lookup = dict(zip((tuple(s) for s in source), targets))
+        """The map sending source[k] to targets[k]; both are read once and
+        must be parallel, and no source pair may be listed twice."""
+        source = [tuple(s) for s in source]
+        targets = list(targets)
+        if len(source) != len(targets):
+            raise ValueError(f"the source has {len(source)} pairs but the assignment has {len(targets)} entries")
+        lookup = {}
+        for s, t in zip(source, targets):
+            if s in lookup:
+                raise ValueError(f"source pair {list(s)} is listed twice")
+            lookup[s] = t
+        src = tuple(sorted(lookup))
         return cls(src, tuple(lookup[s] for s in src))
 
     @classmethod

@@ -124,6 +124,28 @@ def test_fiber_map_with_unknown_variables_exit_two(tmp_path, capsys, command):
     assert doc["error"].startswith('assignment entry ["foo", 0] is not')
 
 
+@pytest.mark.parametrize("command", ["project", "regular-check"])
+@pytest.mark.parametrize(
+    "source, assignment, message",
+    [([[0, 0]], [["elem", 0], ["elem", 1]], "the source has 1 pairs but the assignment has 2 entries"),
+     ([[0, 0], [0, 0]], [["elem", 0], ["elem", 1]], "source pair [0, 0] is listed twice")],
+    ids=["longer-assignment", "repeated-pair"],
+)
+def test_fiber_map_source_and_assignment_must_match_exit_two(tmp_path, capsys, command, source,
+                                                             assignment, message):
+    J = HomIdeal.principal(chain(2), (1, 1))
+    ideal_path = tmp_path / "ideal.json"
+    ideal_path.write_text(J.to_json())
+    fmap_path = tmp_path / "fmap.json"
+    fmap_path.write_text(json.dumps({"source": source, "assignment": assignment}))
+    code, out = run(
+        capsys, command, "--ideal", str(ideal_path), "--side", "letterplace", "--map", str(fmap_path),
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["reason"], doc["error"]) == ("ValueError", message)
+
+
 def test_pstable_rejects_negative_depth(tmp_path, capsys):
     poset_path = tmp_path / "poset.json"
     poset_path.write_text(poset_from_covers(3, [(0, 1), (0, 2)]).to_json())
@@ -182,7 +204,8 @@ def test_pstable_rejects_foreign_variables(tmp_path, capsys, mode, text, shown):
      ("# family elem n=2", "header token 'family' is not of the form key=value"),
      ("# family=elem N=3", "header token 'N=3' has an unknown key; expected family and n"),
      ("# family=elem n=x", "n='x' in the ideal file header is not a non-negative integer"),
-     ("# family=elem n=-1", "n='-1' in the ideal file header is not a non-negative integer")],
+     ("# family=elem n=-1", "n='-1' in the ideal file header is not a non-negative integer"),
+     ("# family=elem family=nat n=2", "ideal file header gives the key 'family' twice")],
 )
 def test_ideal_file_header_is_checked(tmp_path, capsys, header, message):
     path = tmp_path / "gens.txt"

@@ -14,6 +14,7 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _of_sorted_vars,
     alexander_dual,
     associated_primes,
     elem_var,
@@ -317,6 +318,42 @@ def test_divides_matches_reference(a, b, c):
     assert a.divides(b) == ref_divides(a, b)
     assert a.divides(a * c) and ref_divides(a, a * c)
     assert (a * c).divides(a) == ref_divides(a * c, a)
+
+
+def same_monomial(m, exps):
+    """m equals the general constructor's monomial on exps in every cached part."""
+    ref = Monomial(exps)
+    return (m == ref and m.exps == ref.exps and m.degree() == ref.degree()
+            and m._mask == ref._mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=mixed_monomials, b=mixed_monomials)
+def test_kernel_arithmetic_matches_general_constructor(a, b):
+    ea, eb = dict(a.exps), dict(b.exps)
+    both = set(ea) | set(eb)
+    # disjoint supports, one wholly below the other or interleaved, take
+    # the product's shortcuts
+    cut = sorted(MIXED_VARS)[len(MIXED_VARS) // 2]
+    low = Monomial((v, e) for v, e in a.exps if v < cut)
+    high = Monomial((v, e) for v, e in b.exps if v >= cut)
+    apart = Monomial((v, e) for v, e in b.exps if v not in ea)
+    for c, d in ((a, b), (b, a), (low, high), (high, low), (a, apart), (apart, a)):
+        assert same_monomial(c * d, c.exps + d.exps)
+    assert same_monomial(a.gcd(b), [(v, min(ea.get(v, 0), eb.get(v, 0))) for v in both])
+    assert same_monomial(a.lcm(b), [(v, max(ea.get(v, 0), eb.get(v, 0))) for v in both])
+    assert same_monomial(a.colon(b), [(v, max(e - eb.get(v, 0), 0)) for v, e in a.exps])
+    g = Monomial((v, min(e, eb.get(v, 0))) for v, e in a.exps)  # a divisor of a
+    assert same_monomial(a / g, [(v, e - g.exp(v)) for v, e in a.exps])
+    assert same_monomial(a / a, [])
+    if not all(ea.get(v, 0) >= e for v, e in b.exps):
+        with pytest.raises(ValueError, match="does not divide"):
+            a / b
+    variables = [v for v, e in a.exps for _ in range(e)]
+    assert same_monomial(_of_sorted_vars(variables), [(v, 1) for v in variables])
+    m = a * b
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and again._mask == m._mask
 
 
 @settings(max_examples=300, deadline=None)

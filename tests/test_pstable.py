@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_max_ideal_power_criterion_all_posets_up_to_4():
         for d in (2, 3):
             verdict, structural = max_ideal_power_stable(P, d)
             assert verdict == structural
+
+
+def test_max_ideal_power_exact_matches_box_scan_all_posets_up_to_4():
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            for d in (2, 3):
+                I = maximal_ideal_power(P, d)
+                combos = combinations_with_replacement(range(n), d)
+                built = [Monomial((elem_var(p), 1) for p in c) for c in combos]
+                assert {(g, g.degree(), g._mask) for g in I.gens} == {(g, g.degree(), g._mask) for g in built}
+                assert is_p_stable(P, I, "exact") == ref_stable_exact(P, I)
 
 
 def test_image_of_complement_is_projected_letterplace():

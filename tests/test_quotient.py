@@ -55,6 +55,23 @@ def test_fiber_map_json_rejects_unknown_variables(entry):
         FiberMap.from_json(json.dumps(doc))
 
 
+def test_fiber_map_rejects_unparallel_source_and_assignment():
+    # an assignment longer than the source used to be cut short by zip
+    with pytest.raises(ValueError, match="the source has 1 pairs but the assignment has 2 entries"):
+        FiberMap.from_json(json.dumps({"source": [[0, 0]], "assignment": [["elem", 0], ["elem", 1]]}))
+    with pytest.raises(ValueError, match="the source has 2 pairs but the assignment has 1 entries"):
+        FiberMap.make([(0, 0), (0, 1)], [elem_var(0)])
+
+
+def test_fiber_map_rejects_repeated_source_pairs():
+    # a repeated pair used to take its last target for both copies
+    doc = {"source": [[0, 0], [0, 0]], "assignment": [["elem", 0], ["elem", 1]]}
+    with pytest.raises(ValueError, match=r"source pair \[0, 0\] is listed twice"):
+        FiberMap.from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"source pair \[1, 2\] is listed twice"):
+        FiberMap.make([[1, 2], (0, 0), (1, 2)], [elem_var(0)] * 3)
+
+
 def test_fiber_kind_second_projection_needs_chain():
     P = antichain(2)
     S = [(0, 0), (1, 0)]
