@@ -41,10 +41,20 @@ def check_isotone(P: Poset, values) -> tuple:
     return values
 
 
-def _floor(P: Poset, values, p: int) -> int:
-    """The largest value at an element strictly below p; 0 at a minimal p."""
-    below = P.down[p] & ~(1 << p)
-    return max((values[q] for q in range(P.n) if below >> q & 1), default=0)
+def _strictly(masks) -> list:
+    """For each element p, the other elements of masks[p], ascending: with
+    P.down the elements strictly below p, with P.up those strictly above."""
+    return [[q for q in range(len(masks)) if q != p and m >> q & 1] for p, m in enumerate(masks)]
+
+
+def _floor(values, below) -> int:
+    """The largest value over `below`, the elements strictly below some p
+    (values are non-negative); 0 at a minimal p."""
+    top = 0
+    for q in below:
+        if values[q] > top:
+            top = values[q]
+    return top
 
 
 def dominates(u, v) -> bool:
@@ -152,9 +162,10 @@ class HomIdeal:
     @classmethod
     def finite(cls, P: Poset, maps: Iterable) -> "HomIdeal":
         maps = frozenset(check_isotone(P, m) for m in maps)
+        below = _strictly(P.down)
         for m in maps:
             for p in range(P.n):
-                if m[p] > _floor(P, m, p):
+                if m[p] > _floor(m, below[p]):
                     step = tuple(v - 1 if i == p else v for i, v in enumerate(m))
                     if step not in maps:
                         raise ValueError(

@@ -9,7 +9,7 @@ x[p,i] and are Alexander dual to each other.
 from __future__ import annotations
 
 from .errors import InfiniteIdeal
-from .homset import HomIdeal, _floor, check_isotone, enumerate_isotone
+from .homset import HomIdeal, _floor, _strictly, check_isotone, enumerate_isotone
 from .monomial import Monomial, MonomialIdeal, _of_sorted_vars, pair_var
 from .poset import Poset
 
@@ -20,7 +20,8 @@ def ascent(P: Poset, phi) -> frozenset:
     For minimal p the lower constraint is vacuous, so i runs from 0.
     """
     phi = check_isotone(P, phi)
-    return frozenset((p, i) for p in range(P.n) for i in range(_floor(P, phi, p), phi[p]))
+    below = _strictly(P.down)
+    return frozenset((p, i) for p in range(P.n) for i in range(_floor(phi, below[p]), phi[p]))
 
 
 def graph_pairs(phi) -> frozenset:

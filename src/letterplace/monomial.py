@@ -173,11 +173,7 @@ class Monomial:
             for v, e in b:
                 acc[v] = acc.get(v, 0) + e
             exps = tuple(sorted(acc.items()))
-        elif a[-1][0] < b[0][0]:
-            exps = a + b
-        elif b[-1][0] < a[0][0]:
-            exps = b + a
-        else:
+        else:  # disjoint supports: merge the two sorted tables
             exps = tuple(sorted(a + b))
         return _make(exps, self._deg + other._deg, self._mask | other._mask)
 
@@ -219,8 +215,7 @@ class Monomial:
         for v, e in other.exps:
             if acc.get(v, 0) < e:
                 acc[v] = e
-        exps = tuple(sorted(acc.items())) if other._mask & ~self._mask else tuple(acc.items())
-        return _make(exps, sum(acc.values()), self._mask | other._mask)
+        return _make(tuple(sorted(acc.items())), sum(acc.values()), self._mask | other._mask)
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other, i.e. self / gcd(self, other)."""
@@ -257,6 +252,19 @@ def _of_sorted_vars(variables) -> Monomial:
             exps.append((v, 1))
             mask |= _BIT.get(v) or _new_bit(v)
     return _make(tuple(exps), len(variables), mask)
+
+
+def _of_exponent_list(variables, exps) -> Monomial:
+    """The monomial with exponent exps[i] >= 0 at variables[i], a sorted
+    sequence of distinct variables."""
+    table = []
+    deg = mask = 0
+    for v, e in zip(variables, exps):
+        if e:
+            table.append((v, e))
+            deg += e
+            mask |= _BIT.get(v) or _new_bit(v)
+    return _make(tuple(table), deg, mask)
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")

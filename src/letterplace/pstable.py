@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .errors import ExplosionGuard, NotArtinian
-from .homset import _floor, check_isotone
+from .errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
+from .homset import _floor, _strictly, check_isotone
 from .monomial import (
     Monomial,
     MonomialIdeal,
-    _make,
-    _mask_of,
+    _of_exponent_list,
     _of_sorted_vars,
     elem_var,
     monomials_up_to,
@@ -30,7 +29,8 @@ from .poset import Poset
 def lambda_bar(P: Poset, phi) -> Monomial:
     """Monomial with exponent phi(p) - max over strictly smaller elements."""
     phi = check_isotone(P, phi)
-    return Monomial((elem_var(p), phi[p] - _floor(P, phi, p)) for p in range(P.n))
+    below = _strictly(P.down)
+    return Monomial((elem_var(p), phi[p] - _floor(phi, below[p])) for p in range(P.n))
 
 
 def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
@@ -40,17 +40,34 @@ def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
     where a multichain repeats each element at most its exponent many times:
     phi(p) = m_p + the largest phi strictly below p.
     """
-    return tuple(_heaviest(P, {v.a: e for v, e in m.exps}, range(P.n)))
+    order, below, _ = _tables(P)
+    return tuple(_heaviest(order, below, _weights(P, m)))
 
 
-def _heaviest(P: Poset, weight: dict, elements) -> list:
-    """phi(p) = weight[p] + the largest phi strictly below p, filled over
-    `elements` in a linear extension and 0 elsewhere: the weight of a
-    heaviest multichain inside `elements` ending at p."""
-    P._check_range(weight)
-    phi = [0] * P.n
-    for p in sorted(elements, key=lambda p: P.down[p].bit_count()):
-        phi[p] = weight.get(p, 0) + _floor(P, phi, p)
+def _tables(P: Poset) -> tuple:
+    """(a linear extension of P, the elements strictly below each element,
+    those strictly above it).  Built per call and not kept on P."""
+    order = sorted(range(P.n), key=lambda p: P.down[p].bit_count())
+    return order, _strictly(P.down), _strictly(P.up)
+
+
+def _weights(P: Poset, m: Monomial) -> list:
+    """The exponent of m at each element of P."""
+    weight = [0] * P.n
+    for v, e in m.exps:
+        if not 0 <= v.a < P.n:
+            raise IdentifierOutOfRange(f"element {v.a} not in 0..{P.n - 1}")
+        weight[v.a] = e
+    return weight
+
+
+def _heaviest(order, below, weight) -> list:
+    """phi(p) = weight[p] + the largest phi strictly below p, filled along
+    `order` (a linear extension of some elements) and 0 elsewhere: the
+    weight of a heaviest multichain inside those elements ending at p."""
+    phi = [0] * len(weight)
+    for p in order:
+        phi[p] = weight[p] + _floor(phi, below[p])
     return phi
 
 
@@ -63,12 +80,13 @@ def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
     multichain ending at a and one from a up to b (the same recursion run
     downward from b inside its down-set) weigh `length`, counting m_a once.
     """
-    weight = {v.a: e for v, e in m.exps}
-    below = P.down_set(b)
-    ending = _heaviest(P, weight, below)
-    starting = _heaviest(P.op, weight, below)
+    weight = _weights(P, m)
+    order, below, above = _tables(P)
+    inside = [p for p in order if P.down[b] >> p & 1]
+    ending = _heaviest(inside, below, weight)
+    starting = _heaviest(inside[::-1], above, weight)
     length = ending[b]
-    return length, frozenset(a for a in below if ending[a] + starting[a] - weight.get(a, 0) == length)
+    return length, frozenset(a for a in inside if ending[a] + starting[a] - weight[a] == length)
 
 
 def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
@@ -111,22 +129,9 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
     if missing:
         raise NotArtinian(f"no pure power of elements {missing} in the ideal")
     n = P.n
-    # Tables for this call: the elements strictly below and strictly above
-    # each element, a linear extension, and each x_p's variable and bit.
-    strict = [P.down[p] & ~(1 << p) for p in range(n)]
-    below = [[q for q in range(n) if strict[p] >> q & 1] for p in range(n)]
-    above = [[q for q in range(n) if strict[q] >> p & 1] for p in range(n)]
-    order = sorted(range(n), key=lambda p: P.down[p].bit_count())
+    order, below, above = _tables(P)
     variables = [elem_var(p) for p in range(n)]
-    bits = [_mask_of((v,)) for v in variables]
-
-    def floor(phi, p):
-        top = 0
-        for q in below[p]:
-            if phi[q] > top:
-                top = phi[q]
-        return top
-
+    xs = [Monomial.variable(v) for v in variables]
     # Depth-first over the order ideal of standard monomials: each one is
     # reached once, from 1 by raising variables in ascending order, so every
     # variable of m has index <= low.
@@ -137,36 +142,22 @@ def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
         produced += 1
         if produced > cap:
             raise ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
-        w = [0] * n
-        for v, e in m.exps:
-            w[v.a] = e
-        phi = [0] * n  # lambda_bar_inv(P, m)
-        for p in order:
-            phi[p] = w[p] + floor(phi, p)
+        w = _weights(P, m)
+        phi = _heaviest(order, below, w)  # lambda_bar_inv(P, m)
         # Lowering phi at a support element a keeps it isotone; the jumps
-        # change only at a and above it.
+        # (lambda_bar of the lowered map) change only at a and above it.
         for v, e in m.exps:
             a = v.a
             phi[a] -= 1
             jumps = w[:]
             jumps[a] = e - 1
             for p in above[a]:
-                jumps[p] = phi[p] - floor(phi, p)
+                jumps[p] = phi[p] - _floor(phi, below[p])
             phi[a] += 1
-            exps, mask, deg = [], 0, 0
-            for p in range(n):
-                j = jumps[p]
-                if j:
-                    exps.append((variables[p], j))
-                    mask |= bits[p]
-                    deg += j
-            if I.contains(_make(tuple(exps), deg, mask)):
+            if I.contains(_of_exponent_list(variables, jumps)):
                 return False
         for p in range(low, n):
-            if w[p]:  # p is low, the last variable of m
-                child = _make(m.exps[:-1] + ((variables[p], w[p] + 1),), m._deg + 1, m._mask)
-            else:
-                child = _make(m.exps + ((variables[p], 1),), m._deg + 1, m._mask | bits[p])
+            child = m * xs[p]
             if not I.contains(child):
                 stack.append((child, p))
     return True

@@ -14,6 +14,7 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _of_exponent_list,
     _of_sorted_vars,
     alexander_dual,
     associated_primes,
@@ -332,8 +333,8 @@ def same_monomial(m, exps):
 def test_kernel_arithmetic_matches_general_constructor(a, b):
     ea, eb = dict(a.exps), dict(b.exps)
     both = set(ea) | set(eb)
-    # disjoint supports, one wholly below the other or interleaved, take
-    # the product's shortcuts
+    # products on disjoint supports, one wholly below the other or
+    # interleaved, merge the two tables without adding exponents
     cut = sorted(MIXED_VARS)[len(MIXED_VARS) // 2]
     low = Monomial((v, e) for v, e in a.exps if v < cut)
     high = Monomial((v, e) for v, e in b.exps if v >= cut)
@@ -351,6 +352,8 @@ def test_kernel_arithmetic_matches_general_constructor(a, b):
             a / b
     variables = [v for v, e in a.exps for _ in range(e)]
     assert same_monomial(_of_sorted_vars(variables), [(v, 1) for v in variables])
+    universe = sorted(both)
+    assert same_monomial(_of_exponent_list(universe, [eb.get(v, 0) for v in universe]), b.exps)
     m = a * b
     again = pickle.loads(pickle.dumps(m))
     assert again == m and again._mask == m._mask

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from letterplace.errors import ExplosionGuard, NotArtinian
+from letterplace.errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import letterplace_ideal, support
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, nat_var, pair_var
@@ -86,6 +86,14 @@ def test_longest_chain_worked_example():
 
 def test_longest_chain_trivial():
     assert longest_b_chain(chain(2), Monomial.one(), 1)[0] == 0
+
+
+def test_bijection_rejects_elements_outside_the_poset():
+    for p in (3, -1):
+        with pytest.raises(IdentifierOutOfRange, match=f"element {p} not in 0..2"):
+            lambda_bar_inv(chain(3), emono((0, 1), (p, 2)))
+        with pytest.raises(IdentifierOutOfRange, match=f"element {p} not in 0..2"):
+            longest_b_chain(chain(3), emono((p, 1)), 2)
 
 
 def test_square_of_max_ideal_triple():
@@ -182,21 +190,16 @@ def test_max_ideal_power_criterion_examples():
 
 
 def test_max_ideal_power_criterion_all_posets_up_to_4():
-    for P in all_labeled_posets(4):
-        for d in (2, 3):
-            verdict, structural = max_ideal_power_stable(P, d)
-            assert verdict == structural
-
-
-def test_max_ideal_power_exact_matches_box_scan_all_posets_up_to_4():
     for n in range(5):
         for P in all_labeled_posets(n):
             for d in (2, 3):
+                verdict, structural = max_ideal_power_stable(P, d)
+                assert verdict == structural
                 I = maximal_ideal_power(P, d)
+                assert verdict == ref_stable_exact(P, I)
                 combos = combinations_with_replacement(range(n), d)
                 built = [Monomial((elem_var(p), 1) for p in c) for c in combos]
                 assert {(g, g.degree(), g._mask) for g in I.gens} == {(g, g.degree(), g._mask) for g in built}
-                assert is_p_stable(P, I, "exact") == ref_stable_exact(P, I)
 
 
 def test_image_of_complement_is_projected_letterplace():
