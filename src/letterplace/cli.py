@@ -131,16 +131,8 @@ def _cmd_hom_enumerate(args) -> int:
 
 def _cmd_markers(args) -> int:
     J = _load_homideal(args.ideal)
-    marks = J.minimal_markers()
-    _emit(
-        {
-            "markers": [
-                {"domain": sorted(m.domain), "graph": sorted(m.graph())} for m in marks
-            ]
-        },
-        args.output,
-        args.format,
-    )
+    marks = [{"domain": sorted(m.domain), "graph": sorted(m.graph())} for m in J.minimal_markers()]
+    _emit({"markers": marks}, args.output, args.format)
     return 0
 
 
@@ -164,15 +156,9 @@ def _cmd_dual_check(args) -> int:
     L = letterplace_ideal(J)
     C = coletterplace_ideal(J)
     ok = alexander_dual(C, L.universe or C.universe).gens == L.gens
-    _emit(
-        {
-            "dual_ok": ok,
-            "letterplace": L.text_lines(J.poset.labels),
-            "coletterplace": C.text_lines(J.poset.labels),
-        },
-        args.output,
-        args.format,
-    )
+    labels = J.poset.labels
+    doc = {"dual_ok": ok, "letterplace": L.text_lines(labels), "coletterplace": C.text_lines(labels)}
+    _emit(doc, args.output, args.format)
     return 0 if ok else 1
 
 
@@ -224,15 +210,8 @@ def _cmd_det_verify(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     I = read_ideal_file(args.gens)
-    K = hilbert_numerator(I)
-    _emit(
-        {
-            "numerator": {str(d): c for d, c in sorted(K.coeffs().items())},
-            "variables": len(I.universe),
-        },
-        args.output,
-        args.format,
-    )
+    numerator = {str(d): c for d, c in sorted(hilbert_numerator(I).coeffs().items())}
+    _emit({"numerator": numerator, "variables": len(I.universe)}, args.output, args.format)
     return 0
 
 

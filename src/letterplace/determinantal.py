@@ -75,12 +75,7 @@ class DetMatrix:
         return pair_var(p, i) if i <= self._top[p] else None
 
     def variables(self) -> list:
-        return [
-            pair_var(p, i)
-            for p in self.columns
-            for i in self.rows
-            if i <= self._top[p]
-        ]
+        return [pair_var(p, i) for p in self.columns for i in self.rows if i <= self._top[p]]
 
 
 def build_matrix(seq: LSequence) -> DetMatrix:
@@ -163,21 +158,21 @@ def i_sequence(seq: LSequence) -> LSequence:
     """The weakly increasing sequence associated to a terrace sequence."""
     if not is_terrace(seq):
         raise NotTerrace(f"{seq.vals} fails the terrace condition")
-    a, vals = seq.a, seq.vals
-    out = [vals[0] - a]
-    for k in range(1, len(vals)):
-        c = a + k
-        out.append(vals[k] - c + 1 if vals[k] > vals[k - 1] else out[-1])
-    return LSequence(a, out)
+    return _shift_rises(seq, -1)
 
 
 def l_from_i(iseq: LSequence) -> LSequence:
     """Inverse of i_sequence: the terrace sequence of a weakly increasing one."""
-    a, vals = iseq.a, iseq.vals
-    out = [vals[0] + a]
+    return _shift_rises(iseq, 1)
+
+
+def _shift_rises(seq: LSequence, sign: int) -> LSequence:
+    """l_a + sign*a, then l_c + sign*(c-1) where l_c > l_(c-1) and the
+    previous entry where l_c = l_(c-1)."""
+    a, vals = seq.a, seq.vals
+    out = [vals[0] + sign * a]
     for k in range(1, len(vals)):
-        c = a + k
-        out.append(vals[k] + c - 1 if vals[k] > vals[k - 1] else out[-1])
+        out.append(vals[k] + sign * (a + k - 1) if vals[k] > vals[k - 1] else out[-1])
     return LSequence(a, out)
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
 from .monomial import _minimal
-from .poset import Poset
+from .poset import Poset, _int_list
 
 
 def is_isotone(P: Poset, values) -> bool:
@@ -213,16 +213,21 @@ class HomIdeal:
         if self.kind == "cofinite":
             return self.gens
         if self.kind == "principal":
-            cands = []
-            for p in range(P.n):
-                up = P.up_set(p)
-                cands.append(tuple(self.alpha[p] + 1 if q in up else 0 for q in range(P.n)))
+            cands = [tuple(self.alpha[p] + 1 if P.leq(p, q) else 0 for q in range(P.n)) for p in range(P.n)]
             return tuple(minimal_of(cands))
-        # finite: minimal elements of the complement live within values <= N+1,
-        # N the largest value occurring in the ideal.
-        N = max((v for m in self.maps for v in m), default=0)
-        pool = enumerate_isotone(P, N + 1)
-        return tuple(minimal_of([m for m in pool if m not in self.maps]))
+        # finite: a minimal map outside is 0, or a member raised by one at a
+        # single element (lowering it at a minimal element of its support
+        # stays isotone and lands inside).
+        if not self.maps:
+            return ((0,) * P.n,)
+        above = _strictly(P.up)
+        raises = [
+            m[:p] + (m[p] + 1,) + m[p + 1 :]
+            for m in self.maps
+            for p in range(P.n)
+            if all(m[q] > m[p] for q in above[p])
+        ]
+        return tuple(minimal_of(r for r in raises if r not in self.maps))
 
     def nmax(self) -> int:
         """Largest value among complement-filter generators; the enumeration bound."""
@@ -285,16 +290,23 @@ class HomIdeal:
 
     @classmethod
     def from_json(cls, text: str) -> "HomIdeal":
+        """The ideal of a JSON object with a poset and a repr holding exactly
+        one of principal (a map), finite or cofinite (lists of maps); a map
+        is a list of integers."""
         doc = json.loads(text)
-        P = Poset.from_json(json.dumps(doc["poset"]))
-        body = doc["repr"]
-        if "principal" in body:
-            return cls.principal(P, body["principal"])
-        if "finite" in body:
-            return cls.finite(P, [tuple(m) for m in body["finite"]])
-        if "cofinite" in body:
-            return cls.cofinite(P, [tuple(g) for g in body["cofinite"]])
-        raise ValueError("unknown HomIdeal representation")
+        body = doc.get("repr") if isinstance(doc, dict) else None
+        if not isinstance(body, dict) or len(body) != 1 or not body.keys() <= {"principal", "finite", "cofinite"}:
+            raise ValueError(
+                "a HomIdeal must be a JSON object whose repr has one key: principal, finite or cofinite"
+            )
+        P = Poset.from_json(json.dumps(doc.get("poset")))
+        ((kind, value),) = body.items()
+        if kind == "principal":
+            return cls.principal(P, _int_list(value, "a principal map"))
+        if not isinstance(value, list):
+            raise ValueError(f"the {kind} repr must be a list of maps, got {json.dumps(value)}")
+        maps = [tuple(_int_list(m, f"a {kind} map")) for m in value]
+        return cls.finite(P, maps) if kind == "finite" else cls.cofinite(P, maps)
 
     def __repr__(self):
         body = {"principal": self.alpha, "finite": self.maps, "cofinite": self.gens}[self.kind]

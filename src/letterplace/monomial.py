@@ -9,10 +9,10 @@ ones.  Tuple comparison of Var gives the canonical deterministic ordering
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple
 
-from .errors import ExplosionGuard, NotSquarefree
+from .errors import NotSquarefree
 
 
 class Var(NamedTuple):
@@ -586,30 +586,25 @@ def monomials_up_to(variables: Iterable[Var], degree: int) -> list:
     return sorted(out, key=Monomial.sort_key)
 
 
-def associated_primes(ideal: MonomialIdeal, cap: int = 200_000) -> set:
+def associated_primes(ideal: MonomialIdeal) -> set:
     """All variable sets S with (ideal : m) prime on S for some monomial m.
 
-    Brute force over the exponent box bounded by per-variable maxima among the
-    generators.  Returns a set of frozensets of Var.
+    These are the supports of the irreducible components, read off the
+    Alexander dual of the polarization: copy k of the i-th variable,
+    pair_var(i, k), stands for its k-th smallest exponent among the
+    generators, and divides a polarized generator when that level is at most
+    the generator's exponent.  A minimal transversal meets each variable's
+    copies at most once, and a component containing another has the same
+    support.  Returns a set of frozensets of Var.
     """
     if ideal.is_zero or ideal.is_unit:
         return set()
-    box = {}
-    for g in ideal.gens:
-        for v, e in g.exps:
-            box[v] = max(box.get(v, 0), e)
-    total = 1
-    for e in box.values():
-        total *= e + 1
-        if total > cap:
-            raise ExplosionGuard(f"exponent box larger than {cap}")
-    out = set()
-    vs = sorted(box)
-    for exps in product(*(range(box[v] + 1) for v in vs)):
-        m = Monomial(zip(vs, exps))
-        if ideal.contains(m):
-            continue
-        colon = _minimal([g.colon(m) for g in ideal.gens], Monomial.sort_key, Monomial.divides)
-        if all(g.degree() == 1 for g in colon):
-            out.add(frozenset(v for g in colon for v in g.support()))
-    return out
+    variables = sorted({v for g in ideal.gens for v, _ in g.exps})
+    levels = [sorted({g.exp(v) for g in ideal.gens} - {0}) for v in variables]
+    polar = MonomialIdeal(
+        _of_sorted_vars([
+            pair_var(i, k) for i, v in enumerate(variables) for k, e in enumerate(levels[i]) if e <= g.exp(v)
+        ])
+        for g in ideal.gens
+    )
+    return {frozenset(variables[c.a] for c, _ in t.exps) for t in alexander_dual(polar).gens}

@@ -178,8 +178,26 @@ class Poset:
 
     @classmethod
     def from_json(cls, text: str) -> "Poset":
+        """The poset of a JSON object with a non-negative integer n, covers
+        that are pairs of integers and optionally n string labels."""
         doc = json.loads(text)
-        return cls(doc["n"], [tuple(c) for c in doc["covers"]], doc.get("labels"))
+        if not isinstance(doc, dict):
+            raise ValueError("a poset must be a JSON object with keys n and covers")
+        n, covers, labels = doc.get("n"), doc.get("covers"), doc.get("labels")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"poset n must be a non-negative integer, got {json.dumps(n)}")
+        if not isinstance(covers, list) or any(len(_int_list(c, "a cover")) != 2 for c in covers):
+            raise ValueError(f"poset covers must be a list of pairs, got {json.dumps(covers)}")
+        if labels is not None and not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise ValueError(f"poset labels must be a list of strings, got {json.dumps(labels)}")
+        return cls(n, [tuple(c) for c in covers], labels)
+
+
+def _int_list(value, what: str) -> list:
+    """value if it is a list of integers (bools excluded); else ValueError."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return value
 
 
 def _mask_to_set(mask: int) -> frozenset:

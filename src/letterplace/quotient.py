@@ -133,12 +133,10 @@ def quotient_order_ok(P: Poset, f: FiberMap) -> bool:
     """
     classes = list(f.fibers().values())
     k = len(classes)
-    rel = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            rel[i][j] = any(
-                P.leq(p, q) and a <= b for (p, a) in classes[i] for (q, b) in classes[j]
-            )
+    rel = [
+        [any(P.leq(p, q) and a <= b for (p, a) in A for (q, b) in B) for B in classes]
+        for A in classes
+    ]
     for m in range(k):
         for i in range(k):
             if rel[i][m]:

@@ -217,6 +217,43 @@ def test_ideal_file_header_is_checked(tmp_path, capsys, header, message):
     assert message in json.loads(out)["error"]
 
 
+CHAIN2 = {"n": 2, "covers": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [("hom", {"n": -1, "covers": []}, "poset n must be a non-negative integer, got -1"),
+     ("hom", {"n": "3", "covers": []}, 'poset n must be a non-negative integer, got "3"'),
+     ("hom", {"n": 2.0, "covers": []}, "poset n must be a non-negative integer, got 2.0"),
+     ("hom", {"n": 2, "covers": [[0, 1.5]]}, "a cover must be a list of integers, got [0, 1.5]"),
+     ("hom", [2, [[0, 1]]], "a poset must be a JSON object with keys n and covers"),
+     ("ideal", {"poset": {"n": 2.0, "covers": []}, "repr": {"principal": [0, 1]}},
+      "poset n must be a non-negative integer, got 2.0"),
+     ("ideal", {"poset": CHAIN2, "repr": {"principal": [0, "a"]}},
+      'a principal map must be a list of integers, got [0, "a"]'),
+     ("ideal", {"poset": CHAIN2, "repr": {"finite": [[0, 0], [0, 1.5]]}},
+      "a finite map must be a list of integers, got [0, 1.5]"),
+     ("ideal", {"poset": CHAIN2, "repr": {"cofinite": [[0, True]]}},
+      "a cofinite map must be a list of integers, got [0, true]"),
+     ("ideal", {"poset": CHAIN2, "repr": {"principal": [0, 1], "finite": [[0, 0]]}},
+      "repr has one key: principal, finite or cofinite")],
+    ids=["negative-n", "string-n", "float-n", "float-cover", "list-poset", "float-n-in-ideal",
+         "string-value", "float-value", "bool-value", "two-reprs"],
+)
+def test_bad_poset_and_homideal_json_exit_two(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if command == "hom":
+        argv = ["hom", "enumerate", "--poset", str(path), "--bound", "1"]
+    else:
+        argv = ["letterplace", "--ideal", str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["reason"] == "ValueError"
+    assert message in report["error"]
+
+
 def test_ideal_file_round_trip(tmp_path):
     I = MonomialIdeal(
         [Monomial([(elem_var(0), 2)]), Monomial([(elem_var(0), 1), (elem_var(1), 1)])],

@@ -322,3 +322,22 @@ def test_minimal_markers_match_bruteforce(data):
     gens = data.draw(st.lists(st.sampled_from(pool), max_size=3))
     J = HomIdeal.cofinite(P, gens)
     assert J.minimal_markers() == brute_minimal_markers(J)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_complement_gens_finite_match_bruteforce(data):
+    # the down-closure of at most three maps valued <= 3; none gives the empty ideal
+    P = data.draw(st.sampled_from(SMALL_POSETS))
+    pool = enumerate_isotone(P, 3)
+    tops = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    J = HomIdeal.finite(P, [m for m in pool if any(dominates(t, m) for t in tops)])
+    N = max((v for m in J.maps for v in m), default=0)
+    assert list(J.complement_gens()) == brute_complement_gens(J, N + 1)
+
+
+def test_complement_gens_finite_on_a_wide_antichain():
+    # seven maps, while the maps valued <= 7 on eight elements number 8**8
+    J = HomIdeal.finite(antichain(8), [(k,) + (0,) * 7 for k in range(7)])
+    units = [tuple(int(q == p) for q in range(8)) for p in range(1, 8)]
+    assert list(J.complement_gens()) == sorted(units + [(7,) + (0,) * 7])

@@ -33,6 +33,7 @@ from util import (
     brute_height,
     brute_minimal_elements,
     hilbert_incl_excl,
+    ref_associated_primes,
     ref_contains,
     ref_divides,
 )
@@ -251,7 +252,7 @@ def test_ideal_universe_handling():
         minimalize([mono((x, 1))], universe=[y])
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 exponent_triples = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -377,3 +378,23 @@ def test_height_matches_bruteforce(gens):
             height(I)
     else:
         assert height(I) == brute_height(I)
+
+
+# pair_var(0, 1) and pair_var(1, 0) are also names of polarization copies
+PRIME_VARS = [elem_var(0), nat_var(2), pair_var(0, 1), pair_var(1, 0)]
+prime_monomials = st.builds(
+    lambda es: Monomial((v, e) for v, e in zip(PRIME_VARS, es) if e),
+    st.tuples(*[st.sampled_from([0, 0, 1, 2, 3, 4])] * len(PRIME_VARS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(prime_monomials, min_size=1, max_size=6))
+@example(gens=[mono((x, 500)), mono((y, 500))])  # a box of 501**2 monomials
+def test_associated_primes_match_box_scan(gens):
+    I = MonomialIdeal(gens)
+    assert associated_primes(I) == ref_associated_primes(I)
+    # the radical is squarefree: its associated primes are its minimal
+    # primes, the supports of its Alexander dual's generators
+    R = MonomialIdeal(Monomial((v, 1) for v in g.support()) for g in I.gens)
+    assert associated_primes(R) == {g.support() for g in alexander_dual(R).gens}

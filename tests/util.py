@@ -107,6 +107,28 @@ def brute_height(I: MonomialIdeal) -> int:
     raise ValueError("height of the unit ideal is undefined")
 
 
+def ref_associated_primes(I: MonomialIdeal) -> set:
+    """Oracle for associated_primes: scan the exponent box bounded by the
+    per-variable maxima among the generators for monomials m outside I with
+    (I : m) generated by variables, and collect those variable sets."""
+    if I.is_zero or I.is_unit:
+        return set()
+    box = {}
+    for g in I.gens:
+        for v, e in g.exps:
+            box[v] = max(box.get(v, 0), e)
+    vs = sorted(box)
+    out = set()
+    for exps in product(*(range(box[v] + 1) for v in vs)):
+        m = Monomial(zip(vs, exps))
+        if ref_contains(I, m):
+            continue
+        colon = MonomialIdeal(g.colon(m) for g in I.gens)
+        if all(g.degree() == 1 for g in colon.gens):
+            out.add(frozenset(v for g in colon.gens for v in g.support()))
+    return out
+
+
 def ref_lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
     """Oracle for lambda_bar_inv: peel minimal antichains of the remaining
     support; the elements above the antichain rise by the smallest exponent
