@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotTerrace
-from .groebner import (
-    Polynomial,
-    TermOrder,
-    buchberger,
-    diagonal_order,
-    initial_ideal,
-)
+from .groebner import Polynomial, TermOrder, _basis, _Codec, _exactly, diagonal_order
 from .ideals import _multichains
 from .monomial import Monomial, MonomialIdeal, height, pair_var
 from .poset import chain
@@ -82,16 +76,20 @@ def build_matrix(seq: LSequence) -> DetMatrix:
     return DetMatrix(seq)
 
 
-def minors_with_positions(seq: LSequence) -> list:
-    """(c, rows, cols, polynomial) for every structurally nonzero generating minor.
+def _laplace_minors(M: DetMatrix, unit: dict, one) -> list:
+    """(c, rows, cols, terms) for every structurally nonzero generating minor
+    of the staircase matrix M.
 
-    Each minor is a Laplace expansion along its last row into the minors of
-    the rows above on one column fewer.  Those row-prefix minors do not depend
-    on c, so every column tuple is expanded once.  Until the end a minor is a
-    dict from its terms, as variable tuples in row order, to integers.
+    terms maps each term of the minor to its integer coefficient.  A term is
+    built from `one` by adding unit[v] for each of its variables v in row
+    order: variable tuples from () and {v: (v,)}, or packed ints from 0 and a
+    codec's units.  No two terms meet, since the entries are distinct
+    variables.  Each minor is a Laplace expansion along its last row into the
+    minors of the rows above on one column fewer.  Those row-prefix minors do
+    not depend on c, so every column tuple is expanded once.
     """
-    M = DetMatrix(seq)
-    memo = {(): {(): 1}}
+    seq = M.seq
+    memo = {(): {one: 1}}
 
     def minor(cols):
         if cols not in memo:
@@ -102,9 +100,9 @@ def minors_with_positions(seq: LSequence) -> list:
                 if e is None:
                     continue
                 sign = -1 if (len(cols) - 1 + j) % 2 else 1
+                u = unit[e]
                 for term, k in minor(cols[:j] + cols[j + 1 :]).items():
-                    term += (e,)
-                    acc[term] = acc.get(term, 0) + sign * k
+                    acc[term + u] = sign * k
             memo[cols] = acc
         return memo[cols]
 
@@ -113,12 +111,20 @@ def minors_with_positions(seq: LSequence) -> list:
         rows = tuple(range(seq.a, c))
         col_pool = range(seq[seq.a] + 1, seq[c] + 1)
         for cols in combinations(col_pool, c - seq.a):
-            det = Polynomial(
-                (Monomial((v, 1) for v in term), k) for term, k in minor(cols).items()
-            )
-            if det:
-                out.append((c, rows, cols, det))
+            terms = minor(cols)
+            if terms:
+                out.append((c, rows, cols, terms))
     return out
+
+
+def minors_with_positions(seq: LSequence) -> list:
+    """(c, rows, cols, polynomial) for every structurally nonzero generating minor."""
+    M = DetMatrix(seq)
+    unit = {v: (v,) for v in M.variables()}
+    return [
+        (c, rows, cols, Polynomial((Monomial((v, 1) for v in t), k) for t, k in terms.items()))
+        for c, rows, cols, terms in _laplace_minors(M, unit, ())
+    ]
 
 
 def ideal_gens(seq: LSequence) -> list:
@@ -232,21 +238,31 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     """End-to-end check: initial ideal equals the shifted letterplace ideal and
     the codimension formulas agree with the height of that monomial ideal.
 
-    degree_cap (off unless given) and pair_cap go to buchberger, and the
-    report echoes them under "budget"; BudgetExceeded is raised if the basis
-    computation overruns them.  For a non-terrace input the report also
-    carries the terrace-reduced instance.
+    degree_cap (off unless given) and pair_cap bound the basis computation as
+    in buchberger, and the report echoes them under "budget"; BudgetExceeded
+    is raised if the basis computation overruns them.  For a non-terrace input
+    the report also carries the terrace-reduced instance.
+
+    The minors are built packed and stay packed through the basis computation;
+    only the leading terms of the reduced basis become Monomials.
     """
     M = DetMatrix(seq)
     order = diagonal_order(M.variables())
-    minors = minors_with_positions(seq)
-    gens = [det for _, _, _, det in minors]
+    codec = _Codec(order, 2)  # squarefree minors: one exponent bit, one guard bit
+    minors = _laplace_minors(M, codec.unit, 0)
+    gens = [terms for _, _, _, terms in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
-    diag_ok = diagonal_leads_ok(seq, order, minors)
-    basis = buchberger(gens, order, degree_cap, pair_cap)
-    init = initial_ideal(basis, order)
+    # each minor with nonzero main diagonal leads with the diagonal product
+    diag_ok = True
+    for _, rows, cols, terms in minors:
+        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
+        if None not in diag and max(terms) != sum(codec.unit[v] for v in diag):
+            diag_ok = False
+            break
+    basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
+    init = MonomialIdeal([codec.monomial(max(d)) for d in basis], order.vars)
     initial_ok = init.gens == target.gens
     codims = codim_formulas(seq)
     h = height(target)

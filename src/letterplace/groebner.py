@@ -2,21 +2,24 @@
 
 Polynomial is the value type that goes in and out: sparse terms over the
 shared Monomial type.  All arithmetic happens in the desk-scale engine below,
-on dense exponent tuples over the order's variable ranking, with exact
-coefficients (integers while they are integers, Fraction otherwise).  Budgets
-fail loudly via BudgetExceeded; results are never truncated silently.
+on exponent vectors packed into one int each, with exact coefficients
+(integers while they are integers, Fraction otherwise).  The fields of a
+packed int are sized from the inputs, each with a guard bit on top; a product
+that sets a guard bit starts the computation over at twice the width, so no
+exponent is ever cut off.  Budgets fail loudly via BudgetExceeded; results are
+never truncated silently.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import BudgetExceeded
-from .monomial import Monomial, MonomialIdeal, Var, parse_monomial
+from .monomial import Monomial, MonomialIdeal, Var, _of_exponent_list, parse_monomial
 
 
 class TermOrder:
@@ -47,21 +50,10 @@ class TermOrder:
         return tuple(e)
 
     def key(self, m: Monomial):
-        return self.tuple_key(self.exponents(m))
-
-    def tuple_key(self, e: tuple):
+        e = self.exponents(m)
         if self.kind == "lex":
             return e
         return (sum(e), tuple(-x for x in reversed(e)))
-
-    def heap_key(self, e: tuple):
-        """Key whose smallest value belongs to the largest exponent tuple."""
-        if self.kind == "lex":
-            return tuple(map(neg, e))
-        return (-sum(e), e[::-1])
-
-    def monomial(self, e: tuple) -> Monomial:
-        return Monomial((self.vars[i], k) for i, k in enumerate(e) if k)
 
 
 def lex_order(variables: Iterable[Var]) -> TermOrder:
@@ -159,59 +151,156 @@ def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
     return Polynomial(terms)
 
 
+# -- packed exponents ----------------------------------------------------------
+#
+# Inside the engine a monomial is one int, and a polynomial is a dict from those
+# ints to coefficients, kept as int while they are integers and as Fraction
+# otherwise.  The int has one field of `width` bits per exponent, and the top
+# bit of each field is a guard that stays clear.  Under lex the exponent of
+# order.vars[i] sits in field n-1-i, the first variable in the top field, so
+# integer order is the term order.  Under grevlex n key fields sit above those:
+# deg, deg - x_n, deg - x_n - x_(n-1), ..., compared first; they are linear in
+# the exponents and determine them, so integer order is grevlex.  Either way
+# multiplying monomials adds their ints, and a sum that sets a guard bit has
+# outgrown the width: it raises _Overflow, and the computation starts over at
+# twice the width.  Dividing, e - lt, never borrows across fields.
+
+
+class _Overflow(Exception):
+    """A product set a guard bit: its fields are too narrow."""
+
+
+class _Codec:
+    """Monomials over order.vars packed into ints with fields of `width` bits."""
+
+    __slots__ = ("order", "width", "guard", "unit", "_vars", "_shifts")
+
+    def __init__(self, order: TermOrder, width: int):
+        n, w = len(order.vars), width
+        lex = order.kind == "lex"
+        self.order, self.width = order, w
+        self.guard = sum(1 << w * k + w - 1 for k in range(n if lex else 2 * n))
+        # unit[v] is the packed variable v; under grevlex the i-th variable
+        # also counts in the key fields j < n - i, deg - x_n - ... - x_(n-j+1)
+        self.unit = {}
+        for i, v in enumerate(order.vars):
+            u = 1 << w * (n - 1 - i)
+            if not lex:
+                u += sum(1 << w * (2 * n - 1 - j) for j in range(n - i))
+            self.unit[v] = u
+        ranked = sorted((v, w * (n - 1 - i)) for i, v in enumerate(order.vars))
+        self._vars = [v for v, _ in ranked]
+        self._shifts = [s for _, s in ranked]
+
+    @classmethod
+    def holding(cls, order: TermOrder, polys) -> "_Codec":
+        """The narrowest codec that holds the monomials of the Polynomials
+        polys: its fields fit their largest exponent (lex) or degree
+        (grevlex), plus the guard bit."""
+        if order.kind == "lex":
+            top = max((k for f in polys for m in f.terms for _, k in m.exps), default=0)
+        else:
+            top = max((m.degree() for f in polys for m in f.terms), default=0)
+        return cls(order, top.bit_length() + 1)
+
+    def exponents(self, e: int) -> list:
+        """The exponent fields of e, in Var order."""
+        mask = (1 << self.width - 1) - 1
+        return [e >> s & mask for s in self._shifts]
+
+    def degree(self, e: int) -> int:
+        return sum(self.exponents(e))
+
+    def repack(self, e: int, old: "_Codec") -> int:
+        """e, packed by old, packed by this codec."""
+        unit = self.unit
+        return sum(k * unit[v] for v, k in zip(old._vars, old.exponents(e)))
+
+    def lcm(self, a: int, b: int) -> int:
+        G = self.guard
+        ge = ((a | G) - b) & G  # the guard bit of each field where a >= b
+        m = b ^ ((a ^ b) & (ge - (ge >> self.width - 1)))
+        if self.order.kind == "lex":
+            return m
+        m = self.repack(m, self)  # the key fields of the lcm, from its exponents
+        if m & G:
+            raise _Overflow
+        return m
+
+    def pack(self, f: Polynomial) -> dict:
+        unit = self.unit
+        out = {}
+        for m, c in f.terms.items():
+            try:
+                e = sum(k * unit[v] for v, k in m.exps)
+            except KeyError as missing:
+                raise ValueError(f"variable {missing.args[0]} not ranked by this order") from None
+            out[e] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def monomial(self, e: int) -> Monomial:
+        return _of_exponent_list(self._vars, self.exponents(e))
+
+    def polynomial(self, d: dict) -> Polynomial:
+        return Polynomial({self.monomial(e): c for e, c in d.items()})
+
+
+def _exactly(run, inputs: list, codec: _Codec, *args):
+    """run(inputs, codec, *args) on packed dicts it must not consume, started
+    over at twice the width while a product overflows; returns its result and
+    the codec of that result."""
+    while True:
+        try:
+            return run(inputs, codec, *args), codec
+        except _Overflow:
+            wider = _Codec(codec.order, 2 * codec.width)
+            inputs = [{wider.repack(e, codec): c for e, c in d.items()} for d in inputs]
+            codec = wider
+
+
 # -- division and Buchberger ---------------------------------------------------
 #
-# Inside reduce and buchberger a polynomial is dense: a dict from exponent
-# tuples over order.vars to coefficients, kept as int while they are integers
-# and as Fraction otherwise.  A divisor is held monic as (lt, tail), computed
-# once: its leading exponent tuple and its other (exponents, coefficient) pairs
-# divided by the leading coefficient.
+# A divisor is held monic as (lt, tail), computed once: its packed leading term
+# and its other (term, coefficient) pairs divided by the leading coefficient.
+# With G the guard mask, lt divides e exactly when ((e | G) - lt) & G == G: the
+# subtraction borrows a field's guard bit only where lt exceeds e.
 
 
-def _dense(f: Polynomial, order: TermOrder) -> dict:
-    return {
-        order.exponents(m): c.numerator if c.denominator == 1 else c
-        for m, c in f.terms.items()
-    }
-
-
-def _sparse(d: dict, order: TermOrder) -> Polynomial:
-    return Polynomial({order.monomial(e): c for e, c in d.items()})
-
-
-def _monic_head(d: dict, order: TermOrder) -> tuple:
-    lt = max(d, key=order.tuple_key)
+def _monic_head(d: dict) -> tuple:
+    lt = max(d)
     lc = d[lt]
     # a unit is its own inverse, so integer coefficients stay integers
     inv = lc if lc == 1 or lc == -1 else 1 / Fraction(lc)
     return lt, [(e, c * inv) for e, c in d.items() if e != lt]
 
 
-def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
-    """Full normal form of the dense polynomial work (consumed) modulo the
+def _normal_form(work: dict, heads: list, guard: int) -> dict:
+    """Full normal form of the packed polynomial work (consumed) modulo the
     monic heads.
 
-    Terms are taken largest first from a heap of order keys; each is reduced
-    by the first head whose leading exponents it dominates, or kept.
+    Terms are taken largest first from a heap of negated packed terms; each is
+    reduced by the first head whose leading term divides it, or kept.
     """
-    key = order.heap_key
-    heap = [(key(e), e) for e in work]
-    heapq.heapify(heap)
+    heap = [-e for e in work]
+    heapify(heap)
     remainder = {}
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue  # cancelled, or a second heap entry for the same term
+        eg = e | guard
         for lt, tail in heads:
-            if all(map(le, lt, e)):
-                q = tuple(map(sub, e, lt))
+            if (eg - lt) & guard == guard:
+                q = e - lt
                 for te, tc in tail:
-                    t = tuple(map(add, te, q))
+                    t = te + q
+                    if t & guard:
+                        raise _Overflow
                     old = work.get(t)
                     if old is None:
                         work[t] = -c * tc
-                        heapq.heappush(heap, (key(t), t))
+                        heappush(heap, -t)
                     else:
                         old -= c * tc
                         if old:
@@ -224,18 +313,33 @@ def _normal_form(work: dict, heads: list, order: TermOrder) -> dict:
     return remainder
 
 
+def _reduce(inputs: list, codec: _Codec) -> dict:
+    """Normal form of inputs[0] modulo the rest, in the listed order."""
+    heads = [_monic_head(d) for d in inputs[1:]]
+    return _normal_form(dict(inputs[0]), heads, codec.guard)
+
+
 def reduce(f: Polynomial, basis: Iterable[Polynomial], order: TermOrder) -> Polynomial:
     """Full normal form of f modulo basis, deterministic in the listed order."""
-    heads = [_monic_head(_dense(g, order), order) for g in basis if g]
-    return _sparse(_normal_form(_dense(f, order), heads, order), order)
+    polys = [f, *(g for g in basis if g)]
+    codec = _Codec.holding(order, polys)
+    r, codec = _exactly(_reduce, [codec.pack(g) for g in polys], codec)
+    return codec.polynomial(r)
 
 
-def _dense_s_polynomial(hi: tuple, hj: tuple, L: tuple) -> dict:
-    """S-polynomial of two monic heads whose leading exponents have lcm L."""
-    qi, qj = tuple(map(sub, L, hi[0])), tuple(map(sub, L, hj[0]))
-    s = {tuple(map(add, e, qi)): c for e, c in hi[1]}
+def _s_polynomial(hi: tuple, hj: tuple, L: int, guard: int) -> dict:
+    """S-polynomial of two monic heads whose leading terms have lcm L."""
+    qi, qj = L - hi[0], L - hj[0]
+    s = {}
+    for e, c in hi[1]:
+        t = e + qi
+        if t & guard:
+            raise _Overflow
+        s[t] = c
     for e, c in hj[1]:
-        t = tuple(map(add, e, qj))
+        t = e + qj
+        if t & guard:
+            raise _Overflow
         c = s.get(t, 0) - c
         if c:
             s[t] = c
@@ -268,48 +372,58 @@ def buchberger(
     their lcm degree.  Hitting either raises BudgetExceeded with the counts of
     the work done so far: pairs popped (each is reduced unless a cap stops
     it), dropped as coprime, dropped by criteria B, M and F ("chain"),
-    reduced, and the highest lcm degree reduced.
+    reduced, and the highest lcm degree reduced.  The counts are those of the
+    run that raised; a run started over at a wider field width counts afresh.
     """
-    key = order.tuple_key
+    gens = [f for f in gens if f]
+    codec = _Codec.holding(order, gens)
+    basis, codec = _exactly(_basis, [codec.pack(f) for f in gens], codec, degree_cap, pair_cap)
+    return [codec.polynomial(d) for d in basis]
+
+
+def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
+    """buchberger on nonzero packed inputs, as monic dicts sorted by leading
+    term."""
+    G = codec.guard
+    lcm = codec.lcm
     heads = []  # monic (lt, tail) of every element that joined
     live = []  # indices of the heads that still form pairs and reduce
     reducers = []  # those heads
-    queue = []  # (lcm key, j, i, lcm) per pending pair of heads i < j
+    queue = []  # (lcm, j, i) per pending pair of heads i < j
     counts = dict.fromkeys(("popped", "coprime", "chain", "reduced", "max_degree"), 0)
 
     def join(d):
-        h = _monic_head(d, order)
+        h = _monic_head(d)
         lt, j = h[0], len(heads)
         # criterion B on the pending pairs
         kept = [
             p
             for p in queue
-            if not all(map(le, lt, p[3]))
-            or tuple(map(max, heads[p[1]][0], lt)) == p[3]
-            or tuple(map(max, heads[p[2]][0], lt)) == p[3]
+            if ((p[0] | G) - lt) & G != G
+            or lcm(heads[p[1]][0], lt) == p[0]
+            or lcm(heads[p[2]][0], lt) == p[0]
         ]
         if len(kept) < len(queue):
             counts["chain"] += len(queue) - len(kept)
             queue[:] = kept
-            heapq.heapify(queue)
+            heapify(queue)
         # Criteria M and F on the new pairs, taken by ascending lcm, coprime
-        # ones first among equal lcms: the lcm of a pair kept, or dropped as
-        # coprime, rules out its multiples.
+        # ones (lcm equal to the product) first among equal lcms: the lcm of a
+        # pair kept, or dropped as coprime, rules out its multiples.
         lcms = []
-        for k, shared, i, L in sorted(
-            (key(L), any(map(mul, heads[i][0], lt)), i, L)
-            for i, L in ((i, tuple(map(max, heads[i][0], lt))) for i in live)
+        for L, shared, i in sorted(
+            (L, L != heads[i][0] + lt, i) for i, L in ((i, lcm(heads[i][0], lt)) for i in live)
         ):
             if not shared:
                 counts["coprime"] += 1
-            elif any(all(map(le, M, L)) for M in lcms):
+            elif any(((L | G) - M) & G == G for M in lcms):
                 counts["chain"] += 1
                 continue
             else:
-                heapq.heappush(queue, (k, j, i, L))
+                heappush(queue, (L, j, i))
             lcms.append(L)
         heads.append(h)
-        live[:] = [i for i in live if not all(map(le, lt, heads[i][0]))] + [j]
+        live[:] = [i for i in live if ((heads[i][0] | G) - lt) & G != G] + [j]
         reducers[:] = [heads[i] for i in live]
 
     def over(cap):
@@ -321,38 +435,37 @@ def buchberger(
             counts,
         )
 
-    inputs = [_dense(f, order) for f in gens if f]
-    for d in sorted(inputs, key=lambda d: key(max(d, key=key))):
-        r = _normal_form(d, reducers, order)
+    for d in sorted(inputs, key=max):
+        r = _normal_form(dict(d), reducers, G)
         if r:
             join(r)
 
     while queue:
-        _, j, i, L = heapq.heappop(queue)
+        L, j, i = heappop(queue)
         counts["popped"] += 1
-        degree = sum(L)
+        degree = codec.degree(L)
         if degree_cap is not None and degree > degree_cap:
             over(f"S-pair lcm degree {degree} exceeds cap {degree_cap}")
         if counts["reduced"] >= pair_cap:
             over(f"more than {pair_cap} S-pairs to reduce")
-        r = _normal_form(_dense_s_polynomial(heads[i], heads[j], L), reducers, order)
+        r = _normal_form(_s_polynomial(heads[i], heads[j], L, G), reducers, G)
         counts["reduced"] += 1
         counts["max_degree"] = max(counts["max_degree"], degree)
         if r:
             join(r)
 
-    return [_sparse(d, order) for d in _interreduce(reducers, order)]
+    return _interreduce(reducers, G)
 
 
-def _interreduce(heads: list, order: TermOrder) -> list:
-    """Reduced basis, as dense monic polynomials sorted by leading term, from
-    the monic heads of a Groebner basis none of whose leading terms divides
+def _interreduce(heads: list, guard: int) -> list:
+    """Reduced basis, as monic packed dicts sorted by leading term, from the
+    monic heads of a Groebner basis none of whose leading terms divides
     another."""
-    heads = sorted(heads, key=lambda h: order.tuple_key(h[0]))
+    heads = sorted(heads, key=itemgetter(0))
     # A tail term lies below its own leading term, and a leading term that
     # divides it lies below it too, so only the heads before it can reduce it.
     return [
-        {lt: 1, **_normal_form(dict(tail), heads[:k], order)}
+        {lt: 1, **_normal_form(dict(tail), heads[:k], guard)}
         for k, (lt, tail) in enumerate(heads)
     ]
 

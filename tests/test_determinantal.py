@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import letterplace.determinantal as determinantal
 from letterplace.cli import main
@@ -26,7 +28,7 @@ from letterplace.errors import NotTerrace
 from letterplace.groebner import diagonal_order
 from letterplace.monomial import Monomial, MonomialIdeal, pair_var
 
-from util import ref_ly_ideal, ref_minors, same_ideal_by_membership
+from util import ref_ly_ideal, ref_minors, ref_verify_main, same_ideal_by_membership
 
 
 def ymono(*pairs):
@@ -232,14 +234,37 @@ def test_verify_main_seven_rows_at_default_caps():
 
 def test_verify_main_computes_minors_once(monkeypatch):
     calls = []
+    build = determinantal._laplace_minors
 
-    def counted(seq):
-        calls.append(seq)
-        return minors_with_positions(seq)
+    def counted(M, unit, one):
+        calls.append(M.seq)
+        return build(M, unit, one)
 
-    monkeypatch.setattr(determinantal, "minors_with_positions", counted)
+    monkeypatch.setattr(determinantal, "_laplace_minors", counted)
     assert verify_main(LSequence(0, (0, 0, 3, 3, 6)))["ok"]
     assert len(calls) == 1
+
+
+def test_verify_main_eight_rows_at_default_caps():
+    # 1429 minors, built packed; the basis has 197 elements
+    report = verify_main(LSequence(0, (0, 1, 3, 5, 7, 9, 11, 13)))
+    assert report["ok"] and report["initial_equals_target"]
+    assert report["num_generators"] == 1429
+    assert report["gb_size"] == 197
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(0, 2),
+    shift=st.integers(0, 3),
+    vals=st.lists(st.integers(0, 5), min_size=2, max_size=5),
+)
+@example(a=0, shift=0, vals=[0, 1, 2])  # not a terrace: its report nests (0, 1, 1)
+@example(a=1, shift=2, vals=[0, 2, 3, 5])
+def test_verify_main_matches_reference_route(a, shift, vals):
+    # at most five entries, span at most five, terrace or not
+    seq = LSequence(a, [v + shift for v in sorted(vals)])
+    assert verify_main(seq) == ref_verify_main(seq)
 
 
 def test_diagonal_leads_with_given_minors():

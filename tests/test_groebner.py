@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from letterplace.errors import BudgetExceeded
 from letterplace.groebner import (
     Polynomial,
-    _dense_s_polynomial,
+    _Codec,
+    _s_polynomial,
     buchberger,
     diagonal_order,
     grevlex_order,
@@ -188,18 +189,26 @@ def test_s_polynomial_cancels_leads():
 
 
 def test_dense_s_polynomial_by_hand():
-    # monic heads over (x, y, z): x^2 - y and xy - 1, lcm x^2 y;
+    # packed over lex x > y > z with 3-bit fields, so x = 1 << 6, y = 1 << 3, z = 1
+    codec = _Codec(LEX, 3)
+    G = codec.guard
+
+    def e(a, b, c):
+        return a * codec.unit[X] + b * codec.unit[Y] + c * codec.unit[Z]
+
+    # monic heads x^2 - y and xy - 1, lcm x^2 y;
     # y (x^2 - y) - x (xy - 1) = -y^2 + x
-    hi = ((2, 0, 0), [((0, 1, 0), -1)])
-    hj = ((1, 1, 0), [((0, 0, 0), -1)])
-    assert _dense_s_polynomial(hi, hj, (2, 1, 0)) == {(0, 2, 0): -1, (1, 0, 0): 1}
+    hi = (e(2, 0, 0), [(e(0, 1, 0), -1)])
+    hj = (e(1, 1, 0), [(e(0, 0, 0), -1)])
+    assert codec.lcm(hi[0], hj[0]) == e(2, 1, 0)
+    assert _s_polynomial(hi, hj, e(2, 1, 0), G) == {e(0, 2, 0): -1, e(1, 0, 0): 1}
     # x + 2y + z and x + 3z: the z terms merge and the y term stays
-    hi = ((1, 0, 0), [((0, 1, 0), 2), ((0, 0, 1), 1)])
-    hj = ((1, 0, 0), [((0, 0, 1), 3)])
-    assert _dense_s_polynomial(hi, hj, (1, 0, 0)) == {(0, 1, 0): 2, (0, 0, 1): -2}
+    hi = (e(1, 0, 0), [(e(0, 1, 0), 2), (e(0, 0, 1), 1)])
+    hj = (e(1, 0, 0), [(e(0, 0, 1), 3)])
+    assert _s_polynomial(hi, hj, e(1, 0, 0), G) == {e(0, 1, 0): 2, e(0, 0, 1): -2}
     # x + 2y + z and x + 2y: the y terms cancel
-    hj = ((1, 0, 0), [((0, 1, 0), 2)])
-    assert _dense_s_polynomial(hi, hj, (1, 0, 0)) == {(0, 0, 1): 1}
+    hj = (e(1, 0, 0), [(e(0, 1, 0), 2)])
+    assert _s_polynomial(hi, hj, e(1, 0, 0), G) == {e(0, 0, 1): 1}
 
 
 def test_budget_degree_cap():
@@ -353,6 +362,50 @@ def test_buchberger_ignores_input_order(order, system, data):
 @given(f=polynomials, basis=st.lists(polynomials, max_size=3))
 def test_reduce_matches_reference_engine(order, f, basis):
     assert reduce(f, basis, order) == ref_reduce(f, basis, order)
+
+
+CHAIN_VARS = (X, Y, Z, W)
+CHAIN_ORDERS = [lex_order(CHAIN_VARS), grevlex_order(CHAIN_VARS)]
+
+
+def chain_system(ks):
+    """x_i - x_(i+1)^k_i over x, y, z, w: under lex the basis and the normal
+    forms carry exponents up to the product of the k_i, under grevlex lcms of
+    degree up to twice the largest k_i."""
+    return [
+        poly(([(CHAIN_VARS[i], 1)], 1), ([(CHAIN_VARS[i + 1], k)], -1)) for i, k in enumerate(ks)
+    ]
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS, ids=["lex", "grevlex"])
+def test_chain_restarts_at_twice_the_width(order, monkeypatch):
+    # x - y^3, y - z^3, z - w^3: the inputs fit 3-bit fields, which hold
+    # exponents up to 3.  The lex basis holds x - w^27 and the grevlex join
+    # takes the lcm y^3 z^3 of degree 6, so both start over once, at 6 bits.
+    widths = []
+    init = _Codec.__init__
+
+    def counted(self, order, width):
+        widths.append(width)
+        init(self, order, width)
+
+    monkeypatch.setattr(_Codec, "__init__", counted)
+    system = chain_system([3, 3, 3])
+    basis = buchberger(system, order)
+    assert widths == [3, 6]
+    monkeypatch.undo()
+    assert basis == ref_buchberger(system, order)
+    f = poly(([(X, 2)], 1), ([(Y, 1), (Z, 1)], -2))
+    assert reduce(f, system, order) == ref_reduce(f, system, order)
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=40, deadline=None)
+@given(ks=st.lists(st.integers(1, 4), min_size=1, max_size=3), f=polynomials)
+def test_chains_outgrow_the_starting_width(order, ks, f):
+    system = chain_system(ks)
+    assert buchberger(system, order) == ref_buchberger(system, order)
+    assert reduce(f, system, order) == ref_reduce(f, system, order)
 
 
 def test_polynomial_text_round_trip():

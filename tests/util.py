@@ -7,9 +7,25 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from letterplace.determinantal import DetMatrix, LSequence
+from letterplace.determinantal import (
+    DetMatrix,
+    LSequence,
+    codim_formulas,
+    diagonal_leads_ok,
+    i_sequence,
+    ly_ideal,
+    minors_with_positions,
+    terrace,
+)
 from letterplace.errors import BudgetExceeded
-from letterplace.groebner import Polynomial, TermOrder, buchberger, reduce
+from letterplace.groebner import (
+    Polynomial,
+    TermOrder,
+    buchberger,
+    diagonal_order,
+    initial_ideal,
+    reduce,
+)
 from letterplace.homset import (
     HomIdeal,
     Marker,
@@ -24,6 +40,7 @@ from letterplace.monomial import (
     Monomial,
     MonomialIdeal,
     elem_var,
+    height,
     monomials_up_to,
     pair_var,
 )
@@ -548,8 +565,9 @@ def _ref_interreduce(basis, order) -> list:
 
 # -- reference determinantal routes ----------------------------------------------
 #
-# The routes letterplace.determinantal used before it expanded each minor once
-# and built its target through principal_letterplace_gens.
+# The routes letterplace.determinantal used before it expanded each minor once,
+# built its target through principal_letterplace_gens, and verified the main
+# theorem on packed minors.
 
 
 def _ref_determinant(M: DetMatrix, rows: tuple, cols: tuple) -> Polynomial:
@@ -610,6 +628,44 @@ def ref_ly_ideal(iseq: LSequence) -> MonomialIdeal:
 
     rec(None, a)
     return MonomialIdeal(gens)
+
+
+def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
+    """Oracle for verify_main: its report by the public Polynomial route,
+    minors_with_positions -> buchberger -> initial_ideal, with the leads
+    checked by diagonal_leads_ok."""
+    M = DetMatrix(seq)
+    order = diagonal_order(M.variables())
+    minors = minors_with_positions(seq)
+    gens = [det for _, _, _, det in minors]
+    ter = terrace(seq)
+    iseq = i_sequence(ter)
+    target = ly_ideal(iseq)
+    diag_ok = diagonal_leads_ok(seq, order, minors)
+    basis = buchberger(gens, order, degree_cap, pair_cap)
+    initial_ok = initial_ideal(basis, order).gens == target.gens
+    codims = codim_formulas(seq)
+    h = height(target)
+    codim_ok = h == codims["from_i"] == codims["max_formula"]
+    report = {
+        "a": seq.a,
+        "l": list(seq.vals),
+        "terrace": list(ter.vals),
+        "i_sequence": list(iseq.vals),
+        "num_variables": len(M.variables()),
+        "num_generators": len(gens),
+        "gb_size": len(basis),
+        "diagonal_leads_ok": diag_ok,
+        "initial_equals_target": initial_ok,
+        "codim": {"height": h, **codims},
+        "codim_ok": codim_ok,
+        "ok": diag_ok and initial_ok and codim_ok,
+        "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
+    }
+    if ter != seq:
+        report["terrace_instance"] = ref_verify_main(ter, degree_cap, pair_cap)
+        report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
+    return report
 
 
 def same_ideal_by_membership(
