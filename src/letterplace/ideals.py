@@ -63,7 +63,8 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
 def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal graph monomials over the minimal markers of J."""
     gens = [_pairs_monomial(m.graph()) for m in J.minimal_markers(cap)]
-    return MonomialIdeal(gens)
+    # minimal markers have distinct graphs, none inside another (all of size n if J is finite)
+    return MonomialIdeal._of_minimal(gens)
 
 
 def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
@@ -107,7 +108,8 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
     chains = _multichains(P, check_isotone(P, alpha))
-    return MonomialIdeal(_pairs_monomial((p, j) for j, p in enumerate(c)) for c in chains)
+    # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
+    return MonomialIdeal._of_minimal(_pairs_monomial((p, j) for j, p in enumerate(c)) for c in chains)
 
 
 def _multichains(P: Poset, alpha) -> list:

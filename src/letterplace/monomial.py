@@ -314,7 +314,15 @@ class MonomialIdeal:
     __slots__ = ("gens", "universe")
 
     def __init__(self, gens: Iterable[Monomial] = (), universe: Iterable[Var] = None):
-        gens = _minimal(gens, Monomial.sort_key, Monomial.divides)
+        self._set(_minimal(gens, Monomial.sort_key, Monomial.divides), universe)
+
+    @classmethod
+    def _of_minimal(cls, gens: Iterable[Monomial], universe: Iterable[Var] = None) -> "MonomialIdeal":
+        """MonomialIdeal(gens, universe) for distinct gens none of which divides another
+        (not checked): only sorts by sort_key and sets the universe."""
+        return object.__new__(cls)._set(sorted(gens, key=Monomial.sort_key), universe)
+
+    def _set(self, gens: list, universe) -> "MonomialIdeal":
         used = 0
         for g in gens:
             used |= g._mask
@@ -326,6 +334,7 @@ class MonomialIdeal:
                 raise ValueError("universe does not cover generator variables")
         self.gens = tuple(gens)
         self.universe = tuple(sorted(universe))
+        return self
 
     @property
     def is_zero(self) -> bool:
@@ -350,7 +359,7 @@ class MonomialIdeal:
         return max((g.degree() for g in self.gens), default=0)
 
     def with_universe(self, universe: Iterable[Var]) -> "MonomialIdeal":
-        return MonomialIdeal(self.gens, universe)
+        return MonomialIdeal._of_minimal(self.gens, universe)  # gens are minimal already
 
     def __eq__(self, other):
         return (
@@ -416,23 +425,28 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
     supports = sorted((g._mask for g in ideal.gens), key=int.bit_count)
     transversals = [0]
     for hyper in supports:
-        hit, missed = [], []
+        # A new t | bit (t misses hyper) is minimal unless an old transversal
+        # lies in it; that one meets hyper in bit alone and has the rest in t.
+        hit, missed, spoil = [], [], {}
         for t in transversals:
-            (hit if t & hyper else missed).append(t)
+            s = t & hyper
+            if not s:
+                missed.append(t)
+                continue
+            hit.append(t)
+            if not s & (s - 1):
+                spoil.setdefault(s, []).append(t ^ s)
         fresh = []
         for t in missed:
             m = hyper
             while m:
                 bit = m & -m
-                cand = t | bit
                 m ^= bit
-                if any(h & cand == h for h in hit) or any(f & cand == f for f in fresh):
-                    continue
-                fresh = [f for f in fresh if cand & f != cand]
-                fresh.append(cand)
+                if not any(r & t == r for r in spoil.get(bit, ())):
+                    fresh.append(t | bit)
         transversals = hit + fresh
     gens = [_of_sorted_vars(sorted(_mask_vars(t))) for t in transversals]
-    return MonomialIdeal(gens, universe)
+    return MonomialIdeal._of_minimal(gens, universe)  # minimal at every step, see above
 
 
 # -- univariate integer polynomials (Hilbert numerators) ----------------------
@@ -548,13 +562,30 @@ def _hilbert_rec(gens, memo) -> IntPoly:
             counts[v] = counts.get(v, 0) + 1
     best = max(counts.values())
     pivot = min(v for v, k in counts.items() if k == best)
-    x = Monomial.variable(pivot)
-    plus = tuple(g for g in gens if not g._mask & x._mask)
-    colon = _minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides)
-    out = IntPoly.one_minus_tpow(1) * _hilbert_rec(plus, memo)
-    out = out + IntPoly({1: 1}) * _hilbert_rec(tuple(colon), memo)
+    plus, colon = _pivot_split(gens, Monomial.variable(pivot))
+    out = IntPoly.one_minus_tpow(1) * _hilbert_rec(plus, memo) + IntPoly({1: 1}) * _hilbert_rec(colon, memo)
     memo[gens] = out
     return out
+
+
+def _pivot_split(gens, x: Monomial) -> tuple:
+    """(the x-free gens, the generators of I : x) as sorted minimal tuples,
+    for I on `gens`, minimal and sorted, and a variable x.  I : x has the g/x
+    for g divisible by x and the x-free g that no x-free g/x divides; as
+    `gens` is minimal, no other pair can be comparable."""
+    bit = x._mask
+    plus = tuple(g for g in gens if not g._mask & bit)
+    quotients = [g / x for g in gens if g._mask & bit]
+    free = [q for q in quotients if not q._mask & bit]
+    kept = []
+    for g in plus:
+        outside = ~g._mask
+        for q in free:  # the mask test of divides, inlined: most q fail it
+            if not q._mask & outside and q.divides(g):
+                break
+        else:
+            kept.append(g)
+    return plus, tuple(sorted(quotients + kept, key=Monomial.sort_key))
 
 
 # -- height and associated primes ---------------------------------------------
@@ -601,7 +632,7 @@ def associated_primes(ideal: MonomialIdeal) -> set:
         return set()
     variables = sorted({v for g in ideal.gens for v, _ in g.exps})
     levels = [sorted({g.exp(v) for g in ideal.gens} - {0}) for v in variables]
-    polar = MonomialIdeal(
+    polar = MonomialIdeal._of_minimal(  # polarizing keeps and reflects divisibility
         _of_sorted_vars([
             pair_var(i, k) for i, v in enumerate(variables) for k, e in enumerate(levels[i]) if e <= g.exp(v)
         ])

@@ -62,9 +62,7 @@ def ss_from_homideal(J: HomIdeal) -> MonomialIdeal:
     _require_chain(J.poset)
     L = letterplace_ideal(J)
     pairs = sorted({(v.a, v.b) for g in L.gens for v in g.support()})
-    if not pairs:
-        return MonomialIdeal(L.gens, [elem_var(p) for p in range(J.poset.n)])
-    out = project_ideal(L, FiberMap.projection_first(pairs))
+    out = project_ideal(L, FiberMap.projection_first(pairs)) if pairs else L
     out = out.with_universe([elem_var(p) for p in range(J.poset.n)])
     if not is_strongly_stable(out):
         raise AssertionError("projected letterplace ideal must be strongly stable")
@@ -91,9 +89,7 @@ def dualize_ss(I: MonomialIdeal) -> MonomialIdeal:
     J = homideal_from_ss(I)
     C = coletterplace_ideal(J)
     pairs = sorted({(v.a, v.b) for g in C.gens for v in g.support()})
-    if not pairs:
-        return MonomialIdeal(C.gens, [])
-    out = project_ideal(C, FiberMap.projection_second(pairs))
+    out = project_ideal(C, FiberMap.projection_second(pairs)) if pairs else C.with_universe([])
     m = len(I.universe)
     if out.max_degree() > m:
         raise AssertionError(f"dual must be generated in degrees <= {m}")

@@ -366,16 +366,18 @@ GOLDEN_IDEALS = ("principal", "finite", "cofinite")
         (f"{cmd}_{kind}", [cmd, "--ideal", f"{kind}.json"])
         for cmd in ("markers", "letterplace", "coletterplace", "dual-check")
         for kind in GOLDEN_IDEALS
-    ],
+    ]
+    + [("hilbert", ["hilbert", "--gens", "hilbert_gens.txt"])],
 )
 def test_golden_stdout(name, argv, capsys):
     """Stdout is byte-identical to the recorded outputs in tests/data/golden_cli.
 
-    The inputs are a labelled fence a < c > b < d and one principal, one finite
-    and one cofinite HomIdeal on it; `<name>.out` holds what `letterplace
-    <argv>` printed when the outputs were recorded.
+    The inputs are a labelled fence a < c > b < d, one principal, one finite
+    and one cofinite HomIdeal on it, and a monomial ideal in five variables
+    with exponents up to 3 for `hilbert`; `<name>.out` holds what
+    `letterplace <argv>` printed when the outputs were recorded.
     """
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    argv = [str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv]
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

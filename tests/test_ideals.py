@@ -18,7 +18,7 @@ from letterplace.ideals import (
     principal_letterplace_gens,
     support,
 )
-from letterplace.monomial import Monomial, alexander_dual, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, alexander_dual, pair_var
 from letterplace.poset import antichain, chain, poset_from_covers
 
 from util import (
@@ -247,3 +247,15 @@ def test_principal_routes_match_enumeration(data):
     assert letterplace_ideal(J) == brute_letterplace(J)
     top = max(alpha, default=0)
     assert J.members() == [m for m in enumerate_isotone(P, top) if dominates(alpha, m)]
+
+
+def test_principal_and_coletterplace_gens_are_minimal_by_construction():
+    # MonomialIdeal._of_minimal skips minimalization; the general
+    # constructor must find nothing to drop or reorder
+    rng = random.Random(41)
+    for P in [P for n in range(5) for P in poset_classes(n)]:
+        built = [principal_letterplace_gens(P, alpha) for alpha in enumerate_isotone(P, 3)]
+        built += [coletterplace_ideal(HomIdeal.principal(P, alpha)) for alpha in enumerate_isotone(P, 2)]
+        built += [coletterplace_ideal(random_cofinite_ideal(P, rng)) for _ in range(8)]
+        for I in built:
+            assert MonomialIdeal(I.gens, I.universe) == I

@@ -9,6 +9,9 @@ from itertools import combinations
 
 import pytest
 
+from unittest import mock
+
+import letterplace.monomial
 from letterplace.errors import NotSquarefree
 from letterplace.monomial import (
     IntPoly,
@@ -16,6 +19,7 @@ from letterplace.monomial import (
     MonomialIdeal,
     _of_exponent_list,
     _of_sorted_vars,
+    _pivot_split,
     alexander_dual,
     associated_primes,
     elem_var,
@@ -36,6 +40,7 @@ from util import (
     ref_associated_primes,
     ref_contains,
     ref_divides,
+    ref_hilbert_colon,
 )
 
 x, y, z = elem_var(0), elem_var(1), elem_var(2)
@@ -160,7 +165,8 @@ def test_hilbert_pivot_equals_inclusion_exclusion_random():
         gens = []
         for _ in range(rng.randint(1, 6)):
             support = rng.sample(vs, rng.randint(1, 3))
-            gens.append(Monomial((v, rng.randint(1, 2)) for v in support))
+            # exponent 3 leaves x in g/x when x is the pivot
+            gens.append(Monomial((v, rng.randint(1, 3)) for v in support))
         I = minimalize(gens)
         assert hilbert_numerator(I) == hilbert_incl_excl(I.gens)
 
@@ -398,3 +404,46 @@ def test_associated_primes_match_box_scan(gens):
     # primes, the supports of its Alexander dual's generators
     R = MonomialIdeal(Monomial((v, 1) for v in g.support()) for g in I.gens)
     assert associated_primes(R) == {g.support() for g in alexander_dual(R).gens}
+
+
+# Exponents up to 3, so that a pivot x may still divide g/x.
+colon_monomials = st.builds(
+    lambda es: Monomial((v, e) for v, e in zip(MIXED_VARS, es) if e),
+    st.tuples(*[st.sampled_from([0, 0, 0, 1, 1, 2, 3])] * len(MIXED_VARS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(colon_monomials, max_size=9), pivot=st.sampled_from(MIXED_VARS))
+def test_pivot_colon_matches_minimalized_colons(gens, pivot):
+    I = MonomialIdeal(gens)
+    x = Monomial.variable(pivot)
+    plus, colon = _pivot_split(I.gens, x)
+    assert colon == ref_hilbert_colon(I.gens, x)
+    assert plus == tuple(g for g in I.gens if not g.exp(pivot))
+
+
+squarefree_monomials = st.builds(
+    lambda bits: Monomial((v, 1) for v, b in zip(MIXED_VARS, bits) if b),
+    st.tuples(*[st.booleans()] * len(MIXED_VARS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(squarefree_monomials, max_size=9))
+def test_alexander_dual_and_with_universe_are_minimal_by_construction(gens):
+    # MonomialIdeal._of_minimal skips minimalization; the general
+    # constructor must find nothing to drop or reorder
+    I = MonomialIdeal(gens)
+    for built in (alexander_dual(I, MIXED_VARS), I.with_universe(MIXED_VARS)):
+        assert MonomialIdeal(built.gens, built.universe) == built
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(prime_monomials, min_size=1, max_size=6))
+def test_polarization_is_minimal_by_construction(gens):
+    I = MonomialIdeal(gens)
+    with mock.patch.object(letterplace.monomial, "alexander_dual", wraps=alexander_dual) as spy:
+        associated_primes(I)
+    for (polar,), _ in spy.call_args_list:
+        assert MonomialIdeal(polar.gens, polar.universe) == polar

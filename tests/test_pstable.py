@@ -334,3 +334,12 @@ def test_longest_b_chain_matches_subset_enumeration(instance):
     for b in range(P.n):
         length, _, through = ref_longest_b_chain(P, m, b)
         assert longest_b_chain(P, m, b) == (length, through)
+
+
+def test_maximal_ideal_power_is_minimal_by_construction():
+    # MonomialIdeal._of_minimal skips minimalization; the general
+    # constructor must find nothing to drop or reorder
+    for n in range(6):
+        for d in range(4):
+            I = maximal_ideal_power(antichain(n), d)
+            assert MonomialIdeal(I.gens, I.universe) == I

@@ -39,6 +39,7 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _minimal,
     elem_var,
     height,
     monomials_up_to,
@@ -330,6 +331,12 @@ def hilbert_incl_excl(gens) -> IntPoly:
                 m = m.lcm(g)
             out = out + IntPoly({m.degree(): sign})
     return out
+
+
+def ref_hilbert_colon(gens, x: Monomial) -> tuple:
+    """Oracle for the pivot-rule colon of _pivot_split: I : x as the minimal
+    elements of all the g : x, for I on gens."""
+    return tuple(_minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides))
 
 
 def random_cofinite_ideal(P: Poset, rng, max_val=3, max_gens=3) -> HomIdeal:
