@@ -14,7 +14,7 @@ import sys
 from .determinantal import LSequence, verify_main
 from .errors import BudgetExceeded, ExplosionGuard, ToolkitError
 from .homset import HomIdeal, enumerate_isotone
-from .ideals import _checked_support, coletterplace_ideal, letterplace_ideal, support
+from .ideals import _checked_support, coletterplace_ideal, letterplace_ideal
 from .monomial import (
     MonomialIdeal,
     alexander_dual,
@@ -100,10 +100,8 @@ def write_ideal_file(I: MonomialIdeal, family: str, path=None) -> str:
     return text
 
 
-def _fiber_map(selector: str, J: HomIdeal, ideal: MonomialIdeal) -> FiberMap:
+def _fiber_map(selector: str, ideal: MonomialIdeal) -> FiberMap:
     pairs = sorted({(v.a, v.b) for g in ideal.gens for v in g.support()})
-    if not pairs:
-        pairs = sorted(support(J))
     if selector == "p1":
         return FiberMap.projection_first(pairs)
     if selector == "p2":
@@ -139,10 +137,9 @@ def _cmd_markers(args) -> int:
 def _cmd_letterplace(args, side: str) -> int:
     J = _load_homideal(args.ideal)
     ideal = _side_ideal(J, side)
-    L = ideal if side == "letterplace" else letterplace_ideal(J)
     doc = {
         "generators": ideal.text_lines(J.poset.labels),
-        "support": sorted(list(s) for s in _checked_support(J, L)),
+        "support": sorted(list(s) for s in _checked_support(J, ideal)),
         "bound_used": J.nmax(),
         "unit": ideal.is_unit,
         "zero": ideal.is_zero,
@@ -165,7 +162,7 @@ def _cmd_dual_check(args) -> int:
 def _cmd_project(args) -> int:
     J = _load_homideal(args.ideal)
     ideal = _side_ideal(J, args.side)
-    fmap = _fiber_map(args.map, J, ideal)
+    fmap = _fiber_map(args.map, ideal)
     out = project_ideal(ideal, fmap)
     _emit({"generators": out.text_lines(), "side": args.side}, args.output, args.format)
     return 0
@@ -174,7 +171,7 @@ def _cmd_project(args) -> int:
 def _cmd_regular_check(args) -> int:
     J = _load_homideal(args.ideal)
     ideal = _side_ideal(J, args.side)
-    fmap = _fiber_map(args.map, J, ideal)
+    fmap = _fiber_map(args.map, ideal)
     ok = regular_quotient_check(ideal, fmap)
     _emit({"regular": ok, "side": args.side}, args.output, args.format)
     return 0 if ok else 1

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotTerrace
-from .groebner import Polynomial, TermOrder, _basis, _Codec, _exactly, diagonal_order
+from .groebner import _basis, _Codec, _exactly, diagonal_order
 from .ideals import _multichains
-from .monomial import Monomial, MonomialIdeal, height, pair_var
+from .monomial import MonomialIdeal, _of_sorted_vars, height, pair_var
 from .poset import chain
 
 
@@ -76,31 +76,30 @@ def build_matrix(seq: LSequence) -> DetMatrix:
     return DetMatrix(seq)
 
 
-def _laplace_minors(M: DetMatrix, unit: dict, one) -> list:
+def _laplace_minors(M: DetMatrix, codec: _Codec) -> list:
     """(c, rows, cols, terms) for every structurally nonzero generating minor
-    of the staircase matrix M.
+    of the staircase matrix M, packed by codec.
 
-    terms maps each term of the minor to its integer coefficient.  A term is
-    built from `one` by adding unit[v] for each of its variables v in row
-    order: variable tuples from () and {v: (v,)}, or packed ints from 0 and a
-    codec's units.  No two terms meet, since the entries are distinct
-    variables.  Each minor is a Laplace expansion along its last row into the
-    minors of the rows above on one column fewer.  Those row-prefix minors do
-    not depend on c, so every column tuple is expanded once.
+    terms maps each packed term of the minor to its integer coefficient; no
+    two terms meet, since the entries are distinct variables.  Each minor is a
+    Laplace expansion along its last row into the minors of the rows above on
+    one column fewer.  Those row-prefix minors do not depend on c, so every
+    column tuple is expanded once.
     """
     seq = M.seq
-    memo = {(): {one: 1}}
+    # the packed nonzero entries of each row, by column
+    row = {i: {p: codec.unit[pair_var(p, i)] for p in M.columns if i <= M.column_top(p)} for i in M.rows}
+    memo = {(): {0: 1}}
 
     def minor(cols):
         if cols not in memo:
-            i = seq.a + len(cols) - 1
+            entries = row[seq.a + len(cols) - 1]
             acc = {}
             for j, p in enumerate(cols):
-                e = M.entry(p, i)
-                if e is None:
+                u = entries.get(p)
+                if u is None:
                     continue
                 sign = -1 if (len(cols) - 1 + j) % 2 else 1
-                u = unit[e]
                 for term, k in minor(cols[:j] + cols[j + 1 :]).items():
                     acc[term + u] = sign * k
             memo[cols] = acc
@@ -117,14 +116,28 @@ def _laplace_minors(M: DetMatrix, unit: dict, one) -> list:
     return out
 
 
+def _packed_minors(seq: LSequence) -> tuple:
+    """(M, codec, minors): the staircase matrix of seq, a codec for the
+    diagonal order on its variables, and _laplace_minors(M, codec)."""
+    M = DetMatrix(seq)
+    codec = _Codec(diagonal_order(M.variables()), 2)  # squarefree minors: one exponent bit, one guard bit
+    return M, codec, _laplace_minors(M, codec)
+
+
+def _diagonal_leads(M: DetMatrix, codec: _Codec, minors: list) -> bool:
+    """Every packed minor of M with nonzero main diagonal leads with its
+    diagonal product: a packed int's order is codec's term order."""
+    for _, rows, cols, terms in minors:
+        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
+        if None not in diag and max(terms) != sum(codec.unit[v] for v in diag):
+            return False
+    return True
+
+
 def minors_with_positions(seq: LSequence) -> list:
     """(c, rows, cols, polynomial) for every structurally nonzero generating minor."""
-    M = DetMatrix(seq)
-    unit = {v: (v,) for v in M.variables()}
-    return [
-        (c, rows, cols, Polynomial((Monomial((v, 1) for v in t), k) for t, k in terms.items()))
-        for c, rows, cols, terms in _laplace_minors(M, unit, ())
-    ]
+    _, codec, minors = _packed_minors(seq)
+    return [(c, rows, cols, codec.polynomial(terms)) for c, rows, cols, terms in minors]
 
 
 def ideal_gens(seq: LSequence) -> list:
@@ -187,13 +200,14 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
 
     The principal ideal lives on the chain of the elements i_a+1..i_b, with
     alpha equal to c - a on (i_c, i_{c+1}]; with lo = i_a + 1 the shift sends
-    x[p,j] to y[p+lo+j+a, j+a], injective on variables, so the generators stay
-    squarefree and minimal.
+    x[p,j] to y[p+lo+j+a, j+a].
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    return MonomialIdeal(
-        Monomial((pair_var(p + lo + j + a, j + a), 1) for j, p in enumerate(c))
+    # the shift is injective and keeps each multichain's variables sorted, and a
+    # multichain is never a proper prefix of another, as in principal_letterplace_gens
+    return MonomialIdeal._of_minimal(
+        _of_sorted_vars([pair_var(p + lo + j + a, j + a) for j, p in enumerate(c)])
         for c in _multichains(chain(len(alpha)), alpha)
     )
 
@@ -214,24 +228,10 @@ def codim_formulas(seq: LSequence) -> dict:
     }
 
 
-def diagonal_leads_ok(seq: LSequence, order: TermOrder = None, minors: list = None) -> bool:
-    """Every generating minor with nonzero main diagonal leads with it.
-
-    minors, if given, is minors_with_positions(seq), already computed.
-    """
-    M = DetMatrix(seq)
-    if order is None:
-        order = diagonal_order(M.variables())
-    if minors is None:
-        minors = minors_with_positions(seq)
-    for _, rows, cols, det in minors:
-        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
-        if any(v is None for v in diag):
-            continue
-        product = Monomial((v, 1) for v in diag)
-        if det.leading_monomial(order) != product:
-            return False
-    return True
+def diagonal_leads_ok(seq: LSequence) -> bool:
+    """Every generating minor with nonzero main diagonal leads with it under
+    the diagonal order."""
+    return _diagonal_leads(*_packed_minors(seq))
 
 
 def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
@@ -246,23 +246,14 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     The minors are built packed and stay packed through the basis computation;
     only the leading terms of the reduced basis become Monomials.
     """
-    M = DetMatrix(seq)
-    order = diagonal_order(M.variables())
-    codec = _Codec(order, 2)  # squarefree minors: one exponent bit, one guard bit
-    minors = _laplace_minors(M, codec.unit, 0)
+    M, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
-    # each minor with nonzero main diagonal leads with the diagonal product
-    diag_ok = True
-    for _, rows, cols, terms in minors:
-        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
-        if None not in diag and max(terms) != sum(codec.unit[v] for v in diag):
-            diag_ok = False
-            break
+    diag_ok = _diagonal_leads(M, codec, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
-    init = MonomialIdeal([codec.monomial(max(d)) for d in basis], order.vars)
+    init = MonomialIdeal([codec.monomial(max(d)) for d in basis], codec.order.vars)
     initial_ok = init.gens == target.gens
     codims = codim_formulas(seq)
     h = height(target)
@@ -272,7 +263,7 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
         "l": list(seq.vals),
         "terrace": list(ter.vals),
         "i_sequence": list(iseq.vals),
-        "num_variables": len(M.variables()),
+        "num_variables": len(codec.order.vars),
         "num_generators": len(gens),
         "gb_size": len(basis),
         "diagonal_leads_ok": diag_ok,

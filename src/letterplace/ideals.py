@@ -77,9 +77,12 @@ def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
 
 
 def _checked_support(J: HomIdeal, L: MonomialIdeal) -> frozenset:
-    """support(J) read off L = letterplace_ideal(J), checked against the hull."""
+    """support(J) read off L, checked against the hull.  L is letterplace_ideal(J)
+    or its Alexander dual coletterplace_ideal(J): the two use the same variables."""
     out = frozenset((v.a, v.b) for g in L.gens for v in g.support())
-    if J.is_finite_repr:
+    # the empty ideal, the one without the zero map, has no hull; its
+    # letterplace ideal is the unit ideal, with no variables
+    if J.is_finite_repr and J.member((0,) * J.poset.n):
         alpha = hull_map(J)
         formula = frozenset((p, i) for p in range(J.poset.n) for i in range(alpha[p] + 1))
         if out != formula:

@@ -55,6 +55,10 @@ def _weights(P: Poset, m: Monomial) -> list:
     """The exponent of m at each element of P."""
     weight = [0] * P.n
     for v, e in m.exps:
+        if v.kind != "elem":
+            raise ValueError(
+                f"{v.kind} variable {var_text(v)} is not x[p] for an element p of the {P.n}-element poset"
+            )
         if not 0 <= v.a < P.n:
             raise IdentifierOutOfRange(f"element {v.a} not in 0..{P.n - 1}")
         weight[v.a] = e

@@ -383,6 +383,26 @@ def test_golden_stdout(name, argv, capsys):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["letterplace"],
+        ["coletterplace"],
+        ["project", "--side", "letterplace", "--map", "p1"],
+        ["regular-check", "--side", "coletterplace", "--map", "p2"],
+    ],
+)
+def test_empty_finite_ideal_exit_zero(tmp_path, capsys, argv):
+    # the letterplace ideal of the empty ideal is the unit ideal and its
+    # co-letterplace ideal the zero ideal: no variables, no hull to check
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"poset": {"n": 2, "covers": [[0, 1]]}, "repr": {"finite": []}}))
+    code, out = run(capsys, argv[0], "--ideal", str(path), *argv[1:])
+    assert code == 0, out
+    if argv[0] in ("letterplace", "coletterplace"):
+        assert json.loads(out)["support"] == []
+
+
 def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monkeypatch):
     import letterplace.cli
     import letterplace.ideals
@@ -398,4 +418,9 @@ def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monk
     monkeypatch.setattr(letterplace.cli, "letterplace_ideal", counting)
     code, out = run(capsys, "letterplace", "--ideal", str(running_example))
     assert code == 0 and len(calls) == 1
-    assert json.loads(out)["support"] == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
+    expected = [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
+    assert json.loads(out)["support"] == expected
+    # coletterplace reads the same support off the ideal it prints
+    code, out = run(capsys, "coletterplace", "--ideal", str(running_example))
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["support"] == expected

@@ -28,7 +28,13 @@ from letterplace.errors import NotTerrace
 from letterplace.groebner import diagonal_order
 from letterplace.monomial import Monomial, MonomialIdeal, pair_var
 
-from util import ref_ly_ideal, ref_minors, ref_verify_main, same_ideal_by_membership
+from util import (
+    ref_diagonal_leads_ok,
+    ref_ly_ideal,
+    ref_minors,
+    ref_verify_main,
+    same_ideal_by_membership,
+)
 
 
 def ymono(*pairs):
@@ -143,14 +149,27 @@ def test_ly_ideal_examples():
     assert ly_ideal(LSequence(0, (0, 1, 1))).gens == (ymono((1, 0)),)
 
 
+# every weakly increasing sequence with a in {0, 1}, length 2..5, values 0..5
+SMALL_SEQUENCES = [
+    LSequence(a, vals)
+    for a in (0, 1)
+    for length in range(2, 6)
+    for vals in combinations_with_replacement(range(6), length)
+]
+
+
 def test_minors_and_ly_ideal_match_reference_routes():
-    # every weakly increasing sequence with a in {0, 1}, length 2..5, values 0..5
-    for a in (0, 1):
-        for length in range(2, 6):
-            for vals in combinations_with_replacement(range(6), length):
-                seq = LSequence(a, vals)
-                assert minors_with_positions(seq) == ref_minors(seq), seq
-                assert ly_ideal(seq) == ref_ly_ideal(seq), seq
+    for seq in SMALL_SEQUENCES:
+        assert minors_with_positions(seq) == ref_minors(seq), seq
+        assert ly_ideal(seq) == ref_ly_ideal(seq), seq
+
+
+def test_ly_ideal_is_minimal_by_construction():
+    # MonomialIdeal._of_minimal skips minimalization; the general constructor
+    # must find nothing to drop or reorder
+    for seq in SMALL_SEQUENCES:
+        I = ly_ideal(seq)
+        assert MonomialIdeal(I.gens, I.universe) == I, seq
 
 
 def test_ly_ideal_inside_staircase():
@@ -236,9 +255,9 @@ def test_verify_main_computes_minors_once(monkeypatch):
     calls = []
     build = determinantal._laplace_minors
 
-    def counted(M, unit, one):
+    def counted(M, codec):
         calls.append(M.seq)
-        return build(M, unit, one)
+        return build(M, codec)
 
     monkeypatch.setattr(determinantal, "_laplace_minors", counted)
     assert verify_main(LSequence(0, (0, 0, 3, 3, 6)))["ok"]
@@ -271,13 +290,13 @@ def test_diagonal_leads_with_given_minors():
     for vals in [(0, 0, 3, 4, 6), (0, 1, 2), (0, 2, 3, 5, 8)]:
         seq = LSequence(0, vals)
         order = diagonal_order(build_matrix(seq).variables())
-        minors = minors_with_positions(seq)
-        assert diagonal_leads_ok(seq, order, minors) == diagonal_leads_ok(seq, order)
+        assert diagonal_leads_ok(seq) == ref_diagonal_leads_ok(seq, order, ref_minors(seq))
     # the check reads the given list: the position of the minor y[1,0] paired
-    # with the polynomial y[2,0] does not lead with its diagonal
-    seq = LSequence(0, (0, 2))
-    (c, rows, cols, _), (_, _, _, other) = minors_with_positions(seq)
-    assert not diagonal_leads_ok(seq, minors=[(c, rows, cols, other)])
+    # with the packed polynomial y[2,0] does not lead with its diagonal
+    M, codec, minors = determinantal._packed_minors(LSequence(0, (0, 2)))
+    (c, rows, cols, _), (_, _, _, other) = minors
+    assert determinantal._diagonal_leads(M, codec, minors)
+    assert not determinantal._diagonal_leads(M, codec, [(c, rows, cols, other)])
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli"
@@ -310,15 +329,22 @@ def test_reduction_lemma_membership():
 
 
 def test_ly_ideal_builds_one_ideal(monkeypatch):
-    # the shifted generators go straight from the multichains into one ideal
+    # the shifted generators go straight from the multichains into one ideal,
+    # by either constructor
     builds = []
     init = MonomialIdeal.__init__
+    of_minimal = MonomialIdeal._of_minimal
 
     def counted(self, *args, **kwargs):
-        builds.append(1)
+        builds.append("general")
         init(self, *args, **kwargs)
 
+    def counted_minimal(*args, **kwargs):
+        builds.append("minimal")
+        return of_minimal(*args, **kwargs)
+
     monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+    monkeypatch.setattr(MonomialIdeal, "_of_minimal", counted_minimal)
     iseq = LSequence(0, (0, 1, 2, 3, 4))
     target = ly_ideal(iseq)
     assert len(builds) == 1

@@ -238,6 +238,24 @@ POSETS_UP_TO_4 = [P for n in range(5) for P in all_labeled_posets(n)]
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
+def test_letterplace_and_coletterplace_supports_agree(data):
+    # Alexander-dual clutters have the same support, zero and unit ideals
+    # included, so the CLI reads it off whichever ideal it prints
+    P = data.draw(st.sampled_from([P for P in POSETS_UP_TO_4 if P.n <= 3]))
+    pool = enumerate_isotone(P, 2)
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    kind = data.draw(st.sampled_from(["principal", "finite", "cofinite"]))
+    if kind == "principal":
+        J = HomIdeal.principal(P, data.draw(st.sampled_from(pool)))
+    elif kind == "finite":
+        J = HomIdeal.finite(P, [m for m in pool if any(dominates(g, m) for g in picks)])
+    else:
+        J = HomIdeal.cofinite(P, picks)
+    assert _checked_support(J, letterplace_ideal(J)) == _checked_support(J, coletterplace_ideal(J))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
 def test_principal_routes_match_enumeration(data):
     P = data.draw(st.sampled_from(POSETS_UP_TO_4))
     raw = data.draw(st.lists(st.integers(0, 3), min_size=P.n, max_size=P.n))

@@ -94,6 +94,15 @@ def test_bijection_rejects_elements_outside_the_poset():
             lambda_bar_inv(chain(3), emono((0, 1), (p, 2)))
         with pytest.raises(IdentifierOutOfRange, match=f"element {p} not in 0..2"):
             longest_b_chain(chain(3), emono((p, 1)), 2)
+    # only the variables x[p] stand for elements
+    for call, shown in [
+        (lambda: lambda_bar_inv(chain(3), Monomial([(pair_var(0, 5), 1)])), "pair variable x[0,5]"),
+        (lambda: lambda_bar_inv(chain(3), Monomial([(nat_var(1), 2)])), "nat variable x[1]"),
+        (lambda: longest_b_chain(chain(3), Monomial([(pair_var(1, 7), 1)]), 2), "pair variable x[1,7]"),
+    ]:
+        message = f"{shown} is not x[p] for an element p of the 3-element poset"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_square_of_max_ideal_triple():

@@ -11,10 +11,7 @@ from letterplace.determinantal import (
     DetMatrix,
     LSequence,
     codim_formulas,
-    diagonal_leads_ok,
     i_sequence,
-    ly_ideal,
-    minors_with_positions,
     terrace,
 )
 from letterplace.errors import BudgetExceeded
@@ -637,18 +634,31 @@ def ref_ly_ideal(iseq: LSequence) -> MonomialIdeal:
     return MonomialIdeal(gens)
 
 
+def ref_diagonal_leads_ok(seq: LSequence, order: TermOrder, minors: list) -> bool:
+    """Oracle for the diagonal check of verify_main and diagonal_leads_ok:
+    every (c, rows, cols, polynomial) in minors whose main diagonal is
+    nonzero has the diagonal product as its leading monomial under order."""
+    M = DetMatrix(seq)
+    for _, rows, cols, det in minors:
+        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
+        if None not in diag and det.leading_monomial(order) != Monomial((v, 1) for v in diag):
+            return False
+    return True
+
+
 def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
-    """Oracle for verify_main: its report by the public Polynomial route,
-    minors_with_positions -> buchberger -> initial_ideal, with the leads
-    checked by diagonal_leads_ok."""
+    """Oracle for verify_main: its report by the public Polynomial route on
+    the reference minors and target, ref_minors -> buchberger ->
+    initial_ideal against ref_ly_ideal, with the leads checked by
+    ref_diagonal_leads_ok."""
     M = DetMatrix(seq)
     order = diagonal_order(M.variables())
-    minors = minors_with_positions(seq)
+    minors = ref_minors(seq)
     gens = [det for _, _, _, det in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
-    target = ly_ideal(iseq)
-    diag_ok = diagonal_leads_ok(seq, order, minors)
+    target = ref_ly_ideal(iseq)
+    diag_ok = ref_diagonal_leads_ok(seq, order, minors)
     basis = buchberger(gens, order, degree_cap, pair_cap)
     initial_ok = initial_ideal(basis, order).gens == target.gens
     codims = codim_formulas(seq)
