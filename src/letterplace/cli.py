@@ -292,14 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser = None  # built on the first call of main; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # by name at call time: the parser outlives the call that built it,
+        # and a handler replaced on this module since (a test double, a
+        # tracer) must be the one that runs
+        return globals().get(args.func.__name__, args.func)(args)
     except (BudgetExceeded, ExplosionGuard) as exc:
         _emit({"error": str(exc), "reason": type(exc).__name__})
         return 3

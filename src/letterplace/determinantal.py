@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotTerrace
-from .groebner import _basis, _Codec, _exactly, diagonal_order
+from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
 from .ideals import _multichains
 from .monomial import MonomialIdeal, _of_sorted_vars, height, pair_var
 from .poset import chain
@@ -239,13 +239,15 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     the codimension formulas agree with the height of that monomial ideal.
 
     degree_cap (off unless given) and pair_cap bound the basis computation as
-    in buchberger, and the report echoes them under "budget"; BudgetExceeded
-    is raised if the basis computation overruns them.  For a non-terrace input
-    the report also carries the terrace-reduced instance.
+    in buchberger (a negative cap raises ValueError), and the report echoes
+    them under "budget"; BudgetExceeded is raised if the basis computation
+    overruns them.  For a non-terrace input the report also carries the
+    terrace-reduced instance.
 
     The minors are built packed and stay packed through the basis computation;
     only the leading terms of the reduced basis become Monomials.
     """
+    _check_caps(degree_cap, pair_cap)
     M, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
     ter = terrace(seq)

@@ -369,16 +369,26 @@ def buchberger(
     pairs left are reduced smallest lcm first, ties in the order they arose.
 
     pair_cap bounds the pairs reduced; degree_cap, off unless given, bounds
-    their lcm degree.  Hitting either raises BudgetExceeded with the counts of
-    the work done so far: pairs popped (each is reduced unless a cap stops
-    it), dropped as coprime, dropped by criteria B, M and F ("chain"),
-    reduced, and the highest lcm degree reduced.  The counts are those of the
-    run that raised; a run started over at a wider field width counts afresh.
+    their lcm degree.  A negative cap raises ValueError; 0 is a valid cap.
+    Hitting either raises BudgetExceeded with the counts of the work done so
+    far: pairs popped (each is reduced unless a cap stops it), dropped as
+    coprime, dropped by criteria B, M and F ("chain"), reduced, and the
+    highest lcm degree reduced.  The counts are those of the run that
+    raised; a run started over at a wider field width counts afresh.
     """
+    _check_caps(degree_cap, pair_cap)
     gens = [f for f in gens if f]
     codec = _Codec.holding(order, gens)
     basis, codec = _exactly(_basis, [codec.pack(f) for f in gens], codec, degree_cap, pair_cap)
     return [codec.polynomial(d) for d in basis]
+
+
+def _check_caps(degree_cap, pair_cap) -> None:
+    """Reject a negative cap; a cap of 0 is a budget that allows no work."""
+    if pair_cap < 0:
+        raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
 
 
 def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:

@@ -65,10 +65,13 @@ def dominates(u, v) -> bool:
 def enumerate_isotone(P: Poset, bound: int, cap: int = 10**7) -> list:
     """All isotone maps P -> {0..bound}, in lexicographic value order.
 
-    Raises ExplosionGuard once more than cap maps have been produced.
+    Raises ExplosionGuard once more than cap maps have been produced, and
+    ValueError for a negative bound or cap.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     return _isotone_maps(P, [bound] * P.n, cap=cap)
 
 
@@ -258,6 +261,8 @@ class HomIdeal:
         (poset ideal, bounded isotone map) pairs; ExplosionGuard is raised when
         one poset ideal carries more than cap such maps.
         """
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         P = self.poset
         if self.is_finite_repr:
             full = frozenset(range(P.n))

@@ -528,64 +528,105 @@ class IntPoly:
 def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     """Numerator K(t) with Hilb(ring/ideal) = K(t)/(1-t)^v over v variables.
 
-    Pivot-splitting recursion on the most frequent variable:
+    K depends only on the generators, not on the ambient variable count, and
+    polarization keeps it (it keeps the graded Betti numbers), so the
+    recursion runs on the squarefree support masks of the polarization.
+    Pivot-splitting on the most frequent bit x, ties to the lowest bit:
     K(I) = K(I + (x)) + t * K(I : x), with K(I + (x)) = (1-t) * K(drop x-gens).
-    K depends only on the generators, not on the ambient variable count.
     """
-    if ideal.is_unit:
-        return IntPoly.zero()
-    return _hilbert_rec(ideal.gens, {})
+    return IntPoly(_hilbert_masks(_polarize(ideal.gens), {}))
 
 
-def _hilbert_rec(gens, memo) -> IntPoly:
-    """K of the ideal on `gens`, a minimal generating tuple in sort_key order."""
-    if gens in memo:
-        return memo[gens]
-    if not gens:
-        return IntPoly.one()
-    if not gens[0]:
-        return IntPoly.zero()
-    seen = 0
+def _polarize(gens) -> tuple:
+    """The polarization of `gens` as a sorted tuple of support masks: x^e
+    becomes the e copies of x, and the copies of all variables get the bits
+    0, 1, ... in Var order, copy k of x before copy k + 1.  Polarizing keeps
+    and reflects divisibility, so minimal gens give an antichain."""
+    top = {}
     for g in gens:
-        if seen & g._mask:
-            break
-        seen |= g._mask
-    else:  # pairwise disjoint supports
-        out = IntPoly.one()
-        for g in gens:
-            out = out * IntPoly.one_minus_tpow(g.degree())
-        memo[gens] = out
+        for v, e in g.exps:
+            if top.get(v, 0) < e:
+                top[v] = e
+    first, bits = {}, 0
+    for v in sorted(top):
+        first[v] = bits
+        bits += top[v]
+    return tuple(sorted(sum(((1 << e) - 1) << first[v] for v, e in g.exps) for g in gens))
+
+
+def _hilbert_masks(masks: tuple, memo: dict) -> dict:
+    """K of the squarefree ideal on `masks`, sorted distinct masks none a
+    subset of another, as {degree: coefficient}; may hold zero coefficients."""
+    out = memo.get(masks)
+    if out is not None:
         return out
-    counts = {}
-    for g in gens:
-        for v, _ in g.exps:
-            counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    pivot = min(v for v, k in counts.items() if k == best)
-    plus, colon = _pivot_split(gens, Monomial.variable(pivot))
-    out = IntPoly.one_minus_tpow(1) * _hilbert_rec(plus, memo) + IntPoly({1: 1}) * _hilbert_rec(colon, memo)
-    memo[gens] = out
+    # Count every bit's masks at once in binary: planes[j] holds bit j of
+    # each count, and adding a mask ripples its carries up the planes.
+    planes = []
+    for m in masks:
+        j = 0
+        while m:
+            if j == len(planes):
+                planes.append(m)
+                break
+            p = planes[j]
+            planes[j] = p ^ m
+            m &= p
+            j += 1
+    if len(planes) < 2:  # no bit is in two masks: the product of the 1 - t^deg g
+        out = {0: 1}
+        for m in masks:
+            d = m.bit_count()
+            step = dict(out)
+            for k, c in out.items():
+                step[k + d] = step.get(k + d, 0) - c
+            out = step
+        memo[masks] = out
+        return out
+    top = -1  # narrowed plane by plane from the highest to the bits of largest count
+    for p in reversed(planes):
+        if top & p:
+            top &= p
+    plus, colon = _mask_split(masks, top & -top)
+    below = _hilbert_masks(plus, memo)
+    out = dict(below)
+    for k, c in _hilbert_masks(colon, memo).items():
+        out[k + 1] = out.get(k + 1, 0) + c
+    for k, c in below.items():
+        out[k + 1] = out.get(k + 1, 0) - c
+    memo[masks] = out
     return out
 
 
-def _pivot_split(gens, x: Monomial) -> tuple:
-    """(the x-free gens, the generators of I : x) as sorted minimal tuples,
-    for I on `gens`, minimal and sorted, and a variable x.  I : x has the g/x
-    for g divisible by x and the x-free g that no x-free g/x divides; as
-    `gens` is minimal, no other pair can be comparable."""
-    bit = x._mask
-    plus = tuple(g for g in gens if not g._mask & bit)
-    quotients = [g / x for g in gens if g._mask & bit]
-    free = [q for q in quotients if not q._mask & bit]
-    kept = []
+def _mask_split(masks: tuple, bit: int) -> tuple:
+    """(the x-free masks, the masks of I : x) as sorted tuples, for the
+    squarefree I on `masks` (sorted, none a subset of another) and the
+    variable x on `bit`.  I : x has the g ^ bit for g holding bit and the
+    x-free g that no such quotient is a subset of; no other pair can be
+    comparable, since `masks` is an antichain."""
+    plus = tuple(g for g in masks if not g & bit)
+    quotients = [g ^ bit for g in masks if g & bit]
+    if quotients and not quotients[0]:  # the mask bit is in I, so I : x is the unit ideal
+        return plus, (0,)
+    # a quotient inside g has its lowest bit in g: only those bits of g that
+    # are some quotient's lowest bit are looked up
+    by_low, lows = {}, 0
+    for q in quotients:
+        low = q & -q
+        by_low.setdefault(low, []).append(q)
+        lows |= low
+    colon = list(quotients)
     for g in plus:
-        outside = ~g._mask
-        for q in free:  # the mask test of divides, inlined: most q fail it
-            if not q._mask & outside and q.divides(g):
+        outside = ~g
+        rest = g & lows
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if any(not q & outside for q in by_low.get(low, ())):
                 break
         else:
-            kept.append(g)
-    return plus, tuple(sorted(quotients + kept, key=Monomial.sort_key))
+            colon.append(g)
+    return plus, tuple(sorted(colon))
 
 
 # -- height and associated primes ---------------------------------------------

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -424,3 +425,51 @@ def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monk
     code, out = run(capsys, "coletterplace", "--ideal", str(running_example))
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["support"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["det", "verify", "--l", "0,2,4,6,8", "--pair-cap", "-1"], "pair_cap must be >= 0, got -1"),
+        (["det", "verify", "--l", "0,1", "--degree-cap", "-7"], "degree_cap must be >= 0, got -7"),
+        (["hom", "enumerate", "--poset", "poset.json", "--bound", "2", "--cap", "-1"], "cap must be >= 0, got -1"),
+    ],
+)
+def test_negative_caps_exit_two(argv, reason, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": reason, "reason": "ValueError", "version": 2}
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    import letterplace.cli
+
+    monkeypatch.setattr(letterplace.cli, "_parser", None)
+    spy = mock.Mock(wraps=letterplace.cli.build_parser)
+    monkeypatch.setattr(letterplace.cli, "build_parser", spy)
+    assert main(["det", "verify", "--degree-cap", "3"]) == 2  # --l missing
+    assert main(["--help"]) == 0
+    assert "det" in capsys.readouterr().out
+    code, out = run(capsys, "det", "verify", "--l", "0,2,3,5,8")
+    assert code == 0
+    assert out == (GOLDEN / "det_verify_0_2_3_5_8.json").read_text(encoding="utf-8")
+    code, out = run(capsys, "hilbert", "--gens", str(GOLDEN / "hilbert_gens.txt"))
+    assert code == 0
+    assert out == (GOLDEN / "hilbert.out").read_text(encoding="utf-8")
+    assert spy.call_count == 1
+
+
+def test_handlers_are_looked_up_at_call_time(capsys, monkeypatch):
+    # the parser outlives the call that built it; a handler replaced on the
+    # module afterwards must still be the one that runs
+    import letterplace.cli
+
+    assert main(["hilbert", "--gens", str(GOLDEN / "hilbert_gens.txt")]) == 0
+    calls = []
+    original = letterplace.cli._cmd_hilbert
+    monkeypatch.setattr(letterplace.cli, "_cmd_hilbert", lambda args: calls.append(args) or original(args))
+    capsys.readouterr()
+    code, out = run(capsys, "hilbert", "--gens", str(GOLDEN / "hilbert_gens.txt"))
+    assert code == 0 and len(calls) == 1
+    assert out == (GOLDEN / "hilbert.out").read_text(encoding="utf-8")

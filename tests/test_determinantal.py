@@ -311,6 +311,15 @@ def test_det_verify_golden_report(vals, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "caps, message",
+    [({"pair_cap": -1}, "pair_cap must be >= 0, got -1"), ({"degree_cap": -7}, "degree_cap must be >= 0, got -7")],
+)
+def test_verify_main_rejects_negative_caps(caps, message):
+    with pytest.raises(ValueError, match=message):
+        verify_main(LSequence(0, (0, 1)), **caps)
+
+
 def test_reduction_lemma_membership():
     # flat tail: the longer sequence generates the same ideal as its prefix
     for long_seq, short_seq in [

@@ -225,6 +225,18 @@ def test_budget_pair_cap():
         buchberger([f, g], lex_order([X, Y]), pair_cap=0)
 
 
+@pytest.mark.parametrize(
+    "caps, message",
+    [({"pair_cap": -1}, "pair_cap must be >= 0, got -1"), ({"degree_cap": -7}, "degree_cap must be >= 0, got -7")],
+)
+def test_negative_caps_are_rejected(caps, message):
+    f = poly(([(X, 2)], 1), ([(Y, 1)], -1))
+    with pytest.raises(ValueError, match=message):
+        buchberger([f], lex_order([X, Y]), **caps)
+    # a cap of 0 is a budget: one input forms no pair
+    assert len(buchberger([f], lex_order([X, Y]), degree_cap=0, pair_cap=0)) == 1
+
+
 def test_budget_reports_work_done():
     f = poly(([(X, 2)], 1), ([(Y, 1)], -1))
     g = poly(([(X, 1), (Y, 1)], 1), ([], -1))

@@ -62,6 +62,15 @@ def test_minimal_markers_cofinite_guard():
         J.minimal_markers(cap=10)
 
 
+def test_negative_caps_are_rejected():
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        enumerate_isotone(chain(2), 2, cap=-1)
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        HomIdeal.cofinite(antichain(3), [(3, 3, 3)]).minimal_markers(cap=-1)
+    with pytest.raises(ExplosionGuard, match="cap 0"):
+        enumerate_isotone(chain(2), 2, cap=0)
+
+
 def test_enumerate_empty_poset():
     P = poset_from_covers(0, [])
     assert enumerate_isotone(P, 3) == [()]

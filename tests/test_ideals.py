@@ -18,13 +18,14 @@ from letterplace.ideals import (
     principal_letterplace_gens,
     support,
 )
-from letterplace.monomial import Monomial, MonomialIdeal, alexander_dual, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, alexander_dual, hilbert_numerator, pair_var
 from letterplace.poset import antichain, chain, poset_from_covers
 
 from util import (
     all_labeled_posets,
     ascent_via_filters,
     brute_letterplace,
+    linear_quotient_numerator,
     poset_classes,
     random_cofinite_ideal,
 )
@@ -265,6 +266,12 @@ def test_principal_routes_match_enumeration(data):
     assert letterplace_ideal(J) == brute_letterplace(J)
     top = max(alpha, default=0)
     assert J.members() == [m for m in enumerate_isotone(P, top) if dominates(alpha, m)]
+    # the co-letterplace ideal of a principal J has linear quotients in
+    # sort_key order (Floystad-Greve-Herzog); a cofinite J need not
+    C = coletterplace_ideal(J)
+    K = linear_quotient_numerator(C.gens)
+    assert K is not None
+    assert hilbert_numerator(C) == K
 
 
 def test_principal_and_coletterplace_gens_are_minimal_by_construction():

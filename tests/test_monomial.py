@@ -17,9 +17,10 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _mask_split,
     _of_exponent_list,
     _of_sorted_vars,
-    _pivot_split,
+    _polarize,
     alexander_dual,
     associated_primes,
     elem_var,
@@ -41,6 +42,7 @@ from util import (
     ref_contains,
     ref_divides,
     ref_hilbert_colon,
+    ref_hilbert_numerator,
 )
 
 x, y, z = elem_var(0), elem_var(1), elem_var(2)
@@ -413,14 +415,57 @@ colon_monomials = st.builds(
 )
 
 
+def minimal_masks(masks) -> tuple:
+    return tuple(sorted(brute_minimal_elements(masks, lambda a, b: not a & ~b)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(gens=st.lists(colon_monomials, max_size=9), pivot=st.sampled_from(MIXED_VARS))
-def test_pivot_colon_matches_minimalized_colons(gens, pivot):
+@given(gens=st.lists(colon_monomials, max_size=9))
+def test_pivot_colon_matches_minimalized_colons(gens):
+    # the mask split on every bit of the polarization, and one bit past it
     I = MonomialIdeal(gens)
-    x = Monomial.variable(pivot)
-    plus, colon = _pivot_split(I.gens, x)
-    assert colon == ref_hilbert_colon(I.gens, x)
-    assert plus == tuple(g for g in I.gens if not g.exp(pivot))
+    masks = _polarize(I.gens)
+    assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
+    union = 0
+    for g in masks:
+        union |= g
+    for b in range(union.bit_length() + 1):
+        bit = 1 << b
+        plus, colon = _mask_split(masks, bit)
+        assert plus == tuple(g for g in masks if not g & bit)
+        assert colon == minimal_masks({g & ~bit for g in masks})
+    if I.is_squarefree():  # bit b is the b-th variable: the colon of the monomials
+        first = {v: b for b, v in enumerate(sorted({v for g in I.gens for v, _ in g.exps}))}
+        for v, b in first.items():
+            _, colon = _mask_split(masks, 1 << b)
+            ref = ref_hilbert_colon(I.gens, Monomial.variable(v))
+            assert colon == tuple(sorted(sum(1 << first[w] for w, _ in q.exps) for q in ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(colon_monomials, max_size=9))
+@example(gens=[])
+@example(gens=[Monomial.one()])
+@example(gens=[mono((x, 3)), mono((x, 1), (y, 1))])
+def test_hilbert_numerator_matches_pivot_recursion(gens):
+    I = MonomialIdeal(gens)
+    K = hilbert_numerator(I)
+    assert K == ref_hilbert_numerator(I)
+    if len(I.gens) <= 8:
+        assert K == hilbert_incl_excl(I.gens)
+
+
+def test_hilbert_numerator_high_exponents():
+    # polarization turns x^30 into 30 bits
+    rng = random.Random(15)
+    vs = [elem_var(0), nat_var(1), pair_var(0, 2), pair_var(3, 0)]
+    for _ in range(30):
+        gens = [
+            Monomial((v, rng.randint(1, 30)) for v in rng.sample(vs, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        I = MonomialIdeal(gens)
+        assert hilbert_numerator(I) == ref_hilbert_numerator(I)
 
 
 squarefree_monomials = st.builds(

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import letterplace.stable as stable
 from letterplace.errors import NotAChain, NotStronglyStable
 from letterplace.homset import HomIdeal, enumerate_isotone
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, hilbert_numerator, monomials_up_to, nat_var
 from letterplace.poset import antichain, chain
 from letterplace.pstable import is_p_stable
 from letterplace.stable import (
@@ -19,7 +21,7 @@ from letterplace.stable import (
     ss_from_homideal,
 )
 
-from util import ref_homideal_from_ss
+from util import eliahou_kervaire, linear_quotient_numerator, ref_homideal_from_ss
 
 
 def emono(*pairs):
@@ -272,3 +274,28 @@ def test_dualize_ss_bounded_guard_raises(monkeypatch):
     monkeypatch.setattr(stable, "dualize_ss", lambda I: MonomialIdeal([nmono((2, 1))]))
     with pytest.raises(AssertionError, match="regularity window"):
         dualize_ss_bounded(MonomialIdeal([emono((0, 1))], elem_universe(2)), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_strongly_stable_results_match_eliahou_kervaire(data):
+    # every result of the three routes, against the closed form; where the
+    # generators also have linear quotients in sort_key order, that formula
+    # must agree too
+    m = data.draw(st.integers(1, 3))
+    universe = elem_universe(m)
+    pool = [x for x in monomials_up_to(universe, 3) if x]
+    I = borel_closure(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)), universe)
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    alpha = tuple(max(raw[: p + 1]) for p in range(m))  # isotone on the chain
+    bound = data.draw(st.integers(I.max_degree(), I.max_degree() + 1))
+    results = [
+        ss_from_homideal(HomIdeal.principal(chain(m), alpha)),
+        ss_from_homideal(homideal_from_ss(I)),
+        dualize_ss(I),
+        dualize_ss_bounded(I, bound),
+    ]
+    for R in results:
+        K = hilbert_numerator(R)
+        assert K == eliahou_kervaire(R.gens)
+        assert linear_quotient_numerator(R.gens) in (None, K)

@@ -331,9 +331,70 @@ def hilbert_incl_excl(gens) -> IntPoly:
 
 
 def ref_hilbert_colon(gens, x: Monomial) -> tuple:
-    """Oracle for the pivot-rule colon of _pivot_split: I : x as the minimal
-    elements of all the g : x, for I on gens."""
+    """I : x as the minimal elements of all the g : x, for I on gens, sorted
+    by sort_key."""
     return tuple(_minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides))
+
+
+def ref_hilbert_numerator(I: MonomialIdeal) -> IntPoly:
+    """Oracle for hilbert_numerator: the pivot recursion on monomials,
+    K(I) = (1-t) * K(x-free gens) + t * K(I : x) on the variable x in most
+    generators (ties to the least), I : x from ref_hilbert_colon, and the
+    product of the 1 - t^deg g when no two generators share a variable."""
+    memo = {}
+
+    def rec(gens):
+        if gens in memo:
+            return memo[gens]
+        counts = {}
+        for g in gens:
+            for v, _ in g.exps:
+                counts[v] = counts.get(v, 0) + 1
+        if all(k == 1 for k in counts.values()):
+            out = IntPoly.one()
+            for g in gens:
+                out = out * IntPoly.one_minus_tpow(g.degree())
+        else:
+            best = max(counts.values())
+            x = Monomial.variable(min(v for v, k in counts.items() if k == best))
+            plus = tuple(g for g in gens if not x.divides(g))
+            out = IntPoly.one_minus_tpow(1) * rec(plus) + IntPoly({1: 1}) * rec(ref_hilbert_colon(gens, x))
+        memo[gens] = out
+        return out
+
+    return rec(I.gens)
+
+
+def eliahou_kervaire(gens) -> IntPoly:
+    """Oracle for hilbert_numerator on a strongly stable ideal with minimal
+    generators gens (Eliahou-Kervaire, J. Algebra 1990):
+    K(t) = 1 - sum over u of t^deg(u) (1-t)^(m(u)-1), with m(u) the position
+    of the largest variable of u (m(1) = 1).  The variables of the generators
+    of a strongly stable ideal are an initial segment of its universe, so
+    positions are counted among them."""
+    rank = {v: i for i, v in enumerate(sorted({v for g in gens for v, _ in g.exps}), 1)}
+    out = IntPoly.one()
+    for u in gens:
+        top = max((rank[v] for v, _ in u.exps), default=1)
+        out = out - IntPoly({u.degree(): 1}) * IntPoly.one_minus_tpow(1) ** (top - 1)
+    return out
+
+
+def linear_quotient_numerator(gens):
+    """Oracle for hilbert_numerator from linear quotients, or None.  With
+    gens g_1, ..., g_s in Monomial.sort_key order, each colon
+    (g_1, ..., g_{k-1}) : g_k is checked to be generated by variables, r_k of
+    them; then K(t) = 1 - sum over k of t^deg(g_k) (1-t)^r_k.  Returns None as
+    soon as a colon is not generated by variables."""
+    gens = sorted(gens, key=Monomial.sort_key)
+    out = IntPoly.one()
+    for k, g in enumerate(gens):
+        quotients = [h.colon(g) for h in gens[:k]]
+        variables = {v for q in quotients if q.degree() == 1 for v, _ in q.exps}
+        if any(not q.support() & variables for q in quotients):
+            return None
+        out = out - IntPoly({g.degree(): 1}) * IntPoly.one_minus_tpow(1) ** len(variables)
+    return out
 
 
 def random_cofinite_ideal(P: Poset, rng, max_val=3, max_gens=3) -> HomIdeal:
