@@ -76,9 +76,9 @@ def build_matrix(seq: LSequence) -> DetMatrix:
     return DetMatrix(seq)
 
 
-def _laplace_minors(M: DetMatrix, codec: _Codec) -> list:
+def _laplace_minors(M: DetMatrix, row: dict) -> list:
     """(c, rows, cols, terms) for every structurally nonzero generating minor
-    of the staircase matrix M, packed by codec.
+    of the staircase matrix M, whose packed entries are row[i][p].
 
     terms maps each packed term of the minor to its integer coefficient; no
     two terms meet, since the entries are distinct variables.  Each minor is a
@@ -87,8 +87,6 @@ def _laplace_minors(M: DetMatrix, codec: _Codec) -> list:
     column tuple is expanded once.
     """
     seq = M.seq
-    # the packed nonzero entries of each row, by column
-    row = {i: {p: codec.unit[pair_var(p, i)] for p in M.columns if i <= M.column_top(p)} for i in M.rows}
     memo = {(): {0: 1}}
 
     def minor(cols):
@@ -117,19 +115,23 @@ def _laplace_minors(M: DetMatrix, codec: _Codec) -> list:
 
 
 def _packed_minors(seq: LSequence) -> tuple:
-    """(M, codec, minors): the staircase matrix of seq, a codec for the
-    diagonal order on its variables, and _laplace_minors(M, codec)."""
+    """(row, codec, minors): a codec for the diagonal order on the variables
+    of the staircase matrix of seq, the packed nonzero entries of each of its
+    rows by column, row[i][p], and _laplace_minors on them."""
     M = DetMatrix(seq)
     codec = _Codec(diagonal_order(M.variables()), 2)  # squarefree minors: one exponent bit, one guard bit
-    return M, codec, _laplace_minors(M, codec)
+    row = {i: {p: codec.unit[pair_var(p, i)] for p in M.columns if i <= M.column_top(p)} for i in M.rows}
+    return row, codec, _laplace_minors(M, row)
 
 
-def _diagonal_leads(M: DetMatrix, codec: _Codec, minors: list) -> bool:
-    """Every packed minor of M with nonzero main diagonal leads with its
-    diagonal product: a packed int's order is codec's term order."""
+def _diagonal_leads(row: dict, codec: _Codec, minors: list) -> bool:
+    """Every minor with nonzero main diagonal leads with its diagonal
+    product, for the row table and minors of _packed_minors: packed by
+    codec, a packed int's order is the term order, so the lead is the
+    largest term."""
     for _, rows, cols, terms in minors:
-        diag = [M.entry(p, i) for p, i in zip(cols, rows)]
-        if None not in diag and max(terms) != sum(codec.unit[v] for v in diag):
+        diag = [row[i].get(p) for p, i in zip(cols, rows)]
+        if None not in diag and max(terms) != sum(diag):
             return False
     return True
 
@@ -248,12 +250,12 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     only the leading terms of the reduced basis become Monomials.
     """
     _check_caps(degree_cap, pair_cap)
-    M, codec, minors = _packed_minors(seq)
+    row, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
-    diag_ok = _diagonal_leads(M, codec, minors)
+    diag_ok = _diagonal_leads(row, codec, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
     init = MonomialIdeal([codec.monomial(max(d)) for d in basis], codec.order.vars)
     initial_ok = init.gens == target.gens

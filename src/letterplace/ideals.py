@@ -32,10 +32,6 @@ def _pairs_monomial(pairs) -> Monomial:
     return _of_sorted_vars(sorted(pair_var(p, i) for p, i in pairs))
 
 
-def ascent_monomial(P: Poset, phi) -> Monomial:
-    return _pairs_monomial(ascent(P, phi))
-
-
 def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal ascent monomials of the complement filter.
 

@@ -64,11 +64,12 @@ def _mask_of(variables) -> int:
     return mask
 
 
-def _mask_vars(mask: int):
-    """The variables whose bits are set in mask, lowest bit first."""
+def _mask_vars(mask: int, table: list = _BIT_VAR):
+    """The entries of table at the bits set in mask, lowest bit first; by
+    default the variables of those bits."""
     while mask:
         low = mask & -mask
-        yield _BIT_VAR[low.bit_length() - 1]
+        yield table[low.bit_length() - 1]
         mask ^= low
 
 
@@ -417,14 +418,15 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
     if not ideal.is_squarefree():
         raise NotSquarefree("alexander_dual requires squarefree generators")
     universe = tuple(sorted(universe)) if universe is not None else ideal.universe
-    if ideal.is_zero:
-        return MonomialIdeal([Monomial.one()], universe)
-    if ideal.is_unit:
-        return MonomialIdeal([], universe)
+    gens = [_of_sorted_vars(sorted(_mask_vars(t))) for t in _transversals(g._mask for g in ideal.gens)]
+    return MonomialIdeal._of_minimal(gens, universe)  # minimal at every step, see _transversals
 
-    supports = sorted((g._mask for g in ideal.gens), key=int.bit_count)
+
+def _transversals(supports) -> list:
+    """The minimal masks meeting every mask in `supports`: [0] for no
+    supports, [] if one support is 0 (the unit ideal)."""
     transversals = [0]
-    for hyper in supports:
+    for hyper in sorted(supports, key=int.bit_count):
         # A new t | bit (t misses hyper) is minimal unless an old transversal
         # lies in it; that one meets hyper in bit alone and has the rest in t.
         hit, missed, spoil = [], [], {}
@@ -445,8 +447,7 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
                 if not any(r & t == r for r in spoil.get(bit, ())):
                     fresh.append(t | bit)
         transversals = hit + fresh
-    gens = [_of_sorted_vars(sorted(_mask_vars(t))) for t in transversals]
-    return MonomialIdeal._of_minimal(gens, universe)  # minimal at every step, see above
+    return transversals
 
 
 # -- univariate integer polynomials (Hilbert numerators) ----------------------
@@ -528,74 +529,104 @@ class IntPoly:
 def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     """Numerator K(t) with Hilb(ring/ideal) = K(t)/(1-t)^v over v variables.
 
-    K depends only on the generators, not on the ambient variable count, and
-    polarization keeps it (it keeps the graded Betti numbers), so the
-    recursion runs on the squarefree support masks of the polarization.
-    Pivot-splitting on the most frequent bit x, ties to the lowest bit:
-    K(I) = K(I + (x)) + t * K(I : x), with K(I + (x)) = (1-t) * K(drop x-gens).
+    K depends only on the generators, not on the ambient variable count.  It
+    is fixed by the lcm lattice of the generators and the degrees of its
+    elements, so the recursion runs on the squarefree masks of the level
+    polarization, where a bit weighs the gap between its exponent level and
+    the level below it.  Pivot-splitting on the most frequent bit x of
+    weight w, ties to the lowest bit:
+    K(I) = K(I + (x)) + t^w * K(I : x), with K(I + (x)) = (1-t^w) * K(drop x-gens).
     """
-    return IntPoly(_hilbert_masks(_polarize(ideal.gens), {}))
+    masks, levels = _polarize(ideal.gens)
+    weights = {}  # the bits of weight > 1
+    for b, (v, e) in enumerate(levels):
+        if b and levels[b - 1][0] == v:
+            e -= levels[b - 1][1]
+        if e > 1:
+            weights[1 << b] = e
+    return IntPoly(_hilbert_masks(masks, weights))
 
 
 def _polarize(gens) -> tuple:
-    """The polarization of `gens` as a sorted tuple of support masks: x^e
-    becomes the e copies of x, and the copies of all variables get the bits
-    0, 1, ... in Var order, copy k of x before copy k + 1.  Polarizing keeps
-    and reflects divisibility, so minimal gens give an antichain."""
-    top = {}
-    for g in gens:
-        for v, e in g.exps:
-            if top.get(v, 0) < e:
-                top[v] = e
-    first, bits = {}, 0
-    for v in sorted(top):
-        first[v] = bits
-        bits += top[v]
-    return tuple(sorted(sum(((1 << e) - 1) << first[v] for v, e in g.exps) for g in gens))
+    """(masks, levels): the level polarization of `gens`.  Each variable gets
+    one bit per distinct exponent among the gens, in Var order and then
+    ascending exponent, and levels[b] is the (variable, exponent) of bit b; a
+    generator's mask holds the bits of each of its variables up to its own
+    exponent.  masks is the sorted tuple of those masks.  The mask of an lcm
+    is the OR of the masks, so polarizing keeps and reflects divisibility and
+    minimal gens give an antichain."""
+    levels = sorted({level for g in gens for level in g.exps})
+    upto, mask, last = {}, 0, None  # (v, e) -> the bits of v up to e
+    for b, level in enumerate(levels):
+        mask = (mask if level[0] == last else 0) | 1 << b
+        upto[level] = mask
+        last = level[0]
+    return tuple(sorted(sum(upto[level] for level in g.exps) for g in gens)), levels
 
 
-def _hilbert_masks(masks: tuple, memo: dict) -> dict:
+def _hilbert_masks(masks: tuple, weights: dict) -> dict:
     """K of the squarefree ideal on `masks`, sorted distinct masks none a
-    subset of another, as {degree: coefficient}; may hold zero coefficients."""
-    out = memo.get(masks)
-    if out is not None:
-        return out
-    # Count every bit's masks at once in binary: planes[j] holds bit j of
-    # each count, and adding a mask ripples its carries up the planes.
-    planes = []
-    for m in masks:
-        j = 0
-        while m:
-            if j == len(planes):
-                planes.append(m)
-                break
-            p = planes[j]
-            planes[j] = p ^ m
-            m &= p
-            j += 1
-    if len(planes) < 2:  # no bit is in two masks: the product of the 1 - t^deg g
-        out = {0: 1}
-        for m in masks:
-            d = m.bit_count()
-            step = dict(out)
-            for k, c in out.items():
-                step[k + d] = step.get(k + d, 0) - c
-            out = step
-        memo[masks] = out
-        return out
-    top = -1  # narrowed plane by plane from the highest to the bits of largest count
-    for p in reversed(planes):
-        if top & p:
-            top &= p
-    plus, colon = _mask_split(masks, top & -top)
-    below = _hilbert_masks(plus, memo)
-    out = dict(below)
-    for k, c in _hilbert_masks(colon, memo).items():
-        out[k + 1] = out.get(k + 1, 0) + c
-    for k, c in below.items():
-        out[k + 1] = out.get(k + 1, 0) - c
-    memo[masks] = out
-    return out
+    subset of another, with the bits in `weights` of that weight and all
+    other bits of weight 1, as {degree: coefficient}; may hold zero
+    coefficients.
+
+    The pivot recursion runs on an explicit stack, so its depth is not
+    bounded by Python's.  A frame (masks, None, None, 0) asks for K of masks;
+    unless it is in the memo, masks is split once and leaves the frame
+    (masks, plus, colon, w) below the frames of its two parts, so that both
+    are in the memo when it combines them.
+    """
+    memo = {}
+    heavy = sum(weights)  # the bits of weight > 1
+    stack = [(masks, None, None, 0)]
+    while stack:
+        node, plus, colon, w = stack.pop()
+        if plus is not None:
+            below = memo[plus]
+            out = dict(below)
+            for k, c in memo[colon].items():
+                out[k + w] = out.get(k + w, 0) + c
+            for k, c in below.items():
+                out[k + w] = out.get(k + w, 0) - c
+            memo[node] = out
+            continue
+        if node in memo:
+            continue
+        # Count every bit's masks at once in binary: planes[j] holds bit j of
+        # each count, and adding a mask ripples its carries up the planes.
+        planes = []
+        for m in node:
+            j = 0
+            while m:
+                if j == len(planes):
+                    planes.append(m)
+                    break
+                p = planes[j]
+                planes[j] = p ^ m
+                m &= p
+                j += 1
+        if len(planes) < 2:  # no bit is in two masks: the product of the 1 - t^deg g
+            out = {0: 1}
+            for m in node:
+                d = m.bit_count()
+                if m & heavy:
+                    d += sum(u - 1 for b, u in weights.items() if m & b)
+                step = dict(out)
+                for k, c in out.items():
+                    step[k + d] = step.get(k + d, 0) - c
+                out = step
+            memo[node] = out
+            continue
+        top = -1  # narrowed plane by plane from the highest to the bits of largest count
+        for p in reversed(planes):
+            if top & p:
+                top &= p
+        bit = top & -top
+        plus, colon = _mask_split(node, bit)
+        stack.append((node, plus, colon, weights.get(bit, 1)))
+        stack.append((colon, None, None, 0))
+        stack.append((plus, None, None, 0))
+    return memo[masks]
 
 
 def _mask_split(masks: tuple, bit: int) -> tuple:
@@ -635,16 +666,14 @@ def _mask_split(masks: tuple, bit: int) -> tuple:
 def height(ideal: MonomialIdeal) -> int:
     """Minimum size of a variable set meeting every generator's support.
 
-    That is the least generator degree of the Alexander dual of the radical.
-    The zero ideal reports 0 (height undefined there); the unit ideal is
-    rejected.
+    That is the least popcount among the minimal transversals of the
+    generator supports.  The zero ideal reports 0 (height undefined there);
+    the unit ideal is rejected.
     """
-    if ideal.is_zero:
-        return 0
-    if ideal.is_unit:
+    transversals = _transversals({g._mask for g in ideal.gens})
+    if not transversals:
         raise ValueError("height of the unit ideal is undefined")
-    radical = MonomialIdeal(_of_sorted_vars([v for v, _ in g.exps]) for g in ideal.gens)
-    return alexander_dual(radical).gens[0].degree()
+    return min(map(int.bit_count, transversals))
 
 
 def monomials_up_to(variables: Iterable[Var], degree: int) -> list:
@@ -662,21 +691,14 @@ def associated_primes(ideal: MonomialIdeal) -> set:
     """All variable sets S with (ideal : m) prime on S for some monomial m.
 
     These are the supports of the irreducible components, read off the
-    Alexander dual of the polarization: copy k of the i-th variable,
-    pair_var(i, k), stands for its k-th smallest exponent among the
-    generators, and divides a polarized generator when that level is at most
-    the generator's exponent.  A minimal transversal meets each variable's
-    copies at most once, and a component containing another has the same
-    support.  Returns a set of frozensets of Var.
+    minimal transversals of the level polarization (see _polarize): bit b
+    stands for the exponent level levels[b] of its variable and lies in a
+    generator's mask when that level is at most the generator's exponent.  A minimal
+    transversal meets each variable's bits at most once, and a component
+    containing another has the same support.  Returns a set of frozensets of
+    Var; empty for the zero and the unit ideal.
     """
-    if ideal.is_zero or ideal.is_unit:
+    if ideal.is_zero:
         return set()
-    variables = sorted({v for g in ideal.gens for v, _ in g.exps})
-    levels = [sorted({g.exp(v) for g in ideal.gens} - {0}) for v in variables]
-    polar = MonomialIdeal._of_minimal(  # polarizing keeps and reflects divisibility
-        _of_sorted_vars([
-            pair_var(i, k) for i, v in enumerate(variables) for k, e in enumerate(levels[i]) if e <= g.exp(v)
-        ])
-        for g in ideal.gens
-    )
-    return {frozenset(variables[c.a] for c, _ in t.exps) for t in alexander_dual(polar).gens}
+    masks, levels = _polarize(ideal.gens)
+    return {frozenset(v for v, _ in _mask_vars(t, levels)) for t in _transversals(masks)}

@@ -13,6 +13,8 @@ from letterplace.homset import HomIdeal
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var
 from letterplace.poset import antichain, chain, poset_from_covers
 
+from util import hilbert_incl_excl
+
 
 @pytest.fixture
 def running_example(tmp_path):
@@ -314,6 +316,23 @@ def test_hilbert_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["numerator"] == {"0": 1, "2": -1}
     assert doc["variables"] == 2
+
+
+def test_hilbert_command_high_exponents(tmp_path, capsys):
+    # thousands of polarization copies per variable overflowed the recursion
+    # of the numerator before; the level polarization has 7 bits here
+    gens_path = tmp_path / "gens.txt"
+    gens_path.write_text(
+        "# family=elem n=3\nx[0]^2500\nx[0]^1250*x[1]^1250\nx[1]^2500\nx[0]*x[1]*x[2]^2500\n"
+    )
+    code, out = run(capsys, "hilbert", "--gens", str(gens_path))
+    assert code == 0
+    K = hilbert_incl_excl(read_ideal_file(gens_path).gens)
+    assert json.loads(out) == {
+        "numerator": {str(d): c for d, c in sorted(K.coeffs().items())},
+        "variables": 3,
+        "version": 2,
+    }
 
 
 def test_console_entry_point(tmp_path):

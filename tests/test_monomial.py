@@ -424,7 +424,7 @@ def minimal_masks(masks) -> tuple:
 def test_pivot_colon_matches_minimalized_colons(gens):
     # the mask split on every bit of the polarization, and one bit past it
     I = MonomialIdeal(gens)
-    masks = _polarize(I.gens)
+    masks, _ = _polarize(I.gens)
     assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
     union = 0
     for g in masks:
@@ -466,6 +466,68 @@ def test_hilbert_numerator_high_exponents():
         ]
         I = MonomialIdeal(gens)
         assert hilbert_numerator(I) == ref_hilbert_numerator(I)
+
+
+# Up to 4 variables with exponents from a sparse set: levels with gaps
+SPARSE_VARS = [elem_var(0), nat_var(1), pair_var(0, 2), pair_var(3, 0)]
+sparse_monomials = st.builds(
+    lambda es: Monomial((v, e) for v, e in zip(SPARSE_VARS, es) if e),
+    st.tuples(*[st.sampled_from([0, 0, 1, 2, 5, 9, 30])] * len(SPARSE_VARS)),
+)
+
+
+def level_weights(levels) -> list:
+    """The weight of each bit: its exponent level minus the level below."""
+    below, out = {}, []
+    for v, e in levels:
+        out.append(e - below.get(v, 0))
+        below[v] = e
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(sparse_monomials, max_size=7))
+@example(gens=[mono((x, 30)), mono((x, 5), (y, 9)), mono((y, 30))])
+def test_level_polarization_keeps_lcm_degrees(gens):
+    # the weighted popcount of the OR of any generators' masks is the degree
+    # of their lcm, so K(t), fixed by the lcm lattice and its degrees, is kept
+    I = MonomialIdeal(gens)
+    masks, levels = _polarize(I.gens)
+    assert levels == sorted({(v, e) for g in I.gens for v, e in g.exps})
+    mask_of = {g: sum(1 << b for b, (v, e) in enumerate(levels) if e <= g.exp(v)) for g in I.gens}
+    assert masks == tuple(sorted(mask_of.values()))
+    assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
+    weights = level_weights(levels)
+    for k in range(len(I.gens) + 1):
+        for subset in combinations(I.gens, k):
+            union, lcm = 0, Monomial.one()
+            for g in subset:
+                union |= mask_of[g]
+                lcm = lcm.lcm(g)
+            assert sum(w for b, w in enumerate(weights) if union >> b & 1) == lcm.degree()
+    K = hilbert_numerator(I)
+    assert K == hilbert_incl_excl(I.gens)
+    if all(e <= 6 for g in I.gens for _, e in g.exps):
+        assert K == ref_hilbert_numerator(I)
+
+
+def test_level_polarization_of_high_exponents():
+    # one bit per distinct exponent: 3 + 3 + 1 bits, not 2500 per variable
+    a, b, c = elem_var(0), elem_var(1), elem_var(2)
+    I = MonomialIdeal([mono((a, 2500)), mono((a, 1250), (b, 1250)), mono((b, 2500)),
+                       mono((a, 1), (b, 1), (c, 2500))])
+    masks, levels = _polarize(I.gens)
+    assert len(levels) == 7 and level_weights(levels) == [1, 1249, 1250, 1, 1249, 1250, 2500]
+    assert hilbert_numerator(I) == hilbert_incl_excl(I.gens)
+
+
+def test_hilbert_numerator_deeper_than_the_recursion_limit():
+    # (x, y)^1000: 1001 generators on 2000 bits of weight 1, and a pivot
+    # recursion far deeper than Python's default limit
+    a, b = elem_var(0), elem_var(1)
+    n = 1000
+    I = MonomialIdeal(mono((a, k), (b, n - k)) for k in range(n + 1))
+    assert hilbert_numerator(I) == IntPoly({0: 1, n: -(n + 1), n + 1: n})
 
 
 squarefree_monomials = st.builds(
