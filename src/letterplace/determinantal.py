@@ -16,7 +16,7 @@ from itertools import combinations
 from .errors import NotTerrace
 from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
 from .ideals import _multichains
-from .monomial import MonomialIdeal, _of_sorted_vars, height, pair_var
+from .monomial import MonomialIdeal, _of_sorted_pairs, height, pair_var
 from .poset import chain
 
 
@@ -124,10 +124,10 @@ def _packed_minors(seq: LSequence) -> tuple:
     return row, codec, _laplace_minors(M, row)
 
 
-def _diagonal_leads(row: dict, codec: _Codec, minors: list) -> bool:
+def _diagonal_leads(row: dict, minors: list) -> bool:
     """Every minor with nonzero main diagonal leads with its diagonal
     product, for the row table and minors of _packed_minors: packed by
-    codec, a packed int's order is the term order, so the lead is the
+    their codec, a packed int's order is the term order, so the lead is the
     largest term."""
     for _, rows, cols, terms in minors:
         diag = [row[i].get(p) for p, i in zip(cols, rows)]
@@ -206,10 +206,10 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    # the shift is injective and keeps each multichain's variables sorted, and a
+    # the shift is injective and keeps each multichain's pairs sorted, and a
     # multichain is never a proper prefix of another, as in principal_letterplace_gens
     return MonomialIdeal._of_minimal(
-        _of_sorted_vars([pair_var(p + lo + j + a, j + a) for j, p in enumerate(c)])
+        _of_sorted_pairs([(p + lo + j + a, j + a) for j, p in enumerate(c)])
         for c in _multichains(chain(len(alpha)), alpha)
     )
 
@@ -233,7 +233,8 @@ def codim_formulas(seq: LSequence) -> dict:
 def diagonal_leads_ok(seq: LSequence) -> bool:
     """Every generating minor with nonzero main diagonal leads with it under
     the diagonal order."""
-    return _diagonal_leads(*_packed_minors(seq))
+    row, _, minors = _packed_minors(seq)
+    return _diagonal_leads(row, minors)
 
 
 def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
@@ -255,7 +256,7 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     ter = terrace(seq)
     iseq = i_sequence(ter)
     target = ly_ideal(iseq)
-    diag_ok = _diagonal_leads(row, codec, minors)
+    diag_ok = _diagonal_leads(row, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
     init = MonomialIdeal([codec.monomial(max(d)) for d in basis], codec.order.vars)
     initial_ok = init.gens == target.gens

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InfiniteIdeal
 from .homset import HomIdeal, _floor, _strictly, check_isotone, enumerate_isotone
-from .monomial import Monomial, MonomialIdeal, _of_sorted_vars, pair_var
+from .monomial import MonomialIdeal, _of_sorted_pairs
 from .poset import Poset
 
 
@@ -26,10 +26,6 @@ def ascent(P: Poset, phi) -> frozenset:
 
 def graph_pairs(phi) -> frozenset:
     return frozenset((p, v) for p, v in enumerate(phi))
-
-
-def _pairs_monomial(pairs) -> Monomial:
-    return _of_sorted_vars(sorted(pair_var(p, i) for p, i in pairs))
 
 
 def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
@@ -49,7 +45,7 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
         return MonomialIdeal([])
     bound = J.nmax()
     gens = [
-        _pairs_monomial(ascent(P, psi))
+        _of_sorted_pairs(sorted(ascent(P, psi)))
         for psi in enumerate_isotone(P, bound, cap)
         if not J.member(psi)
     ]
@@ -57,9 +53,18 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
 
 
 def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
-    """Minimal graph monomials over the minimal markers of J."""
-    gens = [_pairs_monomial(m.graph()) for m in J.minimal_markers(cap)]
-    # minimal markers have distinct graphs, none inside another (all of size n if J is finite)
+    """Minimal graph monomials over the minimal markers of J.
+
+    The minimal markers of a finite-representation J are its members, so
+    their graphs are read straight from J.members().
+    """
+    if J.is_finite_repr:
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
+        # members come lexicographically and all have degree n: sort_key order
+        return MonomialIdeal._of_canonical([_of_sorted_pairs(enumerate(m)) for m in J.members()])
+    gens = [_of_sorted_pairs(sorted(m.graph())) for m in J.minimal_markers(cap)]
+    # minimal markers have distinct graphs, none inside another
     return MonomialIdeal._of_minimal(gens)
 
 
@@ -107,8 +112,10 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
     chains = _multichains(P, check_isotone(P, alpha))
+    # a multichain's sorted pairs (p_j, j), listed by (degree, pairs): the sort_key order of the monomials
+    keyed = sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)
     # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
-    return MonomialIdeal._of_minimal(_pairs_monomial((p, j) for j, p in enumerate(c)) for c in chains)
+    return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for _, pairs in keyed])
 
 
 def _multichains(P: Poset, alpha) -> list:

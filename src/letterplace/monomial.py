@@ -255,6 +255,31 @@ def _of_sorted_vars(variables) -> Monomial:
     return _make(tuple(exps), len(variables), mask)
 
 
+# Each pair variable x[p,i] also gets one entry, ((x[p,i], 1), its bit),
+# keyed by the int pair (p, i), so that a squarefree pair monomial is read
+# from (p, i) ints without building or comparing Vars.  Like _BIT it only
+# grows, on demand.
+_PAIR = {}
+
+
+def _pair_entry(key: tuple) -> tuple:
+    v = pair_var(*key)
+    entry = _PAIR[key] = ((v, 1), _BIT.get(v) or _new_bit(v))
+    return entry
+
+
+def _of_sorted_pairs(pairs) -> Monomial:
+    """The squarefree monomial on distinct (p, i) int pairs given in
+    ascending order, which is the Var order of their variables."""
+    exps = []
+    mask = 0
+    for key in pairs:
+        item, bit = _PAIR.get(key) or _pair_entry(key)
+        exps.append(item)
+        mask |= bit
+    return _make(tuple(exps), len(exps), mask)
+
+
 def _of_exponent_list(variables, exps) -> Monomial:
     """The monomial with exponent exps[i] >= 0 at variables[i], a sorted
     sequence of distinct variables."""
@@ -321,7 +346,12 @@ class MonomialIdeal:
     def _of_minimal(cls, gens: Iterable[Monomial], universe: Iterable[Var] = None) -> "MonomialIdeal":
         """MonomialIdeal(gens, universe) for distinct gens none of which divides another
         (not checked): only sorts by sort_key and sets the universe."""
-        return object.__new__(cls)._set(sorted(gens, key=Monomial.sort_key), universe)
+        return cls._of_canonical(sorted(gens, key=Monomial.sort_key), universe)
+
+    @classmethod
+    def _of_canonical(cls, gens: list, universe: Iterable[Var] = None) -> "MonomialIdeal":
+        """_of_minimal for gens that are already in sort_key order (not checked)."""
+        return object.__new__(cls)._set(gens, universe)
 
     def _set(self, gens: list, universe) -> "MonomialIdeal":
         used = 0
@@ -414,12 +444,41 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
     Computed by incremental transversal extension over the generator-support
     hypergraph.  Involution over a fixed universe: the dual of the zero ideal
     is the unit ideal and vice versa.
+
+    The transversals run on local bits: bit j stands for the j-th largest
+    variable of the ideal's universe.  Of two squarefree monomials of one
+    degree, the first in sort_key order holds the smaller variable where they
+    differ, that is the higher bit, so it has the larger mask: sort_key order
+    is popcount, then descending mask.  A monomial reads its variables in Var
+    order from its highest bit down.
     """
     if not ideal.is_squarefree():
         raise NotSquarefree("alexander_dual requires squarefree generators")
     universe = tuple(sorted(universe)) if universe is not None else ideal.universe
-    gens = [_of_sorted_vars(sorted(_mask_vars(t))) for t in _transversals(g._mask for g in ideal.gens)]
-    return MonomialIdeal._of_minimal(gens, universe)  # minimal at every step, see _transversals
+    own = ideal.universe[::-1]
+    local = {v: 1 << j for j, v in enumerate(own)}
+    supports = []
+    for g in ideal.gens:
+        t = 0
+        for v, _ in g.exps:
+            t |= local[v]
+        supports.append(t)
+    table = [((v, 1), _BIT[v]) for v in own]
+    transversals = _transversals(supports)
+    transversals.sort(reverse=True)
+    transversals.sort(key=int.bit_count)
+    gens = []
+    for t in transversals:
+        exps = []
+        mask = 0
+        while t:
+            j = t.bit_length() - 1
+            item, bit = table[j]
+            exps.append(item)
+            mask |= bit
+            t ^= 1 << j
+        gens.append(_make(tuple(exps), len(exps), mask))
+    return MonomialIdeal._of_canonical(gens, universe)  # minimal at every step, see _transversals
 
 
 def _transversals(supports) -> list:

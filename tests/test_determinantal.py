@@ -293,10 +293,10 @@ def test_diagonal_leads_with_given_minors():
         assert diagonal_leads_ok(seq) == ref_diagonal_leads_ok(seq, order, ref_minors(seq))
     # the check reads the given list: the position of the minor y[1,0] paired
     # with the packed polynomial y[2,0] does not lead with its diagonal
-    M, codec, minors = determinantal._packed_minors(LSequence(0, (0, 2)))
+    row, _, minors = determinantal._packed_minors(LSequence(0, (0, 2)))
     (c, rows, cols, _), (_, _, _, other) = minors
-    assert determinantal._diagonal_leads(M, codec, minors)
-    assert not determinantal._diagonal_leads(M, codec, [(c, rows, cols, other)])
+    assert determinantal._diagonal_leads(row, minors)
+    assert not determinantal._diagonal_leads(row, [(c, rows, cols, other)])
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli"

@@ -10,6 +10,7 @@ from letterplace.errors import InfiniteIdeal
 from letterplace.homset import HomIdeal, dominates, enumerate_isotone
 from letterplace.ideals import (
     _checked_support,
+    _multichains,
     ascent,
     coletterplace_ideal,
     graph_pairs,
@@ -28,6 +29,7 @@ from util import (
     linear_quotient_numerator,
     poset_classes,
     random_cofinite_ideal,
+    ref_pairs_monomial,
 )
 
 
@@ -237,22 +239,44 @@ def test_support_hull_check_raises():
 POSETS_UP_TO_4 = [P for n in range(5) for P in all_labeled_posets(n)]
 
 
+def draw_ideal(data, posets) -> HomIdeal:
+    """A principal, finite (possibly empty) or cofinite ideal with values <= 2
+    on one of the posets."""
+    P = data.draw(st.sampled_from(posets))
+    pool = enumerate_isotone(P, 2)
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    kind = data.draw(st.sampled_from(["principal", "finite", "cofinite"]))
+    if kind == "principal":
+        return HomIdeal.principal(P, data.draw(st.sampled_from(pool)))
+    if kind == "finite":
+        return HomIdeal.finite(P, [m for m in pool if any(dominates(g, m) for g in picks)])
+    return HomIdeal.cofinite(P, picks)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_letterplace_and_coletterplace_supports_agree(data):
     # Alexander-dual clutters have the same support, zero and unit ideals
     # included, so the CLI reads it off whichever ideal it prints
-    P = data.draw(st.sampled_from([P for P in POSETS_UP_TO_4 if P.n <= 3]))
-    pool = enumerate_isotone(P, 2)
-    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3))
-    kind = data.draw(st.sampled_from(["principal", "finite", "cofinite"]))
-    if kind == "principal":
-        J = HomIdeal.principal(P, data.draw(st.sampled_from(pool)))
-    elif kind == "finite":
-        J = HomIdeal.finite(P, [m for m in pool if any(dominates(g, m) for g in picks)])
-    else:
-        J = HomIdeal.cofinite(P, picks)
+    J = draw_ideal(data, [P for P in POSETS_UP_TO_4 if P.n <= 3])
     assert _checked_support(J, letterplace_ideal(J)) == _checked_support(J, coletterplace_ideal(J))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_table_builders_match_sorted_var_oracle(data):
+    # the builders read each monomial from sorted (p, i) ints and order the
+    # generators by int keys; the oracle sorts Vars and the general
+    # constructor minimalizes and orders, on the same pairs
+    J = draw_ideal(data, POSETS_UP_TO_4)
+    P = J.poset
+    if J.kind == "principal":
+        ascents = [[(p, j) for j, p in enumerate(c)] for c in _multichains(P, J.alpha)]
+    else:
+        ascents = [ascent(P, psi) for psi in enumerate_isotone(P, J.nmax()) if not J.member(psi)]
+    assert letterplace_ideal(J) == MonomialIdeal(map(ref_pairs_monomial, ascents))
+    graphs = [m.graph() for m in J.minimal_markers()]
+    assert coletterplace_ideal(J) == MonomialIdeal(map(ref_pairs_monomial, graphs))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,18 +5,16 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
-from unittest import mock
-
-import letterplace.monomial
 from letterplace.errors import NotSquarefree
 from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _BIT,
     _mask_split,
     _of_exponent_list,
     _of_sorted_vars,
@@ -456,7 +454,7 @@ def test_hilbert_numerator_matches_pivot_recursion(gens):
 
 
 def test_hilbert_numerator_high_exponents():
-    # polarization turns x^30 into 30 bits
+    # polarization gives x^30 one bit per distinct exponent level, not 30 bits
     rng = random.Random(15)
     vs = [elem_var(0), nat_var(1), pair_var(0, 2), pair_var(3, 0)]
     for _ in range(30):
@@ -546,11 +544,43 @@ def test_alexander_dual_and_with_universe_are_minimal_by_construction(gens):
         assert MonomialIdeal(built.gens, built.universe) == built
 
 
+# Each example gets variables no other test has used, so that they take
+# their global bits in the order the example interns them.
+_FRESH = count(10_000, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alexander_dual_with_bits_out_of_var_order(data):
+    # the dual numbers its universe with local bits in reverse Var order and
+    # ORs the global bits of its output from a table; neither may depend on
+    # the order of the global bits
+    k = next(_FRESH)
+    vs = [elem_var(k), elem_var(k + 1), nat_var(k), nat_var(k + 2), pair_var(k, 0), pair_var(k, 3), pair_var(k + 1, 0)]
+    interned = data.draw(st.permutations(vs))
+    for v in interned:
+        Monomial.variable(v)
+    assert [_BIT[v] for v in interned] == sorted(_BIT[v] for v in vs)
+    supports = data.draw(st.lists(st.sets(st.sampled_from(vs), max_size=4), max_size=6))
+    I = MonomialIdeal(Monomial((v, 1) for v in s) for s in supports)
+    universe = sorted(set(I.universe) | data.draw(st.sets(st.sampled_from(vs))))
+    expected = brute_alexander_dual_gens(I)
+    for ideal in (I, I.with_universe(universe)):
+        D = alexander_dual(ideal, universe)
+        assert list(D.gens) == expected and D.universe == tuple(universe)
+        assert [g._mask for g in D.gens] == [Monomial(g.exps)._mask for g in D.gens]
+    if not I.is_zero and not I.is_unit:
+        dropped = data.draw(st.sampled_from(I.universe))
+        with pytest.raises(ValueError, match="does not cover"):
+            alexander_dual(I, [v for v in universe if v != dropped])
+
+
 @settings(max_examples=200, deadline=None)
 @given(gens=st.lists(prime_monomials, min_size=1, max_size=6))
 def test_polarization_is_minimal_by_construction(gens):
+    # polarizing keeps and reflects divisibility, so the minimal generators
+    # give distinct masks, none a subset of another
     I = MonomialIdeal(gens)
-    with mock.patch.object(letterplace.monomial, "alexander_dual", wraps=alexander_dual) as spy:
-        associated_primes(I)
-    for (polar,), _ in spy.call_args_list:
-        assert MonomialIdeal(polar.gens, polar.universe) == polar
+    masks, _ = _polarize(I.gens)
+    assert len(set(masks)) == len(masks) == len(I.gens)
+    assert not any(a != b and a & b == a for a in masks for b in masks)

@@ -37,6 +37,7 @@ from letterplace.monomial import (
     Monomial,
     MonomialIdeal,
     _minimal,
+    _of_sorted_vars,
     elem_var,
     height,
     monomials_up_to,
@@ -285,6 +286,12 @@ def brute_letterplace(J: HomIdeal) -> MonomialIdeal:
         for psi in enumerate_isotone(J.poset, J.nmax())
         if not J.member(psi)
     )
+
+
+def ref_pairs_monomial(pairs) -> Monomial:
+    """Oracle for the pair-table builder monomial._of_sorted_pairs: the
+    squarefree monomial on (p, i) pairs in any order, through sorted Vars."""
+    return _of_sorted_vars(sorted(pair_var(p, i) for p, i in pairs))
 
 
 def brute_alexander_dual_gens(I: MonomialIdeal):
