@@ -9,7 +9,6 @@ ones.  Tuple comparison of Var gives the canonical deterministic ordering
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple
 
 from .errors import NotSquarefree
@@ -240,19 +239,6 @@ class Monomial:
 _new_monomial = object.__new__
 _make = Monomial._make
 _ONE = Monomial()
-
-
-def _of_sorted_vars(variables) -> Monomial:
-    """The product of a sorted sequence of variables; repeats raise the exponent."""
-    exps = []
-    mask = 0
-    for v in variables:
-        if exps and exps[-1][0] == v:
-            exps[-1] = (v, exps[-1][1] + 1)
-        else:
-            exps.append((v, 1))
-            mask |= _BIT.get(v) or _new_bit(v)
-    return _make(tuple(exps), len(variables), mask)
 
 
 # Each pair variable x[p,i] also gets one entry, ((x[p,i], 1), its bit),
@@ -733,17 +719,6 @@ def height(ideal: MonomialIdeal) -> int:
     if not transversals:
         raise ValueError("height of the unit ideal is undefined")
     return min(map(int.bit_count, transversals))
-
-
-def monomials_up_to(variables: Iterable[Var], degree: int) -> list:
-    """All monomials of degree <= degree over the given variables, sorted."""
-    vs = sorted(variables)
-    out = [
-        _of_sorted_vars(combo)
-        for d in range(degree + 1)
-        for combo in combinations_with_replacement(vs, d)
-    ]
-    return sorted(out, key=Monomial.sort_key)
 
 
 def associated_primes(ideal: MonomialIdeal) -> set:

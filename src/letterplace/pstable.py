@@ -10,19 +10,11 @@ exchange move, which is what is_p_stable tests.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
 from .homset import _floor, _strictly, check_isotone
-from .monomial import (
-    Monomial,
-    MonomialIdeal,
-    _of_exponent_list,
-    _of_sorted_vars,
-    elem_var,
-    monomials_up_to,
-    var_text,
-)
+from .monomial import Monomial, MonomialIdeal, _of_exponent_list, elem_var, var_text
 from .poset import Poset
 
 
@@ -75,26 +67,46 @@ def _heaviest(order, below, weight) -> list:
     return phi
 
 
+def _through(downward, above, weight, ending, b: int) -> int:
+    """Bitmask of the elements a <= b on some heaviest multichain ending at
+    b, where ending = _heaviest(order, below, weight) and `downward` lists
+    the elements <= b, b first, down a linear extension: a heaviest
+    multichain ending at a and one from a up to b (the same recursion run
+    downward from b inside its down-set) weigh ending[b], counting
+    weight[a] once."""
+    starting = _heaviest(downward, above, weight)
+    length = ending[b]
+    through = 0
+    for a in downward:
+        if ending[a] + starting[a] - weight[a] == length:
+            through |= 1 << a
+    return through
+
+
+def _downward(P: Poset, order) -> list:
+    """For each element b, the elements <= b along `order` reversed."""
+    return [[p for p in reversed(order) if P.down[b] >> p & 1] for b in range(P.n)]
+
+
 def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
     """(length, through) for multichains inside m ending at or below b.
 
     A multichain in m repeats each element at most its exponent many times.
     `length` is the weight of a longest one, lambda_bar_inv(P, m)[b].
-    `through` holds the elements a <= b on some longest one: a heaviest
-    multichain ending at a and one from a up to b (the same recursion run
-    downward from b inside its down-set) weigh `length`, counting m_a once.
+    `through` holds the elements a <= b on some longest one.
     """
     weight = _weights(P, m)
     order, below, above = _tables(P)
-    inside = [p for p in order if P.down[b] >> p & 1]
-    ending = _heaviest(inside, below, weight)
-    starting = _heaviest(inside[::-1], above, weight)
-    length = ending[b]
-    return length, frozenset(a for a in inside if ending[a] + starting[a] - weight[a] == length)
+    ending = _heaviest(order, below, weight)
+    through = _through(_downward(P, order)[b], above, weight, ending, b)
+    return ending[b], frozenset(a for a in range(P.n) if through >> a & 1)
+
+
+_CAP = 10**6
 
 
 def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
-                cap: int = 10**6) -> bool:
+                cap: int = _CAP) -> bool:
     """Exchange-move closure test for ideals of k[x_P].
 
     exact mode (artinian ideals only): the finitely many monomials outside I
@@ -107,92 +119,195 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
     degree <= depth (default: max generator degree + 2).  Sound but
     incomplete; violations beyond the depth are not seen.
 
-    ValueError is raised when a generator uses a variable other than x[p]
-    for an element p of P, and in bounded mode for a negative depth.
+    ValueError is raised for a negative cap, when a generator uses a
+    variable other than x[p] for an element p of P, and in bounded mode for
+    a depth that is not a non-negative integer.
     """
-    foreign = sorted({v for g in I.gens for v, _ in g.exps} - {elem_var(p) for p in range(P.n)})
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    n = P.n
+    foreign = sorted({v for g in I.gens for v, _ in g.exps} - {elem_var(p) for p in range(n)})
     if foreign:
         names = ", ".join(f"{v.kind} variable {var_text(v)}" for v in foreign)
-        raise ValueError(f"generators use {names}, not x[p] for an element p of the {P.n}-element poset")
+        raise ValueError(f"generators use {names}, not x[p] for an element p of the {n}-element poset")
     if mode == "exact":
-        return _stable_exact(P, I, cap)
+        if I.is_unit:
+            return True  # it holds every pure power and has no standard monomials
+        power = [0] * n
+        for g in I.gens:
+            if len(g.exps) == 1:
+                v, e = g.exps[0]
+                power[v.a] = e
+        missing = [p for p in range(n) if not power[p]]
+        if missing:
+            raise NotArtinian(f"no pure power of elements {missing} in the ideal")
+        return _stable_exact(P, _exponent_tuples(n, I.gens), power, cap)
     if mode == "bounded":
         if depth is None:
             depth = I.max_degree() + 2
-        if depth < 0:
+        if not isinstance(depth, int) or depth < 0:
             raise ValueError(f"depth must be a non-negative integer, got {depth}")
-        return _stable_bounded(P, I, depth)
+        return _stable_bounded(P, _exponent_tuples(n, I.gens), depth)
     raise ValueError(f"mode must be 'exact' or 'bounded', got {mode!r}")
 
 
-def _stable_exact(P: Poset, I: MonomialIdeal, cap: int) -> bool:
-    if I.is_unit:
-        return True  # it holds every pure power and has no standard monomials
-    powered = {g.exps[0][0].a for g in I.gens if len(g.exps) == 1}
-    missing = [p for p in range(P.n) if p not in powered]
-    if missing:
-        raise NotArtinian(f"no pure power of elements {missing} in the ideal")
+def _exponent_tuples(n: int, gens) -> set:
+    """The exponent tuples over x[0..n-1] of monomials in those variables."""
+    out = set()
+    for g in gens:
+        e = [0] * n
+        for v, x in g.exps:
+            e[v.a] = x
+        out.add(tuple(e))
+    return out
+
+
+def _stable_exact(P: Poset, gens: set, power: list, cap: int) -> bool:
+    """Exact mode on exponent tuples: `gens` holds the generators of an
+    artinian ideal, power[p] the exponent of its pure power of x[p].
+
+    The standard monomials are walked level by level (by degree) from 1,
+    each reached once: from w by raising a variable p at or after the one
+    last raised in w.  The child c = w + e_p is standard iff it stays below
+    the pure power, is not a generator, and every c - e_q (q != p in its
+    support) is standard already.  The exchange move of a standard w at a
+    support element a gives j = lambda_bar(phi_w - e_a), and the ideal is
+    stable iff every such j is standard.  Once the levels up to deg j are
+    complete, that is a set lookup, so j waits in `pending` until then; a j
+    still waiting when the walk ends lies above every standard monomial.
+    """
     n = P.n
     order, below, above = _tables(P)
-    variables = [elem_var(p) for p in range(n)]
-    xs = [Monomial.variable(v) for v in variables]
-    # Depth-first over the order ideal of standard monomials: each one is
-    # reached once, from 1 by raising variables in ascending order, so every
-    # variable of m has index <= low.
-    stack = [(Monomial.one(), 0)]
-    produced = 0
-    while stack:
-        m, low = stack.pop()
-        produced += 1
-        if produced > cap:
-            raise ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
-        w = _weights(P, m)
-        phi = _heaviest(order, below, w)  # lambda_bar_inv(P, m)
-        # Lowering phi at a support element a keeps it isotone; the jumps
-        # (lambda_bar of the lowered map) change only at a and above it.
-        for v, e in m.exps:
-            a = v.a
-            phi[a] -= 1
-            jumps = w[:]
-            jumps[a] = e - 1
-            for p in above[a]:
-                jumps[p] = phi[p] - _floor(phi, below[p])
-            phi[a] += 1
-            if I.contains(_of_exponent_list(variables, jumps)):
+    one = (0,) * n
+    standard = {one}
+    if cap < 1:
+        raise _past_cap(1, cap)
+    level = [(one, 0)]
+    pending = {}  # degree -> the exchange results of that degree, undecided
+    deg = 0
+    while level:
+        for j in pending.pop(deg, ()):
+            if j not in standard:
                 return False
-        for p in range(low, n):
-            child = m * xs[p]
-            if not I.contains(child):
-                stack.append((child, p))
-    return True
-
-
-def _stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
-    variables = [elem_var(p) for p in range(P.n)]
-    xs = [Monomial.variable(v) for v in variables]
-    for m in monomials_up_to(variables, depth):
-        if not I.contains(m):
-            continue
-        supp = sorted(v.a for v in m.support())
-        through = {b: longest_b_chain(P, m, b)[1] for b in supp}
-        for r in range(1, len(supp) + 1):
-            for B in combinations(supp, r):
-                if not P.is_antichain(B):
-                    continue
-                candidates = frozenset.intersection(*(through[b] for b in B))
-                if not candidates:
-                    continue
-                stripped = m / _of_sorted_vars([variables[b] for b in B])
-                for a in candidates:
-                    if not I.contains(stripped * xs[a]):
+        for w, _ in level:
+            phi = _heaviest(order, below, w)  # lambda_bar_inv of w
+            for a in range(n):
+                e = w[a]
+                if not e or not above[a]:
+                    continue  # at a maximal a the move only divides w by x_a
+                # Lowering phi at a support element a keeps it isotone; the
+                # jumps (lambda_bar of the lowered map) change only at a and
+                # above it.
+                phi[a] -= 1
+                jumps = list(w)
+                jumps[a] = e - 1
+                for p in above[a]:
+                    jumps[p] = phi[p] - _floor(phi, below[p])
+                phi[a] += 1
+                j = tuple(jumps)
+                size = sum(jumps)
+                if size <= deg:
+                    if j not in standard:
                         return False
+                else:
+                    pending.setdefault(size, set()).add(j)
+        grown = []
+        for w, low in level:
+            for p in range(low, n):
+                e = w[p] + 1
+                if e >= power[p]:
+                    continue
+                c = w[:p] + (e,) + w[p + 1:]
+                if c in gens:
+                    continue
+                # the support of w lies in 0..low, so q < p covers c's other variables
+                if any(w[q] and c[:q] + (w[q] - 1,) + c[q + 1:] not in standard for q in range(p)):
+                    continue
+                standard.add(c)
+                if len(standard) > cap:
+                    raise _past_cap(len(standard), cap)
+                grown.append((c, p))
+        level = grown
+        deg += 1
+    return not pending
+
+
+def _past_cap(produced: int, cap: int) -> ExplosionGuard:
+    return ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
+
+
+def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
+    """Bounded mode on exponent tuples: the definitional test on every member
+    of degree <= depth, walked up from the generators into one set.
+
+    For a member m and an antichain B of its support, let `candidates` be
+    the elements on some longest multichain through every b in B; then each
+    m / prod(x_b : b in B) * x_a for a candidate a must be a member.  Its
+    degree is at most deg m, so the member set decides it.  Where the
+    stripped monomial m / prod(x_b : b in B) is a member, so is each of
+    these, and the longest multichains of m are computed only for the rest.
+    """
+    n = P.n
+    order, below, above = _tables(P)
+    # the members of degree k: the generators of degree k and the members
+    # of degree k - 1 times each variable
+    members = set()
+    level = set()
+    for k in range(depth + 1):
+        level = {m[:p] + (m[p] + 1,) + m[p + 1:] for m in level for p in range(n)}
+        level.update(g for g in gens if sum(g) == k)
+        members |= level
+    downward = _downward(P, order)
+    comparable = [P.down[p] | P.up[p] for p in range(n)]
+    everything = (1 << n) - 1
+    antichains_of = {}  # support -> its nonempty antichains, for this call only
+    for m in members:
+        supp = tuple(p for p in range(n) if m[p])
+        antichains = antichains_of.get(supp)
+        if antichains is None:
+            grown = [((), 0)]  # (antichain, the elements comparable with it)
+            for b in supp:
+                grown += [(B + (b,), seen | comparable[b]) for B, seen in grown if not seen >> b & 1]
+            antichains = antichains_of[supp] = [B for B, _ in grown[1:]]
+        ending = None
+        through = {}
+        for B in antichains:
+            stripped = list(m)
+            for b in B:
+                stripped[b] -= 1
+            if tuple(stripped) in members:
+                continue  # so is every stripped * x_a
+            if ending is None:
+                ending = _heaviest(order, below, m)
+            candidates = everything
+            for b in B:
+                if b not in through:
+                    through[b] = _through(downward[b], above, m, ending, b)
+                candidates &= through[b]
+            while candidates:
+                low = candidates & -candidates
+                a = low.bit_length() - 1
+                stripped[a] += 1
+                if tuple(stripped) not in members:
+                    return False
+                stripped[a] -= 1
+                candidates ^= low
     return True
+
+
+def _compositions(n: int, d: int):
+    """The exponent tuples of the degree-d monomials in x[0..n-1]."""
+    for combo in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for p in combo:
+            e[p] += 1
+        yield tuple(e)
 
 
 def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
     """The d-th power of (x_p : p in P), generated by all degree-d monomials."""
     variables = [elem_var(p) for p in range(P.n)]
-    gens = [_of_sorted_vars(combo) for combo in combinations_with_replacement(variables, d)]
+    gens = [_of_exponent_list(variables, e) for e in _compositions(P.n, d)]
     return MonomialIdeal._of_minimal(gens, variables)  # distinct, all of degree d
 
 
@@ -204,7 +319,7 @@ def max_ideal_power_stable(P: Poset, d: int) -> tuple:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    verdict = is_p_stable(P, maximal_ideal_power(P, d), "exact")
+    verdict = _stable_exact(P, set(_compositions(P.n, d)), [d] * P.n, _CAP)
     cover_counts = [0] * P.n
     for lower, _ in P.covers():
         cover_counts[lower] += 1

@@ -23,7 +23,6 @@ from letterplace.monomial import (
     MonomialIdeal,
     alexander_dual,
     elem_var,
-    monomials_up_to,
     nat_var,
     pair_var,
 )
@@ -41,6 +40,7 @@ from letterplace.stable import borel_closure, dualize_ss, dualize_ss_bounded
 from util import (
     all_labeled_posets,
     artinian_ideals,
+    monomials_up_to,
     nonstrict_merge_map,
     poset_classes,
     random_cofinite_ideal,

@@ -5,11 +5,13 @@ import re
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from letterplace.errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import letterplace_ideal, support
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, monomials_up_to, nat_var, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var, pair_var
 from letterplace.poset import antichain, chain, poset_from_covers
 from letterplace.pstable import (
     is_p_stable,
@@ -24,9 +26,13 @@ from letterplace.monomial import associated_primes
 
 from util import (
     all_labeled_posets,
+    artinian_generators,
+    artinian_ideals,
+    monomials_up_to,
     poset_classes,
     ref_lambda_bar_inv,
     ref_longest_b_chain,
+    ref_stable_bounded,
     ref_stable_exact,
 )
 
@@ -170,6 +176,30 @@ def test_bounded_rejects_negative_depth():
         is_p_stable(vee, I, "bounded", depth=-1)
 
 
+def test_budget_and_depth_are_validated():
+    P = chain(2)
+    I = MonomialIdeal([emono((0, 2)), emono((1, 2))])
+    for mode in ("exact", "bounded"):
+        with pytest.raises(ValueError, match=re.escape("cap must be >= 0, got -1")):
+            is_p_stable(P, I, mode, cap=-1)
+    # cap=0 is a budget: 1 is already one standard monomial too many
+    with pytest.raises(ExplosionGuard, match="1 standard monomials produced, more than the cap 0"):
+        is_p_stable(P, I, "exact", cap=0)
+    assert is_p_stable(P, MonomialIdeal([Monomial.one()], I.universe), "exact", cap=0)
+    for depth in (2.5, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"depth must be a non-negative integer, got {depth}")):
+            is_p_stable(P, I, "bounded", depth=depth)
+
+
+def test_exact_returns_at_the_first_decidable_violation():
+    # On the vee 0 < 1, 0 < 2 the move of x0 at 0 gives x1*x2, a generator,
+    # so the ideal is unstable; that is decided once degree 2 is walked,
+    # after 8 standard monomials, long before the x1^k and x2^k run out.
+    vee = poset_from_covers(3, [(0, 1), (0, 2)])
+    I = MonomialIdeal([emono((0, 2)), emono((1, 300)), emono((2, 300)), emono((1, 1), (2, 1))])
+    assert not is_p_stable(vee, I, "exact", cap=20)
+
+
 def test_exact_walks_standard_monomials_only():
     # (x0^2000, x1^2000, x0*x1) has the 3999 standard monomials 1, x0^a and
     # x1^a with 1 <= a <= 1999, inside a box of 4M points.  On an antichain
@@ -291,8 +321,6 @@ def test_order_weakening_diagnostic_search():
     print("order-weakening counterexample:", found)
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 POSETS_UP_TO_4 = [P for n in range(5) for P in all_labeled_posets(n)]
 
@@ -343,6 +371,41 @@ def test_longest_b_chain_matches_subset_enumeration(instance):
     for b in range(P.n):
         length, _, through = ref_longest_b_chain(P, m, b)
         assert longest_b_chain(P, m, b) == (length, through)
+
+
+@st.composite
+def posets_with_ideals_and_depths(draw):
+    """A labelled poset on at most 4 elements, an ideal of k[x_P] with up to
+    three generators of exponents 0..2 (artinian or not; an all-zero
+    generator gives the unit ideal), and a depth from 0 to 3 above the
+    largest generator degree."""
+    P = draw(st.sampled_from(POSETS_UP_TO_4))
+    vs = [elem_var(p) for p in range(P.n)]
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * P.n), max_size=3))
+    I = MonomialIdeal([emono(*enumerate(e)) for e in exps], vs)
+    return P, I, draw(st.integers(0, I.max_degree() + 3))
+
+
+VEE = poset_from_covers(3, [(0, 1), (0, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=posets_with_ideals_and_depths())
+@example(instance=(VEE, MonomialIdeal([Monomial.one()], [elem_var(p) for p in range(3)]), 3))
+@example(instance=(VEE, MonomialIdeal([], [elem_var(p) for p in range(3)]), 2))
+@example(instance=(VEE, MonomialIdeal([emono((0, 1), (1, 1))], [elem_var(p) for p in range(3)]), 4))
+def test_bounded_matches_scan(instance):
+    P, I, depth = instance
+    assert is_p_stable(P, I, "bounded", depth) == ref_stable_bounded(P, I, depth)
+
+
+def test_artinian_ideals_are_minimal_by_construction():
+    # artinian_ideals builds through MonomialIdeal._of_minimal; the general
+    # constructor must give the same sequence of ideals
+    for n, maxdeg in [(0, 3), (1, 3), (2, 3), (3, 3), (4, 2)]:
+        vs = [elem_var(p) for p in range(n)]
+        general = [MonomialIdeal(gens, vs) for gens in artinian_generators(n, maxdeg)]
+        assert list(artinian_ideals(n, maxdeg)) == general
 
 
 def test_maximal_ideal_power_is_minimal_by_construction():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import letterplace.stable as stable
 from letterplace.errors import NotAChain, NotStronglyStable
 from letterplace.homset import HomIdeal, enumerate_isotone
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, hilbert_numerator, monomials_up_to, nat_var
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, hilbert_numerator, nat_var
 from letterplace.poset import antichain, chain
 from letterplace.pstable import is_p_stable
 from letterplace.stable import (
@@ -21,7 +21,7 @@ from letterplace.stable import (
     ss_from_homideal,
 )
 
-from util import eliahou_kervaire, linear_quotient_numerator, ref_homideal_from_ss
+from util import eliahou_kervaire, linear_quotient_numerator, monomials_up_to, ref_homideal_from_ss
 
 
 def emono(*pairs):
@@ -122,8 +122,6 @@ def test_homideal_round_trip_simple():
 
 def test_round_trip_random_strongly_stable():
     rng = random.Random(101)
-    from letterplace.monomial import monomials_up_to
-
     count = 0
     while count < 30:
         m = rng.randint(1, 3)
@@ -138,8 +136,6 @@ def test_round_trip_random_strongly_stable():
 
 def test_homideal_from_ss_matches_monomial_route():
     # the generator route against the preimages of every monomial of I
-    from letterplace.monomial import monomials_up_to
-
     rng = random.Random(23)
     for _ in range(80):
         m = rng.randint(1, 4)
@@ -168,8 +164,6 @@ def test_dualize_powers_of_first_variable():
 
 def test_dualize_regularity_bound():
     rng = random.Random(103)
-    from letterplace.monomial import monomials_up_to
-
     for _ in range(10):
         m = rng.randint(1, 3)
         universe = elem_universe(m)
@@ -183,8 +177,6 @@ def test_dualize_regularity_bound():
 def test_bounded_duality_involution_small():
     # all strongly stable ideals generated in degrees <= n over m variables,
     # for m, n <= 2, via their borel closures
-    from letterplace.monomial import monomials_up_to
-
     for m in (1, 2):
         universe = elem_universe(m)
         for n in (1, 2):
@@ -225,8 +217,6 @@ def test_two_variable_family_example():
 def test_chain_stability_matches_strong_stability():
     # over a chain the two stability notions agree on artinian ideals
     rng = random.Random(107)
-    from letterplace.monomial import monomials_up_to
-
     for m in (2, 3):
         P = chain(m)
         universe = elem_universe(m)

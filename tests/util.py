@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from letterplace.determinantal import (
@@ -37,14 +37,12 @@ from letterplace.monomial import (
     Monomial,
     MonomialIdeal,
     _minimal,
-    _of_sorted_vars,
     elem_var,
     height,
-    monomials_up_to,
     pair_var,
 )
 from letterplace.poset import Poset, chain
-from letterplace.pstable import lambda_bar
+from letterplace.pstable import lambda_bar, longest_b_chain
 
 
 def all_labeled_posets(n: int):
@@ -85,16 +83,25 @@ def all_labeled_posets(n: int):
 
 def poset_classes(n: int):
     """One representative per isomorphism class of posets on n elements."""
+    relabelings = list(permutations(range(n)))
     seen = {}
     for P in all_labeled_posets(n):
-        rel = frozenset((p, q) for p in range(n) for q in range(n) if p != q and P.leq(p, q))
-        canon = min(
-            tuple(sorted((perm[p], perm[q]) for p, q in rel))
-            for perm in (dict(enumerate(sig)) for sig in permutations(range(n)))
-        )
+        rel = [(p, q) for p in range(n) for q in range(n) if p != q and P.leq(p, q)]
+        canon = min(tuple(sorted((sig[p], sig[q]) for p, q in rel)) for sig in relabelings)
         if canon not in seen:
             seen[canon] = P
     return list(seen.values())
+
+
+def monomials_up_to(variables, degree: int) -> list:
+    """All monomials of degree <= degree over the given variables, sorted."""
+    vs = sorted(variables)
+    out = [
+        Monomial((v, 1) for v in combo)
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(vs, d)
+    ]
+    return sorted(out, key=Monomial.sort_key)
 
 
 def ref_divides(a: Monomial, b: Monomial) -> bool:
@@ -221,6 +228,31 @@ def ref_stable_exact(P: Poset, I: MonomialIdeal) -> bool:
     return True
 
 
+def ref_stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
+    """Oracle for is_p_stable(P, I, "bounded", depth): scan every monomial of
+    degree <= depth, and for each one in I, each antichain B of its support
+    and each element a on a longest multichain through every b in B, ask
+    whether m / prod(x_b : b in B) * x_a is in I."""
+    variables = [elem_var(p) for p in range(P.n)]
+    for m in monomials_up_to(variables, depth):
+        if not I.contains(m):
+            continue
+        supp = sorted(v.a for v in m.support())
+        through = {b: longest_b_chain(P, m, b)[1] for b in supp}
+        for r in range(1, len(supp) + 1):
+            for B in combinations(supp, r):
+                if not P.is_antichain(B):
+                    continue
+                candidates = frozenset.intersection(*(through[b] for b in B))
+                if not candidates:
+                    continue
+                stripped = m / Monomial((variables[b], 1) for b in B)
+                for a in candidates:
+                    if not I.contains(stripped * Monomial.variable(variables[a])):
+                        return False
+    return True
+
+
 def brute_minimal_elements(items, below) -> set:
     """Oracle for monomial._minimal: the items with no other item below them."""
     items = set(items)
@@ -290,8 +322,9 @@ def brute_letterplace(J: HomIdeal) -> MonomialIdeal:
 
 def ref_pairs_monomial(pairs) -> Monomial:
     """Oracle for the pair-table builder monomial._of_sorted_pairs: the
-    squarefree monomial on (p, i) pairs in any order, through sorted Vars."""
-    return _of_sorted_vars(sorted(pair_var(p, i) for p, i in pairs))
+    squarefree monomial on (p, i) pairs in any order, through the general
+    constructor."""
+    return Monomial((pair_var(p, i), 1) for p, i in pairs)
 
 
 def brute_alexander_dual_gens(I: MonomialIdeal):
@@ -415,9 +448,8 @@ def random_principal_ideal(P: Poset, rng, max_val=2) -> HomIdeal:
     return HomIdeal.principal(P, rng.choice(pool))
 
 
-def artinian_ideals(n: int, maxdeg: int):
-    """All artinian monomial ideals in n variables with generators of degree
-    <= maxdeg: a pure power per variable plus compatible mixed generators."""
+def artinian_generators(n: int, maxdeg: int):
+    """The generator lists of artinian_ideals(n, maxdeg), in the same order."""
     variables = [elem_var(p) for p in range(n)]
     mixed = [
         m
@@ -432,7 +464,20 @@ def artinian_ideals(n: int, maxdeg: int):
             if not any(pw.divides(m) for pw in powers)
         ]
         for subset in _antichain_subsets(free):
-            yield MonomialIdeal(powers + list(subset), variables)
+            yield powers + list(subset)
+
+
+def artinian_ideals(n: int, maxdeg: int):
+    """All artinian monomial ideals in n variables with generators of degree
+    <= maxdeg: a pure power per variable plus compatible mixed generators."""
+    for gens in artinian_generators(n, maxdeg):
+        # Pure powers of distinct variables do not divide each other, the
+        # mixed generators are a divisibility antichain none of which a
+        # power divides, and a mixed monomial (support >= 2) divides no
+        # pure power: the generators are distinct and minimal.  Every
+        # variable has its pure power, so the generators' variables are
+        # the universe x[0..n-1].
+        yield MonomialIdeal._of_minimal(gens)
 
 
 def _product_range(n, top):
@@ -445,15 +490,14 @@ def _product_range(n, top):
 
 
 def _antichain_subsets(monos):
-    """All subsets of monos that are divisibility antichains."""
-    out = [()]
-    for m in monos:
-        extended = []
-        for sub in out:
-            if not any(x.divides(m) or m.divides(x) for x in sub):
-                extended.append(sub + (m,))
-        out.extend(extended)
-    return out
+    """All subsets of monos that are divisibility antichains, each later
+    monomial added to every earlier subset it is incomparable with."""
+    # clash[i]: the indices j with monos[i] and monos[j] comparable
+    clash = [sum(1 << j for j, y in enumerate(monos) if x.divides(y) or y.divides(x)) for x in monos]
+    out = [((), 0)]
+    for i, m in enumerate(monos):
+        out += [(sub + (m,), used | 1 << i) for sub, used in out if not used & clash[i]]
+    return [sub for sub, _ in out]
 
 
 def single_merge_maps(P, pairs, side: str):
