@@ -427,9 +427,9 @@ def minimalize(gens: Iterable[Monomial], universe=None) -> MonomialIdeal:
 def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
     """Squarefree dual: minimal monomials meeting the support of every generator.
 
-    Computed by incremental transversal extension over the generator-support
-    hypergraph.  Involution over a fixed universe: the dual of the zero ideal
-    is the unit ideal and vice versa.
+    Computed as the minimal transversals of the generator-support hypergraph
+    (MMCS, see _transversals).  Involution over a fixed universe: the dual of
+    the zero ideal is the unit ideal and vice versa.
 
     The transversals run on local bits: bit j stands for the j-th largest
     variable of the ideal's universe.  Of two squarefree monomials of one
@@ -464,35 +464,67 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
             mask |= bit
             t ^= 1 << j
         gens.append(_make(tuple(exps), len(exps), mask))
-    return MonomialIdeal._of_canonical(gens, universe)  # minimal at every step, see _transversals
+    return MonomialIdeal._of_canonical(gens, universe)  # minimal transversals, see _transversals
 
 
 def _transversals(supports) -> list:
     """The minimal masks meeting every mask in `supports`: [0] for no
-    supports, [] if one support is 0 (the unit ideal)."""
-    transversals = [0]
-    for hyper in sorted(supports, key=int.bit_count):
-        # A new t | bit (t misses hyper) is minimal unless an old transversal
-        # lies in it; that one meets hyper in bit alone and has the rest in t.
-        hit, missed, spoil = [], [], {}
-        for t in transversals:
-            s = t & hyper
-            if not s:
-                missed.append(t)
-                continue
-            hit.append(t)
-            if not s & (s - 1):
-                spoil.setdefault(s, []).append(t ^ s)
-        fresh = []
-        for t in missed:
-            m = hyper
-            while m:
-                bit = m & -m
-                m ^= bit
-                if not any(r & t == r for r in spoil.get(bit, ())):
-                    fresh.append(t | bit)
-        transversals = hit + fresh
-    return transversals
+    supports, [] if one support is 0 (the unit ideal).  Each minimal
+    transversal comes once, in no particular order.
+
+    MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014) on an explicit
+    stack.  The edges are the distinct supports, numbered by size and then
+    descending mask (this order branches far less on the letterplace duals
+    than hash order), and holders[v] holds the numbers of the edges with
+    vertex bit v.  A frame (chosen, once, uncov, cand) carries the edges that
+    `chosen` meets exactly once and those it misses.  A vertex joins
+    `chosen` only if every vertex of `chosen` keeps an edge that it alone
+    meets, so `chosen` is a minimal transversal of the edges it meets, and
+    of all edges once it misses none.  A frame branches on the first edge it
+    misses, over that edge's vertices in `cand`, and each branch puts the
+    vertices before it back into `cand`: a transversal is reached in the
+    branch of its last vertex on that edge, and only there.
+    """
+    edges = sorted(sorted(set(supports), reverse=True), key=int.bit_count)
+    if not edges:
+        return [0]
+    if not edges[0]:
+        return []
+    holders = {}
+    every = 0
+    for j, edge in enumerate(edges):
+        every |= edge
+        number = 1 << j
+        while edge:
+            v = edge & -edge
+            edge ^= v
+            holders[v] = holders.get(v, 0) | number
+    out = []
+    stack = [(0, 0, (1 << len(edges)) - 1, every)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chosen, once, uncov, cand = pop()
+        if not uncov:
+            out.append(chosen)
+            continue
+        branch = edges[(uncov & -uncov).bit_length() - 1] & cand
+        cand ^= branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            mine = holders[v]
+            lost = mine & once  # edges that v takes from their one vertex in chosen
+            keep = once ^ lost
+            rest = chosen if lost else 0
+            while rest:  # does every vertex of chosen keep an edge to itself?
+                u = rest & -rest
+                rest ^= u
+                if not holders[u] & keep:
+                    break
+            else:
+                push((chosen | v, keep | mine & uncov, uncov & ~mine, cand))
+            cand |= v
+    return out
 
 
 # -- univariate integer polynomials (Hilbert numerators) ----------------------
@@ -518,10 +550,6 @@ class IntPoly:
     @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def one_minus_tpow(cls, d: int):
-        return cls({0: 1, d: -1}) if d else cls()
 
     def __add__(self, other):
         c = dict(self.c)

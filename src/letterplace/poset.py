@@ -39,21 +39,15 @@ class Poset:
     identifiers; antisymmetry and transitivity then hold by construction.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "_opposite")
+    __slots__ = ("n", "labels", "up", "down")
 
-    def __init__(self, n: int, covers: Iterable[tuple] = (), labels=None, _masks=None):
+    def __init__(self, n: int, covers: Iterable[tuple] = (), labels=None):
         covers = [tuple(c) for c in covers]
         if labels is not None and len(labels) != n:
             raise IdentifierOutOfRange(f"expected {n} labels, got {len(labels)}")
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if _masks is not None:
-            up, down = _masks
-        else:
-            up, down = _close(n, covers)
-        self.up = up
-        self.down = down
-        self._opposite = None
+        self.up, self.down = _close(n, covers)
 
     # -- queries ------------------------------------------------------------
 
@@ -87,20 +81,8 @@ class Poset:
                         out.append((p, q))
         return sorted(out)
 
-    @property
-    def op(self) -> "Poset":
-        """Opposite poset: same elements, reversed relation.  Cached view."""
-        if self._opposite is None:
-            twin = Poset(self.n, (), self.labels, _masks=(self.down, self.up))
-            twin._opposite = self
-            self._opposite = twin
-        return self._opposite
-
     def is_chain(self) -> bool:
         return all(self.comparable(p, q) for p in range(self.n) for q in range(p))
-
-    def is_antichain_poset(self) -> bool:
-        return all(not self.comparable(p, q) for p in range(self.n) for q in range(p))
 
     # -- subsets ------------------------------------------------------------
 
@@ -137,10 +119,6 @@ class Poset:
     def is_ideal(self, S: Iterable[int]) -> bool:
         S = set(S)
         return all(self.down_set(p) <= S for p in S)
-
-    def is_filter(self, S: Iterable[int]) -> bool:
-        S = set(S)
-        return all(self.up_set(p) <= S for p in S)
 
     def is_antichain(self, S: Iterable[int]) -> bool:
         S = list(S)

@@ -124,27 +124,6 @@ def fiber_kind(P: Poset, f: FiberMap) -> str:
     return "neither"
 
 
-def quotient_order_ok(P: Poset, f: FiberMap) -> bool:
-    """True iff the product order on the source descends to a partial order on fibers.
-
-    The induced relation (class A <= class B when some a in A is <= some b in B
-    in the product order) must have an antisymmetric transitive closure for the
-    fiber map to be isotone onto a genuine poset.
-    """
-    classes = list(f.fibers().values())
-    k = len(classes)
-    rel = [
-        [any(P.leq(p, q) and a <= b for (p, a) in A for (q, b) in B) for B in classes]
-        for A in classes
-    ]
-    for m in range(k):
-        for i in range(k):
-            if rel[i][m]:
-                for j in range(k):
-                    rel[i][j] = rel[i][j] or rel[m][j]
-    return all(not (rel[i][j] and rel[j][i]) for i in range(k) for j in range(k) if i != j)
-
-
 def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
     """Substitute x[p,i] -> target variable; exponents accumulate; minimalize."""
     table = {pair_var(p, i): t for (p, i), t in zip(f.source, f.targets)}

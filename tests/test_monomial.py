@@ -18,6 +18,7 @@ from letterplace.monomial import (
     _mask_split,
     _of_exponent_list,
     _polarize,
+    _transversals,
     alexander_dual,
     associated_primes,
     elem_var,
@@ -35,11 +36,13 @@ from util import (
     brute_minimal_elements,
     hilbert_incl_excl,
     monomials_up_to,
+    one_minus_tpow,
     ref_associated_primes,
     ref_contains,
     ref_divides,
     ref_hilbert_colon,
     ref_hilbert_numerator,
+    ref_transversals,
 )
 
 x, y, z = elem_var(0), elem_var(1), elem_var(2)
@@ -116,7 +119,7 @@ def test_alexander_dual_degenerate():
     assert alexander_dual(alexander_dual(zero)).is_zero
 
 
-def test_alexander_dual_matches_bruteforce_random():
+def test_alexander_dual_matches_bruteforce_seeded():
     rng = random.Random(7)
     vs = [elem_var(i) for i in range(6)]
     for _ in range(40):
@@ -140,8 +143,41 @@ def test_alexander_dual_involution_random():
         assert alexander_dual(alexander_dual(I)) == I
 
 
+def test_alexander_dual_of_complete_graph():
+    # any n - 1 vertices meet every edge x_i x_j; a set missing two misses theirs
+    n = 12
+    vs = [elem_var(i) for i in range(n)]
+    K = MonomialIdeal(mono((a, 1), (b, 1)) for a, b in combinations(vs, 2))
+    D = alexander_dual(K)
+    assert set(D.gens) == {Monomial((v, 1) for v in vs if v != w) for w in vs}
+    assert len(D.gens) == n and height(K) == n - 1
+
+
+def test_alexander_dual_of_perfect_matching():
+    # one variable from each of the 12 edges x_{2k} x_{2k+1}
+    n = 12
+    vs = [elem_var(i) for i in range(2 * n)]
+    M = MonomialIdeal(mono((vs[2 * k], 1), (vs[2 * k + 1], 1)) for k in range(n))
+    D = alexander_dual(M)
+    assert len(D.gens) == 2 ** n
+    assert all(g.degree() == n and all(g.exp(vs[2 * k]) + g.exp(vs[2 * k + 1]) == 1 for k in range(n))
+               for g in D.gens)
+    assert height(M) == n
+
+
+def test_transversals_of_many_variables_within_the_recursion_limit():
+    # (x_0, ..., x_2999): the search is 3000 levels deep, past Python's
+    # default recursion limit, so it must keep its own stack
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    vs = [nat_var(i) for i in range(n)]
+    I = MonomialIdeal(Monomial.variable(v) for v in vs)
+    assert height(I) == n
+    assert alexander_dual(I).gens == (Monomial((v, 1) for v in vs),)
+
+
 def test_intpoly_arithmetic():
-    one_minus_t = IntPoly.one_minus_tpow(1)
+    one_minus_t = one_minus_tpow(1)
     assert one_minus_t * one_minus_t == IntPoly({0: 1, 1: -2, 2: 1})
     assert one_minus_t ** 0 == IntPoly.one()
     assert IntPoly({1: 1}) * IntPoly({2: 3}) == IntPoly({3: 3})
@@ -529,6 +565,31 @@ squarefree_monomials = st.builds(
     lambda bits: Monomial((v, 1) for v, b in zip(MIXED_VARS, bits) if b),
     st.tuples(*[st.booleans()] * len(MIXED_VARS)),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(squarefree_monomials, max_size=9))
+@example(gens=[])
+@example(gens=[Monomial.one()])
+def test_alexander_dual_matches_bruteforce_random(gens):
+    I = MonomialIdeal(gens)
+    assert list(alexander_dual(I).gens) == brute_alexander_dual_gens(I)
+
+
+# Edge lists over 10 vertex bits; the examples pin the empty list, a 0 edge,
+# repeated edges and edges inside others.
+@settings(max_examples=500, deadline=None)
+@given(supports=st.lists(st.integers(0, 1023), max_size=12))
+@example(supports=[])
+@example(supports=[0])
+@example(supports=[5, 0, 3])
+@example(supports=[6, 6, 3, 3])
+@example(supports=[1, 3, 7, 15, 6])
+@example(supports=[1 << b for b in range(10)] + [1023])
+def test_transversals_match_berge(supports):
+    got = _transversals(supports)
+    assert sorted(got) == sorted(ref_transversals(supports))
+    assert all(all(t & e for e in supports) for t in got)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from letterplace.errors import CycleDetected, IdentifierOutOfRange
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
-from util import all_labeled_posets
+from util import all_labeled_posets, is_antichain_poset, is_filter, opposite
 
 
 def fence():
@@ -107,7 +107,7 @@ def test_ideal_iff_complement_filter(n):
     everything = set(P.elements)
     for mask in range(1 << n):
         S = {p for p in range(n) if mask >> p & 1}
-        assert P.is_ideal(S) == P.is_filter(everything - S)
+        assert P.is_ideal(S) == is_filter(P, everything - S)
 
 
 def test_ideal_complement_filter_all_posets_n3():
@@ -115,21 +115,22 @@ def test_ideal_complement_filter_all_posets_n3():
         everything = set(P.elements)
         for mask in range(1 << 3):
             S = {p for p in range(3) if mask >> p & 1}
-            assert P.is_ideal(S) == P.is_filter(everything - S)
+            assert P.is_ideal(S) == is_filter(P, everything - S)
 
 
 def test_min_elements_generate_filter():
     for P in all_labeled_posets(3):
         for mask in range(1 << 3):
             S = {p for p in range(3) if mask >> p & 1}
-            if P.is_filter(S):
+            if is_filter(P, S):
                 assert set(P.closure(P.min_elements(S), "up")) == S
 
 
 def test_opposite_poset_view():
     P = fence()
-    assert P.op.leq(2, 0) and not P.op.leq(0, 2)
-    assert P.op.op is P
+    Q = opposite(P)
+    assert Q.leq(2, 0) and not Q.leq(0, 2)
+    assert opposite(Q) == P and opposite(Q).labels == P.labels
 
 
 def test_ideals_enumeration():
@@ -150,5 +151,5 @@ def test_json_round_trip_and_determinism():
 
 def test_chain_antichain_builders():
     assert chain(3).is_chain()
-    assert antichain(3).is_antichain_poset()
+    assert is_antichain_poset(antichain(3))
     assert chain(3).labels == ("1", "2", "3")

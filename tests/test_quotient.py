@@ -13,12 +13,11 @@ from letterplace.quotient import (
     FiberMap,
     fiber_kind,
     project_ideal,
-    quotient_order_ok,
     regular_quotient_check,
 )
 from letterplace.poset import antichain, chain
 
-from util import nonstrict_merge_map, poset_classes, single_merge_maps
+from util import nonstrict_merge_map, poset_classes, quotient_order_ok, single_merge_maps
 
 
 def pairs_mono(*pairs):

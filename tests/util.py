@@ -104,6 +104,49 @@ def monomials_up_to(variables, degree: int) -> list:
     return sorted(out, key=Monomial.sort_key)
 
 
+def opposite(P: Poset) -> Poset:
+    """The opposite poset: same elements and labels, reversed relation."""
+    return Poset(P.n, [(q, p) for p, q in P.covers()], P.labels)
+
+
+def is_filter(P: Poset, S) -> bool:
+    """True iff S is an up-set of P."""
+    S = set(S)
+    return all(P.up_set(p) <= S for p in S)
+
+
+def is_antichain_poset(P: Poset) -> bool:
+    """True iff no two elements of P are comparable."""
+    return all(not P.comparable(p, q) for p in range(P.n) for q in range(p))
+
+
+def one_minus_tpow(d: int) -> IntPoly:
+    """1 - t^d; zero for d = 0."""
+    return IntPoly({0: 1, d: -1}) if d else IntPoly()
+
+
+def quotient_order_ok(P: Poset, f) -> bool:
+    """True iff the product order on the source of the fiber map f descends
+    to a partial order on its fibers.
+
+    The induced relation (class A <= class B when some a in A is <= some b in B
+    in the product order) must have an antisymmetric transitive closure for the
+    fiber map to be isotone onto a genuine poset.
+    """
+    classes = list(f.fibers().values())
+    k = len(classes)
+    rel = [
+        [any(P.leq(p, q) and a <= b for (p, a) in A for (q, b) in B) for B in classes]
+        for A in classes
+    ]
+    for m in range(k):
+        for i in range(k):
+            if rel[i][m]:
+                for j in range(k):
+                    rel[i][j] = rel[i][j] or rel[m][j]
+    return all(not (rel[i][j] and rel[j][i]) for i in range(k) for j in range(k) if i != j)
+
+
 def ref_divides(a: Monomial, b: Monomial) -> bool:
     """Oracle for Monomial.divides: compare exponents variable by variable."""
     it = dict(b.exps)
@@ -327,6 +370,35 @@ def ref_pairs_monomial(pairs) -> Monomial:
     return Monomial((pair_var(p, i), 1) for p, i in pairs)
 
 
+def ref_transversals(supports) -> list:
+    """Oracle for monomial._transversals: Berge's edge-by-edge extension.
+    The minimal masks meeting every mask in `supports`: [0] for no supports,
+    [] if one support is 0."""
+    transversals = [0]
+    for hyper in sorted(supports, key=int.bit_count):
+        # A new t | bit (t misses hyper) is minimal unless an old transversal
+        # lies in it; that one meets hyper in bit alone and has the rest in t.
+        hit, missed, spoil = [], [], {}
+        for t in transversals:
+            s = t & hyper
+            if not s:
+                missed.append(t)
+                continue
+            hit.append(t)
+            if not s & (s - 1):
+                spoil.setdefault(s, []).append(t ^ s)
+        fresh = []
+        for t in missed:
+            m = hyper
+            while m:
+                bit = m & -m
+                m ^= bit
+                if not any(r & t == r for r in spoil.get(bit, ())):
+                    fresh.append(t | bit)
+        transversals = hit + fresh
+    return transversals
+
+
 def brute_alexander_dual_gens(I: MonomialIdeal):
     """Oracle: enumerate all squarefree monomials over the generator support and
     keep the minimal ones meeting every generator."""
@@ -393,12 +465,12 @@ def ref_hilbert_numerator(I: MonomialIdeal) -> IntPoly:
         if all(k == 1 for k in counts.values()):
             out = IntPoly.one()
             for g in gens:
-                out = out * IntPoly.one_minus_tpow(g.degree())
+                out = out * one_minus_tpow(g.degree())
         else:
             best = max(counts.values())
             x = Monomial.variable(min(v for v, k in counts.items() if k == best))
             plus = tuple(g for g in gens if not x.divides(g))
-            out = IntPoly.one_minus_tpow(1) * rec(plus) + IntPoly({1: 1}) * rec(ref_hilbert_colon(gens, x))
+            out = one_minus_tpow(1) * rec(plus) + IntPoly({1: 1}) * rec(ref_hilbert_colon(gens, x))
         memo[gens] = out
         return out
 
@@ -416,7 +488,7 @@ def eliahou_kervaire(gens) -> IntPoly:
     out = IntPoly.one()
     for u in gens:
         top = max((rank[v] for v, _ in u.exps), default=1)
-        out = out - IntPoly({u.degree(): 1}) * IntPoly.one_minus_tpow(1) ** (top - 1)
+        out = out - IntPoly({u.degree(): 1}) * one_minus_tpow(1) ** (top - 1)
     return out
 
 
@@ -433,7 +505,7 @@ def linear_quotient_numerator(gens):
         variables = {v for q in quotients if q.degree() == 1 for v, _ in q.exps}
         if any(not q.support() & variables for q in quotients):
             return None
-        out = out - IntPoly({g.degree(): 1}) * IntPoly.one_minus_tpow(1) ** len(variables)
+        out = out - IntPoly({g.degree(): 1}) * one_minus_tpow(1) ** len(variables)
     return out
 
 
@@ -504,7 +576,7 @@ def single_merge_maps(P, pairs, side: str):
     """All fiber maps collapsing exactly one pair of support positions, filtered
     to the requested strictness class and to merges whose quotient stays a poset."""
     from letterplace.monomial import pair_var
-    from letterplace.quotient import FiberMap, fiber_kind, quotient_order_ok
+    from letterplace.quotient import FiberMap, fiber_kind
 
     pairs = sorted(tuple(s) for s in pairs)
     out = []
