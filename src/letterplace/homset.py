@@ -19,19 +19,22 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
-from .monomial import _minimal
+from .monomial import _PAIR, _make, _minimal, _pair_entry
 from .poset import Poset, _int_list
 
 
 def is_isotone(P: Poset, values) -> bool:
     if len(values) != P.n:
         return False
-    return all(
-        values[p] <= values[q]
-        for p in range(P.n)
-        for q in range(P.n)
-        if p != q and P.leq(p, q)
-    )
+    for p in range(P.n):
+        v = values[p]
+        above = P.up[p] ^ 1 << p  # the elements strictly above p
+        while above:
+            low = above & -above
+            if values[low.bit_length() - 1] < v:
+                return False
+            above ^= low
+    return True
 
 
 def check_isotone(P: Poset, values) -> tuple:
@@ -75,34 +78,66 @@ def enumerate_isotone(P: Poset, bound: int, cap: int = 10**7) -> list:
     return _isotone_maps(P, [bound] * P.n, cap=cap)
 
 
-def _isotone_maps(P: Poset, upper, elements=None, cap=None) -> list:
+def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> list:
     """Isotone maps on `elements` (default: all of P) with value at p in
-    0..upper[p], as value tuples over sorted(elements), lexicographically.
+    0..upper[p], as value tuples over sorted(elements), lexicographically;
+    with `graphs`, as their graph monomials prod x[p, phi(p)] instead, which
+    in this order are in sort_key order.  `upper` must be isotone on
+    `elements`, so that every partial map extends to a full one.
 
     `cap` (None: no limit) bounds the maps actually produced: ExplosionGuard
     is raised as soon as there are more than cap of them.
+
+    Depth first on an explicit stack, over sorted(elements): a frame is the
+    value tuple of a prefix and, with `graphs`, its graph's exponent table
+    and variable bits.  The last position is filled in one go.
     """
     order = sorted(range(P.n) if elements is None else elements)
     m = len(order)
     if not m:
-        return [()]
-    below = [[j for j in range(k) if P.lt(order[j], p)] for k, p in enumerate(order)]
-    above = [[j for j in range(k) if P.lt(p, order[j])] for k, p in enumerate(order)]
+        return [_make((), 0, 0)] if graphs else [()]
+    # the earlier positions below and above each position
+    below = [[j for j in range(k) if P.down[p] >> order[j] & 1] for k, p in enumerate(order)]
+    above = [[j for j in range(k) if P.up[p] >> order[j] & 1] for k, p in enumerate(order)]
     tops = [upper[p] for p in order]
+    if graphs:
+        # the interned table entries and bits of x[p, v] for v in 0..upper[p]
+        parts = []
+        for p, top in zip(order, tops):
+            entries = [_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)]
+            parts.append(([e[0] for e in entries], [e[1] for e in entries]))
+    last = m - 1
     out = []
-
-    def rec(k, prefix):
-        lo = max([prefix[j] for j in below[k]], default=0)
-        hi = min([tops[k]] + [prefix[j] for j in above[k]])
-        if k + 1 < m:
-            for v in range(lo, hi + 1):
-                rec(k + 1, prefix + (v,))
-            return
-        out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+    stack = [((), (), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, exps, mask = pop()
+        k = len(prefix)
+        lo = 0
+        for j in below[k]:
+            if prefix[j] > lo:
+                lo = prefix[j]
+        hi = tops[k]
+        for j in above[k]:
+            if prefix[j] < hi:
+                hi = prefix[j]
+        if k < last:
+            # pushed from the top down, so popped in ascending order
+            if graphs:
+                items, bits = parts[k]
+                for v in range(hi, lo - 1, -1):
+                    push((prefix + (v,), exps + (items[v],), mask | bits[v]))
+            else:
+                for v in range(hi, lo - 1, -1):
+                    push((prefix + (v,), (), 0))
+            continue
+        if graphs:
+            items, bits = parts[k]
+            out += [_make(exps + (items[v],), m, mask | bits[v]) for v in range(lo, hi + 1)]
+        else:
+            out += [prefix + (v,) for v in range(lo, hi + 1)]
         if cap is not None and len(out) > cap:
             raise ExplosionGuard(f"produced {len(out)} isotone maps, more than cap {cap}")
-
-    rec(0, ())
     return out
 
 
@@ -253,13 +288,22 @@ class HomIdeal:
         )
 
     def minimal_markers(self, cap: int = 10**7) -> list:
-        """Markers whose graphs are inclusion-minimal among all marker graphs.
+        """Markers whose graphs are inclusion-minimal among all marker graphs,
+        sorted by (domain size, sorted graph).
 
         For a finite ideal every marker's domain is all of P (a proper ideal
         leaves room for unbounded extensions), so the minimal markers are
-        exactly the member maps.  Cofinite ideals get the general search over
-        (poset ideal, bounded isotone map) pairs; ExplosionGuard is raised when
-        one poset ideal carries more than cap such maps.
+        exactly the member maps.  A cofinite ideal walks the isotone maps on
+        each poset ideal of P.  Let kill[p][v] be the bits of the complement
+        generators g with v < g(p): a map is a marker iff its kills cover
+        every generator.  A bigger graph stays a marker, and a marker with a
+        smaller graph is a restriction to a subideal, which lies inside
+        I - {p} for some maximal p of the domain I; so a marker is minimal
+        iff each maximal p kills a generator that no other element of I
+        kills.  Such a p has a value below max_g g(p), and every q below p
+        a value at most p's: each domain's box is cut there.
+        ExplosionGuard is raised when one poset ideal carries more than cap
+        maps in its box.
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
@@ -270,16 +314,38 @@ class HomIdeal:
         gens = self.complement_gens()
         if not gens:
             return [Marker(frozenset(), (None,) * P.n)]
-        upper = [self.nmax()] * P.n
+        every = (1 << len(gens)) - 1
+        reach = [max(g[p] for g in gens) for p in range(P.n)]  # max_g g(p)
+        nmax = self.nmax()
+        kill = [
+            [sum(1 << j for j, g in enumerate(gens) if v < g[p]) for v in range(nmax)]
+            for p in range(P.n)
+        ]
         found = []
         for dom in P.ideals():
             order = sorted(dom)
-            for vals in _isotone_maps(P, upper, order, cap):
-                if all(any(v < g[p] for p, v in zip(order, vals)) for g in gens):
-                    found.append(Marker.on(order, dict(zip(order, vals)), P.n))
-        by_graph = {m.graph(): m for m in found}
-        keep = _minimal(by_graph, lambda g: (len(g), sorted(g)), frozenset.__le__)
-        return [by_graph[g] for g in keep]
+            inside = sum(1 << p for p in order)
+            maxima = [k for k, p in enumerate(order) if P.up[p] & inside == 1 << p]
+            # the empty domain kills nothing, nor a maximal p with reach 0
+            if not maxima or any(not reach[order[k]] for k in maxima):
+                continue
+            tops = [nmax] * P.n
+            for k in maxima:
+                p = order[k]
+                for q in order:
+                    if P.down[p] >> q & 1:
+                        tops[q] = min(tops[q], reach[p] - 1)
+            kills = [kill[p] for p in order]
+            for vals in _isotone_maps(P, tops, order, cap):
+                seen = twice = 0
+                for k, v in enumerate(vals):
+                    hit = kills[k][v]
+                    twice |= seen & hit
+                    seen |= hit
+                if seen == every and all(kills[k][vals[k]] & ~twice for k in maxima):
+                    found.append((len(order), list(zip(order, vals)), order))
+        found.sort(key=lambda f: f[:2])
+        return [Marker.on(order, dict(pairs), P.n) for _, pairs, order in found]
 
     # -- serialization ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ x[p,i] and are Alexander dual to each other.
 from __future__ import annotations
 
 from .errors import InfiniteIdeal
-from .homset import HomIdeal, _floor, _strictly, check_isotone, enumerate_isotone
+from .homset import HomIdeal, _floor, _isotone_maps, _strictly, check_isotone, enumerate_isotone
 from .monomial import MonomialIdeal, _of_sorted_pairs
 from .poset import Poset
 
@@ -19,9 +19,13 @@ def ascent(P: Poset, phi) -> frozenset:
 
     For minimal p the lower constraint is vacuous, so i runs from 0.
     """
-    phi = check_isotone(P, phi)
-    below = _strictly(P.down)
-    return frozenset((p, i) for p in range(P.n) for i in range(_floor(phi, below[p]), phi[p]))
+    return frozenset(_ascent_pairs(check_isotone(P, phi), _strictly(P.down)))
+
+
+def _ascent_pairs(phi, below) -> list:
+    """The ascent pairs of an isotone phi in ascending order, given
+    below = _strictly(P.down)."""
+    return [(p, i) for p, top in enumerate(phi) for i in range(_floor(phi, below[p]), top)]
 
 
 def graph_pairs(phi) -> frozenset:
@@ -44,8 +48,9 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     if not J.complement_gens():
         return MonomialIdeal([])
     bound = J.nmax()
+    below = _strictly(P.down)
     gens = [
-        _of_sorted_pairs(sorted(ascent(P, psi)))
+        _of_sorted_pairs(_ascent_pairs(psi, below))
         for psi in enumerate_isotone(P, bound, cap)
         if not J.member(psi)
     ]
@@ -56,11 +61,14 @@ def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal graph monomials over the minimal markers of J.
 
     The minimal markers of a finite-representation J are its members, so
-    their graphs are read straight from J.members().
+    their graphs are read straight from J's maps; for a principal J the
+    isotone-map walk builds them, already in sort_key order.
     """
     if J.is_finite_repr:
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
+        if J.kind == "principal":
+            return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, graphs=True))
         # members come lexicographically and all have degree n: sort_key order
         return MonomialIdeal._of_canonical([_of_sorted_pairs(enumerate(m)) for m in J.members()])
     gens = [_of_sorted_pairs(sorted(m.graph())) for m in J.minimal_markers(cap)]

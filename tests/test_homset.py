@@ -1,5 +1,7 @@
 """Isotone-map enumeration, HomIdeal representations, markers."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from letterplace.homset import (
     Marker,
     dominates,
     enumerate_isotone,
+    is_isotone,
     minimal_of,
 )
 from letterplace.poset import antichain, chain, poset_from_covers
@@ -18,8 +21,10 @@ from util import (
     all_labeled_posets,
     brute_complement_gens,
     brute_is_marker,
+    brute_isotone,
     brute_minimal,
     brute_minimal_markers,
+    draw_poset,
     random_cofinite_ideal,
 )
 
@@ -326,11 +331,37 @@ SMALL_POSETS = [P for n in range(4) for P in all_labeled_posets(n)]
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_minimal_markers_match_bruteforce(data):
-    P = data.draw(st.sampled_from(SMALL_POSETS))
-    pool = enumerate_isotone(P, 2)
+    # generators valued <= 3 on up to five elements; every generator is 0 on
+    # the drawn set `flat`, so max_g g(p) = 0 there whenever there are any
+    P = draw_poset(data, 5)
+    flat = data.draw(st.sets(st.sampled_from(range(P.n)))) if P.n else set()
+    pool = [g for g in enumerate_isotone(P, 3) if all(g[p] == 0 for p in flat)]
     gens = data.draw(st.lists(st.sampled_from(pool), max_size=3))
     J = HomIdeal.cofinite(P, gens)
     assert J.minimal_markers() == brute_minimal_markers(J)
+
+
+def test_minimal_markers_where_every_generator_is_zero():
+    # every generator is 0 at element 1, so no minimal marker's domain has 1
+    # as a maximal element: its box there is empty
+    P = poset_from_covers(3, [(1, 2)])
+    J = HomIdeal.cofinite(P, [(1, 0, 2), (2, 0, 1), (0, 0, 3)])
+    marks = J.minimal_markers()
+    assert marks == brute_minimal_markers(J)
+    assert marks and all(1 not in m.domain or 2 in m.domain for m in marks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumerate_isotone_matches_brute_filter(data):
+    # element numbers in any order against the poset, so the walk meets
+    # elements above the one it fills as well as below
+    P = draw_poset(data, 5)
+    bound = data.draw(st.integers(0, 3))
+    maps = brute_isotone(P, bound)
+    assert enumerate_isotone(P, bound) == maps
+    isotone = set(maps)
+    assert all(is_isotone(P, m) == (m in isotone) for m in product(range(bound + 1), repeat=P.n))
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,7 +25,9 @@ from letterplace.poset import antichain, chain, poset_from_covers
 from util import (
     all_labeled_posets,
     ascent_via_filters,
+    brute_isotone,
     brute_letterplace,
+    draw_poset,
     linear_quotient_numerator,
     poset_classes,
     random_cofinite_ideal,
@@ -296,6 +298,21 @@ def test_principal_routes_match_enumeration(data):
     K = linear_quotient_numerator(C.gens)
     assert K is not None
     assert hilbert_numerator(C) == K
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_principal_coletterplace_is_the_graphs_of_brute_members(data):
+    # the walk builds each graph monomial from interned parts and lists them
+    # in walk order; the oracle builds them through the general constructor
+    # and sorts them
+    P = draw_poset(data, 5)
+    maps = brute_isotone(P, 3)
+    alpha = data.draw(st.sampled_from(maps))
+    graphs = [ref_pairs_monomial(enumerate(m)) for m in maps if dominates(alpha, m)]
+    want = sorted(graphs, key=Monomial.sort_key)
+    got = coletterplace_ideal(HomIdeal.principal(P, alpha)).gens
+    assert [(g.exps, g.degree(), g._mask) for g in got] == [(g.exps, g.degree(), g._mask) for g in want]
 
 
 def test_principal_and_coletterplace_gens_are_minimal_by_construction():

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
+from hypothesis import strategies as st
+
 from letterplace.determinantal import (
     DetMatrix,
     LSequence,
@@ -308,18 +310,37 @@ def brute_minimal(maps):
 
 def brute_minimal_markers(J: HomIdeal) -> list:
     """Oracle for HomIdeal.minimal_markers on a cofinite ideal: every marker
-    restricted from a total map valued <= nmax, kept when no other marker's
-    graph lies inside its graph, in (domain size, sorted graph) order."""
+    restricted from a total isotone map valued <= nmax (by brute_isotone),
+    kept when no other marker's graph lies inside its graph, in (domain
+    size, sorted graph) order."""
     P = J.poset
     markers = {
         Marker.on(dom, {p: phi[p] for p in dom}, P.n)
         for dom in P.ideals()
-        for phi in enumerate_isotone(P, J.nmax())
+        for phi in brute_isotone(P, J.nmax())
     }
     markers = [m for m in markers if J.is_marker(m)]
     keep = brute_minimal_elements([m.graph() for m in markers], frozenset.__le__)
     out = [m for m in markers if m.graph() in keep]
     return sorted(out, key=lambda m: (len(m.domain), sorted(m.graph())))
+
+
+def brute_isotone(P: Poset, bound: int) -> list:
+    """Oracle for enumerate_isotone: the tuples of product(range(bound + 1),
+    repeat=n), in that (lexicographic) order, that keep every relation of P."""
+    order = [(p, q) for p in range(P.n) for q in range(P.n) if P.leq(p, q)]
+    return [m for m in product(range(bound + 1), repeat=P.n) if all(m[p] <= m[q] for p, q in order)]
+
+
+def draw_poset(data, max_n: int) -> Poset:
+    """A poset on at most max_n elements drawn by hypothesis: relations i < j
+    between the positions of a drawn order of the elements, so that the
+    element numbers need not follow a linear extension."""
+    n = data.draw(st.integers(0, max_n))
+    place = data.draw(st.permutations(range(n)))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset(n, [(place[i], place[j]) for (i, j), k in zip(pairs, keep) if k])
 
 
 def brute_complement_gens(J: HomIdeal, bound: int):
