@@ -128,20 +128,23 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
 
 def _multichains(P: Poset, alpha) -> list:
     """The multichains (p_0, ..., p_r) of principal_letterplace_gens, as
-    element tuples; alpha must be isotone."""
+    element tuples, each once; alpha must be isotone.
+
+    Depth first on an explicit stack, as homset._isotone_maps: a frame is a
+    prefix and the elements that may come next, all of P first and then the
+    up-set of the prefix's last element, read from one list per element.
+    """
+    above = [[q for q in range(P.n) if up >> q & 1] for up in P.up]
     out = []
-
-    def rec(last, prefix):
+    stack = [((), range(P.n))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, after = pop()
         pos = len(prefix)
-        for q in range(P.n):
-            if last is not None and not P.leq(last, q):
-                continue
-            if alpha[q] < pos:
-                continue
-            if alpha[q] == pos:
+        for q in after:
+            top = alpha[q]
+            if top == pos:
                 out.append(prefix + (q,))
-            else:
-                rec(q, prefix + (q,))
-
-    rec(None, ())
+            elif top > pos:
+                push((prefix + (q,), above[q]))
     return out

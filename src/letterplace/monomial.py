@@ -9,6 +9,7 @@ ones.  Tuple comparison of Var gives the canonical deterministic ordering
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .errors import NotSquarefree
@@ -224,16 +225,25 @@ class Monomial:
         return self / self.gcd(other)
 
     def text(self, labels=None, letter: str = "x") -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            t = var_text(v, labels, letter)
-            parts.append(t if e == 1 else f"{t}^{e}")
-        return "*".join(parts)
+        return _text(self.exps, {}, labels, letter)
 
     def __repr__(self):
         return self.text()
+
+
+def _text(exps: tuple, names: dict, labels, letter: str) -> str:
+    """The text of the monomial with exponent table `exps`; `names` caches
+    var_text by variable and may be shared between calls with the same
+    labels and letter."""
+    if not exps:
+        return "1"
+    parts = []
+    for v, e in exps:
+        t = names.get(v)
+        if t is None:
+            t = names[v] = var_text(v, labels, letter)
+        parts.append(t if e == 1 else f"{t}^{e}")
+    return "*".join(parts)
 
 
 _new_monomial = object.__new__
@@ -394,7 +404,8 @@ class MonomialIdeal:
         return f"MonomialIdeal({', '.join(map(str, self.gens))})"
 
     def text_lines(self, labels=None, letter: str = "x") -> list:
-        return [g.text(labels, letter) for g in self.gens]
+        names = {}  # each variable is rendered once
+        return [_text(g.exps, names, labels, letter) for g in self.gens]
 
 
 def _minimal(items, key, below) -> list:
@@ -644,40 +655,29 @@ def _hilbert_masks(masks: tuple, weights: dict) -> dict:
     coefficients.
 
     The pivot recursion runs on an explicit stack, so its depth is not
-    bounded by Python's.  A frame (masks, None, None, 0) asks for K of masks;
-    unless it is in the memo, masks is split once and leaves the frame
-    (masks, plus, colon, w) below the frames of its two parts, so that both
-    are in the memo when it combines them.
+    bounded by Python's.  A frame (masks, planes, None, 0) asks for K of
+    masks, whose bit counts are `planes` (see _bit_planes); unless it is in
+    the memo, masks is split once and leaves the frame (masks, plus, colon, w)
+    below the frames of its two parts, so that both are in the memo when it
+    combines them.  A split hands each part its planes, so no node is
+    counted afresh.
     """
     memo = {}
     heavy = sum(weights)  # the bits of weight > 1
-    stack = [(masks, None, None, 0)]
+    stack = [(masks, _bit_planes(masks), None, 0)]
     while stack:
-        node, plus, colon, w = stack.pop()
-        if plus is not None:
-            below = memo[plus]
+        node, planes, colon, w = stack.pop()
+        if colon is not None:  # a combine frame: planes holds the plus part
+            below = memo[planes]
             out = dict(below)
             for k, c in memo[colon].items():
                 out[k + w] = out.get(k + w, 0) + c
             for k, c in below.items():
                 out[k + w] = out.get(k + w, 0) - c
-            memo[node] = out
+            memo[node] = {k: c for k, c in out.items() if c}
             continue
         if node in memo:
             continue
-        # Count every bit's masks at once in binary: planes[j] holds bit j of
-        # each count, and adding a mask ripples its carries up the planes.
-        planes = []
-        for m in node:
-            j = 0
-            while m:
-                if j == len(planes):
-                    planes.append(m)
-                    break
-                p = planes[j]
-                planes[j] = p ^ m
-                m &= p
-                j += 1
         if len(planes) < 2:  # no bit is in two masks: the product of the 1 - t^deg g
             out = {0: 1}
             for m in node:
@@ -695,42 +695,128 @@ def _hilbert_masks(masks: tuple, weights: dict) -> dict:
             if top & p:
                 top &= p
         bit = top & -top
-        plus, colon = _mask_split(node, bit)
+        plus, plus_planes, colon, colon_planes = _mask_split(node, bit, planes)
         stack.append((node, plus, colon, weights.get(bit, 1)))
-        stack.append((colon, None, None, 0))
-        stack.append((plus, None, None, 0))
+        stack.append((colon, colon_planes, None, 0))
+        stack.append((plus, plus_planes, None, 0))
     return memo[masks]
 
 
-def _mask_split(masks: tuple, bit: int) -> tuple:
-    """(the x-free masks, the masks of I : x) as sorted tuples, for the
-    squarefree I on `masks` (sorted, none a subset of another) and the
-    variable x on `bit`.  I : x has the g ^ bit for g holding bit and the
-    x-free g that no such quotient is a subset of; no other pair can be
-    comparable, since `masks` is an antichain."""
-    plus = tuple(g for g in masks if not g & bit)
-    quotients = [g ^ bit for g in masks if g & bit]
-    if quotients and not quotients[0]:  # the mask bit is in I, so I : x is the unit ideal
-        return plus, (0,)
-    # a quotient inside g has its lowest bit in g: only those bits of g that
-    # are some quotient's lowest bit are looked up
-    by_low, lows = {}, 0
-    for q in quotients:
-        low = q & -q
-        by_low.setdefault(low, []).append(q)
-        lows |= low
-    colon = list(quotients)
+def _bit_planes(masks, planes=()) -> list:
+    """The bit counts of `masks` added to those of `planes`, in binary: bit b
+    of planes[j] is bit j of the number of masks holding bit b.  Each mask
+    ripples its carries up the planes.  The highest plane is nonzero if
+    that of `planes` is."""
+    planes = list(planes)
+    top = len(planes)
+    for m in masks:
+        j = 0
+        while m:
+            if j == top:
+                planes.append(m)
+                top += 1
+                break
+            p = planes[j]
+            planes[j] = p ^ m
+            m &= p
+            j += 1
+    return planes
+
+
+def _plane_difference(planes: list, part: list) -> list:
+    """The bit counts of planes minus those of part, where part counts a
+    subset of the masks that planes counts: a ripple-borrow subtraction,
+    with the zero planes on top dropped."""
+    out = []
+    borrow = 0
+    for j, p in enumerate(planes):
+        if j < len(part):
+            q = part[j]
+        elif borrow:
+            q = 0
+        else:
+            out += planes[j:]
+            break
+        out.append(p ^ q ^ borrow)
+        borrow = ~p & (q | borrow) | q & borrow
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mask_split(masks: tuple, bit: int, planes: list) -> tuple:
+    """(plus, its planes, colon, its planes) for the squarefree I on `masks`
+    (sorted, none a subset of another), its bit counts `planes` (see
+    _bit_planes) and the variable x on `bit`: plus holds the x-free masks
+    and colon those of I : x, both as sorted tuples.
+
+    Only the smaller of the x-free masks and the masks holding x is
+    counted; the other side's planes are the difference.  I : x has the
+    quotients g ^ bit for g holding bit, whose planes are those of the
+    holders with bit cleared, and the x-free g that no quotient is a subset
+    of, which are counted into them.  No other pair can be comparable, since
+    `masks` is an antichain.  An x-free g is first looked up minus one bit
+    among the sorted quotients, and only if that fails tested against the
+    quotients bucketed by lowest bit.
+    """
+    plus = [g for g in masks if not g & bit]
+    held = [g for g in masks if g & bit]
+    if len(plus) < len(held):
+        plus_planes = _bit_planes(plus)
+        held_planes = _plane_difference(planes, plus_planes)
+    else:
+        held_planes = _bit_planes(held)
+        plus_planes = _plane_difference(planes, held_planes)
+    plus = tuple(plus)
+    if held and held[0] == bit:  # the mask bit is in I, so I : x is the unit ideal
+        return plus, plus_planes, (0,), []
+    quotients = [g ^ bit for g in held]  # still sorted: each lost the same bit
+    colon_planes = [p & ~bit for p in held_planes]
+    union = 0  # of the quotients: the bits they count
+    for p in colon_planes:
+        union |= p
+    while colon_planes and not colon_planes[-1]:
+        colon_planes.pop()
+    by_low = None
+    kept = []
     for g in plus:
-        outside = ~g
-        rest = g & lows
+        # most x-free g hold a quotient with one bit less, which then misses
+        # the bit of g outside the union of the quotients, if there is one
+        rest = g & ~union
+        if not rest:
+            rest = g
+        elif rest & rest - 1:  # two bits outside every quotient
+            rest = 0
         while rest:
             low = rest & -rest
-            rest ^= low
-            if any(not q & outside for q in by_low.get(low, ())):
+            q = g ^ low
+            k = bisect_left(quotients, q)
+            if k < len(quotients) and quotients[k] == q:
                 break
+            rest ^= low
         else:
-            colon.append(g)
-    return plus, tuple(sorted(colon))
+            if by_low is None:
+                # a quotient inside g has its lowest bit in g: only those
+                # bits of g that are some quotient's lowest bit are looked up
+                by_low, lows = {}, 0
+                for q in quotients:
+                    low = q & -q
+                    by_low.setdefault(low, []).append(q)
+                    lows |= low
+            outside = ~g
+            rest = g & lows
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if any(not q & outside for q in by_low.get(low, ())):
+                    break
+            else:
+                kept.append(g)
+    if kept:
+        colon_planes = _bit_planes(kept, colon_planes)
+        quotients += kept
+        quotients.sort()
+    return plus, plus_planes, tuple(quotients), colon_planes
 
 
 # -- height and associated primes ---------------------------------------------

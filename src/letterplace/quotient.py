@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import VariableOutsideSource
-from .monomial import Monomial, MonomialIdeal, Var, elem_var, hilbert_numerator, nat_var, pair_var
+from .monomial import MonomialIdeal, Var, _minimal, _of_exponent_list, elem_var, hilbert_numerator, nat_var, pair_var
 from .poset import Poset
 
 
@@ -125,18 +126,35 @@ def fiber_kind(P: Poset, f: FiberMap) -> str:
 
 
 def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
-    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize."""
-    table = {pair_var(p, i): t for (p, i), t in zip(f.source, f.targets)}
-    gens = []
+    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize.
+
+    Each generator becomes an exponent row over the sorted targets, with its
+    degree and its support as a mask over the columns.  Equal rows are kept
+    once, and the rows are minimalized by the masks first and then
+    componentwise; only the kept rows become monomials.
+    """
+    targets = sorted(set(f.targets))
+    column = {t: k for k, t in enumerate(targets)}
+    where = {pair_var(p, i): column[t] for (p, i), t in zip(f.source, f.targets)}
+    width = len(targets)
+    rows = set()
     for g in I.gens:
-        exps = []
+        row = [0] * width
+        mask = 0
         for v, e in g.exps:
-            if v not in table:
+            k = where.get(v)
+            if k is None:
                 raise VariableOutsideSource(f"variable {v} not in the fiber map source")
-            exps.append((table[v], e))
-        gens.append(Monomial(exps))
-    universe = sorted(set(f.targets))
-    return MonomialIdeal(gens, universe)
+            row[k] += e
+            mask |= 1 << k
+        rows.add((g.degree(), tuple(row), mask))
+    kept = _minimal(rows, itemgetter(0, 1), _row_below)
+    return MonomialIdeal._of_minimal([_of_exponent_list(targets, row) for _, row, _ in kept], targets)
+
+
+def _row_below(a: tuple, b: tuple) -> bool:
+    """a <= b componentwise, for (degree, exponent row, support mask) triples."""
+    return not a[2] & ~b[2] and all(s <= t for s, t in zip(a[1], b[1]))
 
 
 def regular_quotient_check(I: MonomialIdeal, f: FiberMap) -> bool:

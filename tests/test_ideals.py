@@ -31,6 +31,7 @@ from util import (
     linear_quotient_numerator,
     poset_classes,
     random_cofinite_ideal,
+    ref_multichains,
     ref_pairs_monomial,
 )
 
@@ -313,6 +314,18 @@ def test_principal_coletterplace_is_the_graphs_of_brute_members(data):
     want = sorted(graphs, key=Monomial.sort_key)
     got = coletterplace_ideal(HomIdeal.principal(P, alpha)).gens
     assert [(g.exps, g.degree(), g._mask) for g in got] == [(g.exps, g.degree(), g._mask) for g in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multichains_match_recursive_oracle(data):
+    # the stack walk reads successors from up-set lists; the oracle recurses
+    # over prefixes and asks P.leq
+    P = draw_poset(data, 5)
+    alpha = data.draw(st.sampled_from(brute_isotone(P, 4)))
+    got = _multichains(P, alpha)
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(ref_multichains(P, alpha))
 
 
 def test_principal_and_coletterplace_gens_are_minimal_by_construction():

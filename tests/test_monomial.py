@@ -15,8 +15,10 @@ from letterplace.monomial import (
     Monomial,
     MonomialIdeal,
     _BIT,
+    _bit_planes,
     _mask_split,
     _of_exponent_list,
+    _plane_difference,
     _polarize,
     _transversals,
     alexander_dual,
@@ -38,6 +40,7 @@ from util import (
     monomials_up_to,
     one_minus_tpow,
     ref_associated_primes,
+    ref_bit_counts,
     ref_contains,
     ref_divides,
     ref_hilbert_colon,
@@ -450,6 +453,19 @@ def minimal_masks(masks) -> tuple:
     return tuple(sorted(brute_minimal_elements(masks, lambda a, b: not a & ~b)))
 
 
+def plane_counts(planes) -> dict:
+    """{bit: count} read off bit planes, where bit b of planes[j] is bit j of
+    the count of bit b; the highest plane must be nonzero."""
+    assert not planes or planes[-1]
+    counts = {}
+    for j, plane in enumerate(planes):
+        while plane:
+            low = plane & -plane
+            plane ^= low
+            counts[low] = counts.get(low, 0) + (1 << j)
+    return counts
+
+
 @settings(max_examples=300, deadline=None)
 @given(gens=st.lists(colon_monomials, max_size=9))
 def test_pivot_colon_matches_minimalized_colons(gens):
@@ -457,20 +473,60 @@ def test_pivot_colon_matches_minimalized_colons(gens):
     I = MonomialIdeal(gens)
     masks, _ = _polarize(I.gens)
     assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
+    planes = _bit_planes(masks)
+    assert plane_counts(planes) == ref_bit_counts(masks)
     union = 0
     for g in masks:
         union |= g
     for b in range(union.bit_length() + 1):
         bit = 1 << b
-        plus, colon = _mask_split(masks, bit)
+        plus, plus_planes, colon, colon_planes = _mask_split(masks, bit, planes)
         assert plus == tuple(g for g in masks if not g & bit)
         assert colon == minimal_masks({g & ~bit for g in masks})
+        assert plane_counts(plus_planes) == ref_bit_counts(plus)
+        assert plane_counts(colon_planes) == ref_bit_counts(colon)
     if I.is_squarefree():  # bit b is the b-th variable: the colon of the monomials
         first = {v: b for b, v in enumerate(sorted({v for g in I.gens for v, _ in g.exps}))}
         for v, b in first.items():
-            _, colon = _mask_split(masks, 1 << b)
+            _, _, colon, _ = _mask_split(masks, 1 << b, planes)
             ref = ref_hilbert_colon(I.gens, Monomial.variable(v))
             assert colon == tuple(sorted(sum(1 << first[w] for w, _ in q.exps) for q in ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=24))
+@example(drawn=[(1, True)] * 5)  # part planes [1, 0, 1]: a zero plane below a nonzero one
+def test_plane_difference_matches_fresh_count(drawn):
+    # masks may repeat here, so that counts reach every plane; part holds
+    # the masks drawn with True
+    masks = [m for m, _ in drawn]
+    part = [m for m, k in drawn if k]
+    rest = [m for m, k in drawn if not k]
+    planes = _bit_planes(masks)
+    assert plane_counts(planes) == ref_bit_counts(masks)
+    assert plane_counts(_bit_planes(rest, _bit_planes(part))) == ref_bit_counts(masks)
+    assert plane_counts(_plane_difference(planes, _bit_planes(part))) == ref_bit_counts(rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(colon_monomials, max_size=12))
+@example(gens=[mono((x, k), (y, 12 - k)) for k in range(13)])
+def test_split_planes_match_fresh_counts(gens):
+    # the planes a split hands down equal a fresh count of each part, at
+    # every split of the pivot recursion (pivot: the bit in most masks, ties
+    # to the lowest), down to the nodes where no bit is in two masks
+    masks, _ = _polarize(MonomialIdeal(gens).gens)
+    stack = [(masks, _bit_planes(masks))]
+    while stack:
+        node, planes = stack.pop()
+        counts = ref_bit_counts(node)
+        assert plane_counts(planes) == counts
+        most = max(counts.values(), default=0)
+        if most < 2:
+            continue
+        bit = min(b for b, k in counts.items() if k == most)
+        plus, plus_planes, colon, colon_planes = _mask_split(node, bit, planes)
+        stack += [(plus, plus_planes), (colon, colon_planes)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterplace.errors import VariableOutsideSource
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import coletterplace_ideal, letterplace_ideal, support
-from letterplace.monomial import Monomial, elem_var, nat_var, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var, pair_var
 from letterplace.quotient import (
     FiberMap,
     fiber_kind,
@@ -17,7 +19,7 @@ from letterplace.quotient import (
 )
 from letterplace.poset import antichain, chain
 
-from util import nonstrict_merge_map, poset_classes, quotient_order_ok, single_merge_maps
+from util import nonstrict_merge_map, poset_classes, quotient_order_ok, ref_project_ideal, single_merge_maps
 
 
 def pairs_mono(*pairs):
@@ -86,8 +88,6 @@ def test_project_identity():
 
 def test_project_accumulates_exponents():
     I = Monomial([(pair_var(0, 0), 1), (pair_var(0, 1), 1)])
-    from letterplace.monomial import MonomialIdeal
-
     out = project_ideal(MonomialIdeal([I]), FiberMap.projection_first([(0, 0), (0, 1)]))
     assert out.gens == (Monomial([(elem_var(0), 2)]),)
 
@@ -105,6 +105,45 @@ def test_project_running_example_strongly_stable_shape():
         Monomial([(e[1], 1), (e[2], 2)]),
         Monomial([(e[2], 3)]),
     }
+
+
+def same_gens(I, J) -> bool:
+    # _make takes its parts as given, so compare them, not only exps
+    return I.universe == J.universe and [(g.exps, g.degree(), g._mask) for g in I.gens] == [
+        (g.exps, g.degree(), g._mask) for g in J.gens
+    ]
+
+
+def test_project_drops_duplicates_and_proper_divisors():
+    # p1 sends x[0,0]x[1,1] and x[0,1]x[1,0] to one row, and x[0,0]x[0,1]x[1,2]
+    # to a multiple of it; x[2,0]x[2,1] survives as x_2^2
+    gens = [pairs_mono((0, 0), (1, 1)), pairs_mono((0, 1), (1, 0)), pairs_mono((0, 0), (0, 1), (1, 2)),
+            pairs_mono((2, 0), (2, 1))]
+    I = MonomialIdeal(gens)
+    assert len(I.gens) == 4
+    fmap = FiberMap.projection_first([(v.a, v.b) for v in I.universe])
+    out = project_ideal(I, fmap)
+    e = [elem_var(p) for p in range(3)]
+    assert out.gens == (Monomial([(e[0], 1), (e[1], 1)]), Monomial([(e[2], 2)]))
+    assert same_gens(out, ref_project_ideal(I, fmap))
+
+
+TARGET_POOL = [elem_var(0), elem_var(1), nat_var(0), nat_var(2), pair_var(1, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_project_ideal_matches_monomial_oracle(data):
+    # random squarefree pair ideals under maps onto at most three targets,
+    # so that images coincide and divide one another
+    source = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=9,
+                                unique=True))
+    palette = data.draw(st.lists(st.sampled_from(TARGET_POOL), min_size=1, max_size=3, unique=True))
+    targets = data.draw(st.lists(st.sampled_from(palette), min_size=len(source), max_size=len(source)))
+    fmap = FiberMap.make(source, targets)
+    supports = data.draw(st.lists(st.sets(st.sampled_from(source), max_size=4), max_size=8))
+    I = MonomialIdeal(pairs_mono(*s) for s in supports)
+    assert same_gens(project_ideal(I, fmap), ref_project_ideal(I, fmap))
 
 
 def test_project_rejects_outside_variables():

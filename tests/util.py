@@ -384,6 +384,36 @@ def brute_letterplace(J: HomIdeal) -> MonomialIdeal:
     )
 
 
+def ref_project_ideal(I: MonomialIdeal, f) -> MonomialIdeal:
+    """Oracle for quotient.project_ideal: each generator with x[p,i] replaced
+    by its target, through the general Monomial constructor, and the images
+    minimalized by the general MonomialIdeal constructor."""
+    table = {pair_var(p, i): t for (p, i), t in zip(f.source, f.targets)}
+    return MonomialIdeal((Monomial((table[v], e) for v, e in g.exps) for g in I.gens), sorted(set(f.targets)))
+
+
+def ref_multichains(P: Poset, alpha) -> list:
+    """Oracle for ideals._multichains: the multichains p_0 <= ... <= p_r with
+    alpha(p_r) = r and alpha(p_j) > j for j < r, as element tuples, by
+    recursion over prefixes with P.leq."""
+    out = []
+
+    def rec(last, prefix):
+        pos = len(prefix)
+        for q in range(P.n):
+            if last is not None and not P.leq(last, q):
+                continue
+            if alpha[q] < pos:
+                continue
+            if alpha[q] == pos:
+                out.append(prefix + (q,))
+            else:
+                rec(q, prefix + (q,))
+
+    rec(None, ())
+    return out
+
+
 def ref_pairs_monomial(pairs) -> Monomial:
     """Oracle for the pair-table builder monomial._of_sorted_pairs: the
     squarefree monomial on (p, i) pairs in any order, through the general
@@ -461,6 +491,18 @@ def hilbert_incl_excl(gens) -> IntPoly:
                 m = m.lcm(g)
             out = out + IntPoly({m.degree(): sign})
     return out
+
+
+def ref_bit_counts(masks) -> dict:
+    """Oracle for the bit planes of monomial._bit_planes: {bit: the number of
+    masks holding it} over the bits some mask holds, by testing one bit at a
+    time."""
+    counts = {}
+    for m in masks:
+        for b in range(m.bit_length()):
+            if m >> b & 1:
+                counts[1 << b] = counts.get(1 << b, 0) + 1
+    return counts
 
 
 def ref_hilbert_colon(gens, x: Monomial) -> tuple:
