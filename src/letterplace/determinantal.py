@@ -258,7 +258,9 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     target = ly_ideal(iseq)
     diag_ok = _diagonal_leads(row, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
-    init = MonomialIdeal([codec.monomial(max(d)) for d in basis], codec.order.vars)
+    # each reduced element lists its leading term first, and the leading terms
+    # of a reduced basis divide none of each other
+    init = MonomialIdeal._of_minimal(codec.monomial(next(iter(d))) for d in basis)
     initial_ok = init.gens == target.gens
     codims = codim_formulas(seq)
     h = height(target)

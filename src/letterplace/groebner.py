@@ -13,9 +13,9 @@ never truncated silently.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import BudgetExceeded
@@ -279,18 +279,27 @@ def _normal_form(work: dict, heads: list, guard: int) -> dict:
     monic heads.
 
     Terms are taken largest first from a heap of negated packed terms; each is
-    reduced by the first head whose leading term divides it, or kept.
+    reduced by the first head in the listed order whose leading term divides
+    it, or kept.  A reduction only pushes terms below the one it removes, so
+    the terms come off the heap in descending order, and a leading term above
+    the current term can divide no later one: before each term, the heads at
+    the front of the list whose leading terms exceed it are dropped for the
+    rest of the call.  On heads listed by descending leading term, each term
+    meets first the divisor with the largest leading term.
     """
     heap = [-e for e in work]
     heapify(heap)
+    rest = heads[::-1]  # the heads not dropped yet, reversed: the first to test is last
     remainder = {}
     while heap:
         e = -heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue  # cancelled, or a second heap entry for the same term
+        while rest and rest[-1][0] > e:
+            rest.pop()
         eg = e | guard
-        for lt, tail in heads:
+        for lt, tail in reversed(rest):
             if (eg - lt) & guard == guard:
                 q = e - lt
                 for te, tc in tail:
@@ -368,13 +377,20 @@ def buchberger(
     term the new one divides form no more pairs and no longer reduce.  The
     pairs left are reduced smallest lcm first, ties in the order they arose.
 
+    The elements that reduce are kept by descending leading term, so each
+    term is reduced by the divisor with the largest leading term.  At the end
+    only the tails of elements after which one with a smaller leading term
+    joined are reduced again: the others are in normal form already.
+
     pair_cap bounds the pairs reduced; degree_cap, off unless given, bounds
     their lcm degree.  A negative cap raises ValueError; 0 is a valid cap.
     Hitting either raises BudgetExceeded with the counts of the work done so
     far: pairs popped (each is reduced unless a cap stops it), dropped as
     coprime, dropped by criteria B, M and F ("chain"), reduced, and the
     highest lcm degree reduced.  The counts are those of the run that
-    raised; a run started over at a wider field width counts afresh.
+    raised; a run started over at a wider field width counts afresh.  They
+    may depend on which divisor reduces a term, since a normal form modulo
+    elements that are not yet a Groebner basis does; the basis does not.
     """
     _check_caps(degree_cap, pair_cap)
     gens = [f for f in gens if f]
@@ -393,12 +409,12 @@ def _check_caps(degree_cap, pair_cap) -> None:
 
 def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
     """buchberger on nonzero packed inputs, as monic dicts sorted by leading
-    term."""
+    term, each with its leading term as first key."""
     G = codec.guard
     lcm = codec.lcm
     heads = []  # monic (lt, tail) of every element that joined
     live = []  # indices of the heads that still form pairs and reduce
-    reducers = []  # those heads
+    reducers = []  # those heads, by descending leading term
     queue = []  # (lcm, j, i) per pending pair of heads i < j
     counts = dict.fromkeys(("popped", "coprime", "chain", "reduced", "max_degree"), 0)
 
@@ -433,8 +449,11 @@ def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
                 heappush(queue, (L, j, i))
             lcms.append(L)
         heads.append(h)
-        live[:] = [i for i in live if ((heads[i][0] | G) - lt) & G != G] + [j]
-        reducers[:] = [heads[i] for i in live]
+        kept = [i for i in live if ((heads[i][0] | G) - lt) & G != G]
+        if len(kept) < len(live):
+            reducers[:] = [r for r in reducers if ((r[0] | G) - lt) & G != G]
+        live[:] = kept + [j]
+        insort(reducers, h, key=_descending)
 
     def over(cap):
         raise BudgetExceeded(
@@ -464,19 +483,36 @@ def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
         if r:
             join(r)
 
-    return _interreduce(reducers, G)
+    return _interreduce([heads[i] for i in live], G)
+
+
+def _descending(head: tuple) -> int:
+    return -head[0]
 
 
 def _interreduce(heads: list, guard: int) -> list:
-    """Reduced basis, as monic packed dicts sorted by leading term, from the
-    monic heads of a Groebner basis none of whose leading terms divides
-    another."""
-    heads = sorted(heads, key=itemgetter(0))
-    # A tail term lies below its own leading term, and a leading term that
-    # divides it lies below it too, so only the heads before it can reduce it.
+    """Reduced basis, as monic packed dicts sorted by leading term, each with
+    its leading term as first key, from the monic heads of a Groebner basis
+    none of whose leading terms divides another, listed in the order they
+    joined.
+
+    A head joins with its tail in normal form modulo the heads live then, and
+    a later head can reduce a tail term only if its leading term divides that
+    term, so lies below the head's own leading term.  So only the tails of
+    heads after which a head with a smaller leading term joined are reduced
+    again; the reduced basis is unique, so the others are final already.
+    """
+    stale = set()
+    low = None  # the smallest leading term of the heads that joined later
+    for lt, _ in reversed(heads):
+        if low is not None and lt > low:
+            stale.add(lt)
+        else:
+            low = lt
+    reducers = sorted(heads, key=_descending)
     return [
-        {lt: 1, **_normal_form(dict(tail), heads[:k], guard)}
-        for k, (lt, tail) in enumerate(heads)
+        {lt: 1, **(_normal_form(dict(tail), reducers, guard) if lt in stale else dict(tail))}
+        for lt, tail in reversed(reducers)
     ]
 
 

@@ -248,6 +248,7 @@ def test_verify_main_seven_rows_at_default_caps():
     # 624 minors, none of which extends the basis
     report = verify_main(LSequence(0, (0, 2, 4, 6, 8, 10, 12)))
     assert report["ok"] and report["initial_equals_target"]
+    assert report["num_generators"] == 624
     assert report["gb_size"] == 66
 
 
@@ -302,12 +303,20 @@ def test_diagonal_leads_with_given_minors():
 GOLDEN = Path(__file__).parent / "data" / "golden_cli"
 
 
-@pytest.mark.parametrize("vals", ["0,0,3,4,6", "0,2,4,6,8", "0,2,3,5,8"])
+@pytest.mark.parametrize("vals", ["0,0,3,4,6", "0,2,4,6,8", "0,2,3,5,8", "0,2,4,6,8,10"])
 def test_det_verify_golden_report(vals, capsys):
     """`letterplace det verify --l <vals>` prints the recorded report, byte for
     byte; the files were recorded at format version 2."""
     assert main(["det", "verify", "--l", vals]) == 0
     expected = (GOLDEN / f"det_verify_{vals.replace(',', '_')}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_det_verify_golden_budget_counts(capsys):
+    """A capped run on the benchmark's largest instance prints the recorded
+    BudgetExceeded counts, byte for byte, and exits 3."""
+    assert main(["det", "verify", "--l", "0,2,4,6,8,10", "--pair-cap", "20"]) == 3
+    expected = (GOLDEN / "det_verify_0_2_4_6_8_10_pair_cap_20.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import letterplace.groebner as groebner
 from letterplace.errors import BudgetExceeded
 from letterplace.groebner import (
     Polynomial,
@@ -23,7 +25,7 @@ from letterplace.groebner import (
 )
 from letterplace.monomial import Monomial, elem_var, hilbert_numerator, nat_var, pair_var
 
-from util import ref_buchberger, ref_reduce, ref_s_polynomial
+from util import ref_buchberger, ref_interreduce_packed, ref_reduce, ref_s_polynomial
 
 X, Y, Z, W = elem_var(0), elem_var(1), elem_var(2), elem_var(3)
 LEX = lex_order([X, Y, Z])
@@ -374,6 +376,68 @@ def test_buchberger_ignores_input_order(order, system, data):
 @given(f=polynomials, basis=st.lists(polynomials, max_size=3))
 def test_reduce_matches_reference_engine(order, f, basis):
     assert reduce(f, basis, order) == ref_reduce(f, basis, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=150, deadline=None)
+@given(f=polynomials, basis=st.lists(polynomials, max_size=6))
+def test_reduce_by_descending_leading_terms_matches_reference_engine(order, f, basis):
+    # listed largest leading term first, the heads above a term are dropped
+    # from the front of the list, often several at once
+    basis = sorted(
+        (g for g in basis if g), key=lambda g: order.key(g.leading_monomial(order)), reverse=True
+    )
+    assert reduce(f, basis, order) == ref_reduce(f, basis, order)
+
+
+def interreductions(system, order):
+    """(heads, guard, result) of each _interreduce call while buchberger runs
+    on system; none if it runs out of budget."""
+    calls = []
+    interreduce = groebner._interreduce
+
+    def spy(heads, guard):
+        out = interreduce(heads, guard)
+        calls.append((heads, guard, out))
+        return out
+
+    with mock.patch.object(groebner, "_interreduce", spy):
+        try:
+            buchberger(system, order, pair_cap=2_000)
+        except BudgetExceeded:
+            return []
+    return calls
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(system=st.lists(polynomials, min_size=1, max_size=4))
+def test_interreduce_matches_reducing_every_tail(order, system):
+    for heads, guard, out in interreductions(system, order):
+        assert out == ref_interreduce_packed(heads, guard)
+        assert [next(iter(d)) for d in out] == [max(d) for d in out]
+
+
+def test_interreduce_reduces_a_tail_that_a_later_head_reaches():
+    # Under lex, x + y joins first and x reduces to -y, which joins later with
+    # the smaller leading term y: the tail y of x + y is reduced again, and it
+    # is the only normal form the interreduction computes.
+    x_plus_y, x, y = poly(([(X, 1)], 1), ([(Y, 1)], 1)), poly(([(X, 1)], 1)), poly(([(Y, 1)], 1))
+    tails = []
+    normal_form, interreduce = groebner._normal_form, groebner._interreduce
+
+    def counted(work, heads, guard):
+        tails.append(sorted(work))
+        return normal_form(work, heads, guard)
+
+    def spy(heads, guard):
+        with mock.patch.object(groebner, "_normal_form", counted):
+            return interreduce(heads, guard)
+
+    with mock.patch.object(groebner, "_interreduce", spy):
+        basis = buchberger([x_plus_y, x], LEX)
+    assert basis == [y, x] == ref_buchberger([x_plus_y, x], LEX)
+    assert tails == [[_Codec.holding(LEX, [x_plus_y]).unit[Y]]]
 
 
 CHAIN_VARS = (X, Y, Z, W)

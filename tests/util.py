@@ -814,6 +814,50 @@ def _ref_interreduce(basis, order) -> list:
     return out
 
 
+# -- reference interreduction on packed heads ----------------------------------
+#
+# The interreduction letterplace.groebner ran before it kept track of which
+# tails a later head can reach: every tail is reduced again, modulo the heads
+# with smaller leading terms, by a normal form that tests every head on every
+# term.
+
+
+def ref_normal_form_packed(work: dict, heads: list, guard: int) -> dict:
+    """Full normal form of the packed dict work modulo the monic (lt, tail)
+    heads: each term, largest first, is reduced by the first listed head whose
+    leading term divides it, or kept."""
+    work = dict(work)
+    remainder = {}
+    while work:
+        e = max(work)
+        c = work.pop(e)
+        for lt, tail in heads:
+            if ((e | guard) - lt) & guard == guard:
+                for te, tc in tail:
+                    t = te + e - lt
+                    assert not t & guard, "a product outgrew its fields"
+                    acc = work.get(t, 0) - c * tc
+                    if acc:
+                        work[t] = acc
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[e] = c
+    return remainder
+
+
+def ref_interreduce_packed(heads: list, guard: int) -> list:
+    """Reduced basis, as monic packed dicts sorted by leading term, from the
+    monic heads of a Groebner basis none of whose leading terms divides
+    another, each tail reduced modulo the heads before it."""
+    heads = sorted(heads, key=lambda h: h[0])
+    return [
+        {lt: 1, **ref_normal_form_packed(dict(tail), heads[:k], guard)}
+        for k, (lt, tail) in enumerate(heads)
+    ]
+
+
 # -- reference determinantal routes ----------------------------------------------
 #
 # The routes letterplace.determinantal used before it expanded each minor once,
