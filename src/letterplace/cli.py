@@ -14,7 +14,7 @@ import sys
 from .determinantal import LSequence, verify_main
 from .errors import BudgetExceeded, ExplosionGuard, ToolkitError
 from .homset import HomIdeal, enumerate_isotone
-from .ideals import _checked_support, coletterplace_ideal, letterplace_ideal
+from .ideals import _ascents_outside, _checked_support, coletterplace_ideal, letterplace_ideal
 from .monomial import (
     MonomialIdeal,
     _mask_vars,
@@ -156,7 +156,14 @@ def _cmd_dual_check(args) -> int:
     J = _load_homideal(args.ideal)
     L = letterplace_ideal(J)
     C = coletterplace_ideal(J)
-    ok = alexander_dual(C, L.universe or C.universe).gens == L.gens
+    if J.kind == "principal":
+        # the multichain route built L independently of C
+        ok = alexander_dual(C, L.universe or C.universe).gens == L.gens
+    else:
+        # L is the dual of C by construction.  Each generator of L is the
+        # ascent of a non-member; every such ascent meets every marker graph,
+        # so lies in the dual of C: L is the ideal of those ascents
+        ok = _ascents_outside(J, L)
     labels = J.poset.labels
     doc = {"dual_ok": ok, "letterplace": L.text_lines(labels), "coletterplace": C.text_lines(labels)}
     _emit(doc, args.output, args.format)

@@ -3,14 +3,15 @@
 The letterplace ideal of a HomIdeal J is generated by the ascent monomials of
 the maps in the complement filter; the co-letterplace ideal by the graph
 monomials of the minimal markers.  Both live in doubly indexed variables
-x[p,i] and are Alexander dual to each other.
+x[p,i] and are Alexander dual to each other, which is how every
+non-principal letterplace ideal is built.
 """
 
 from __future__ import annotations
 
 from .errors import InfiniteIdeal
-from .homset import HomIdeal, _floor, _isotone_maps, _strictly, check_isotone, enumerate_isotone
-from .monomial import MonomialIdeal, _of_sorted_pairs
+from .homset import HomIdeal, _floor, _isotone_maps, _strictly, check_isotone
+from .monomial import MonomialIdeal, _of_sorted_pairs, alexander_dual
 from .poset import Poset
 
 
@@ -36,25 +37,17 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal ascent monomials of the complement filter.
 
     A principal ideal takes the multichain description of
-    principal_letterplace_gens.  Otherwise the complement filter is
-    enumerated: maps with a value above the largest complement-generator value
-    never give inclusion-minimal ascents, so the enumeration stops at that
-    bound.  An empty ideal (complement = everything) yields the unit ideal,
-    flagged by MonomialIdeal.is_unit; J = Hom yields the zero ideal.
+    principal_letterplace_gens.  Any other J takes the duality theorem:
+    L(J, P) is the Alexander dual of the co-letterplace ideal L(P, J), and
+    `cap` bounds the marker walk of a cofinite J.  An empty ideal
+    (complement = everything) yields the unit ideal, flagged by
+    MonomialIdeal.is_unit; J = Hom yields the zero ideal.
     """
-    P = J.poset
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if J.kind == "principal":
-        return principal_letterplace_gens(P, J.alpha)
-    if not J.complement_gens():
-        return MonomialIdeal([])
-    bound = J.nmax()
-    below = _strictly(P.down)
-    gens = [
-        _of_sorted_pairs(_ascent_pairs(psi, below))
-        for psi in enumerate_isotone(P, bound, cap)
-        if not J.member(psi)
-    ]
-    return MonomialIdeal(gens)
+        return principal_letterplace_gens(J.poset, J.alpha)
+    return alexander_dual(coletterplace_ideal(J, cap))
 
 
 def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
@@ -97,6 +90,28 @@ def _checked_support(J: HomIdeal, L: MonomialIdeal) -> frozenset:
         if out != formula:
             raise AssertionError(f"support {sorted(out)} disagrees with the hull formula")
     return out
+
+
+def _ascents_outside(J: HomIdeal, L: MonomialIdeal) -> bool:
+    """True iff every generator of L is the ascent monomial of a map outside J.
+
+    A generator's map is read back along a linear extension of P: psi(p) is
+    the largest psi below p, raised to 1 + the largest i with x[p,i] in the
+    generator.  This psi is isotone, and no other map can have that ascent.
+    """
+    P = J.poset
+    below = _strictly(P.down)
+    order = sorted(range(P.n), key=lambda p: P.down[p].bit_count())
+    for g in L.gens:
+        pairs = [(v.a, v.b) for v, _ in g.exps]  # ascending, as _ascent_pairs lists them
+        psi = [0] * P.n
+        for p, i in pairs:
+            psi[p] = i + 1
+        for p in order:
+            psi[p] = max(psi[p], _floor(psi, below[p]))
+        if J.member(psi) or _ascent_pairs(psi, below) != pairs:
+            return False
+    return True
 
 
 def hull_map(J: HomIdeal) -> tuple:

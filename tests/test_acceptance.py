@@ -40,6 +40,7 @@ from letterplace.stable import borel_closure, dualize_ss, dualize_ss_bounded
 from util import (
     all_labeled_posets,
     artinian_ideals,
+    brute_letterplace,
     monomials_up_to,
     nonstrict_merge_map,
     poset_classes,
@@ -94,6 +95,8 @@ def test_criterion_2_alexander_duality():
         L = letterplace_ideal(J)
         C = coletterplace_ideal(J)
         assert alexander_dual(C, L.universe or C.universe).gens == L.gens
+        # L is built as the dual of C: the box walk keeps the check independent
+        assert L == brute_letterplace(J)
         extra += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

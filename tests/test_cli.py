@@ -432,6 +432,27 @@ def test_empty_finite_ideal_exit_zero(tmp_path, capsys, argv):
         assert json.loads(out)["support"] == []
 
 
+@pytest.mark.parametrize("kind", ["finite", "cofinite"])
+def test_dual_check_catches_a_dropped_coletterplace_generator(kind, capsys, monkeypatch):
+    # the letterplace ideal of a finite or cofinite J is the dual of the
+    # co-letterplace ideal, so dual-check certifies its generators as
+    # ascents of non-members: with one marker graph missing, some are not
+    import letterplace.cli
+    import letterplace.ideals
+
+    original = letterplace.ideals.coletterplace_ideal
+
+    def dropping(*args, **kwargs):
+        C = original(*args, **kwargs)
+        return MonomialIdeal._of_canonical(list(C.gens[1:]))
+
+    monkeypatch.setattr(letterplace.ideals, "coletterplace_ideal", dropping)
+    monkeypatch.setattr(letterplace.cli, "coletterplace_ideal", dropping)
+    code, out = run(capsys, "dual-check", "--ideal", str(GOLDEN / f"{kind}.json"))
+    assert code == 1
+    assert json.loads(out)["dual_ok"] is False
+
+
 def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monkeypatch):
     import letterplace.cli
     import letterplace.ideals

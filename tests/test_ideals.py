@@ -231,6 +231,27 @@ def test_letterplace_principal_beyond_enumeration_reach():
     assert L.gens == principal_letterplace_gens(J.poset, J.alpha).gens
 
 
+def test_negative_cap_is_rejected_for_every_kind():
+    for J in (
+        HomIdeal.principal(chain(2), (0, 1)),
+        HomIdeal.finite(chain(2), [(0, 0)]),
+        HomIdeal.cofinite(chain(2), [(1, 1)]),
+    ):
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            letterplace_ideal(J, cap=-1)
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            support(J, cap=-1)
+
+
+def test_finite_letterplace_does_not_walk_the_value_box():
+    # {k*e_1 : k < 7} on antichain(6): a walk over the 8**6 maps valued <= nmax = 7
+    # would pass the cap; the ideal has one generator per element
+    J = HomIdeal.finite(antichain(6), [(k, 0, 0, 0, 0, 0) for k in range(7)])
+    L = letterplace_ideal(J, cap=1000)
+    assert L.gens == MonomialIdeal([pairs_mono((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))]
+                                   + [pairs_mono((p, 0)) for p in range(1, 6)]).gens
+
+
 def test_support_hull_check_raises():
     J = HomIdeal.principal(chain(2), (0, 1))
     assert _checked_support(J, letterplace_ideal(J)) == {(0, 0), (1, 0), (1, 1)}
@@ -280,6 +301,23 @@ def test_pair_table_builders_match_sorted_var_oracle(data):
     assert letterplace_ideal(J) == MonomialIdeal(map(ref_pairs_monomial, ascents))
     graphs = [m.graph() for m in J.minimal_markers()]
     assert coletterplace_ideal(J) == MonomialIdeal(map(ref_pairs_monomial, graphs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_finite_and_cofinite_letterplace_match_the_box_walk(data):
+    # the dual of the co-letterplace ideal against the ascents of every
+    # non-member in the value box, generators, universe and flags alike
+    P = data.draw(st.sampled_from(POSETS_UP_TO_4))
+    pool = enumerate_isotone(P, 3)
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    if data.draw(st.booleans()):
+        J = HomIdeal.finite(P, [m for m in pool if any(dominates(g, m) for g in picks)])
+    else:
+        J = HomIdeal.cofinite(P, picks)
+    L, want = letterplace_ideal(J), brute_letterplace(J)
+    assert L == want
+    assert (L.is_unit, L.is_zero) == (want.is_unit, want.is_zero)
 
 
 @settings(max_examples=150, deadline=None)

@@ -33,7 +33,6 @@ from letterplace.homset import (
     enumerate_isotone,
     minimal_of,
 )
-from letterplace.ideals import ascent
 from letterplace.monomial import (
     IntPoly,
     Monomial,
@@ -374,14 +373,20 @@ def ascent_via_filters(P: Poset, phi) -> frozenset:
 
 def brute_letterplace(J: HomIdeal) -> MonomialIdeal:
     """Oracle for letterplace_ideal: minimal ascent monomials of every
-    non-member map valued <= the largest complement-generator value."""
+    non-member map valued <= the largest complement-generator value, each
+    ascent read off P.leq, through the general constructors.  The elements
+    below each p and the variables x[p,i] are listed once per ideal."""
     if not J.complement_gens():
         return MonomialIdeal([])
-    return MonomialIdeal(
-        Monomial((pair_var(p, i), 1) for p, i in ascent(J.poset, psi))
-        for psi in enumerate_isotone(J.poset, J.nmax())
-        if not J.member(psi)
-    )
+    P, top = J.poset, J.nmax()
+    below = [[q for q in range(P.n) if q != p and P.leq(q, p)] for p in range(P.n)]
+    x = [[pair_var(p, i) for i in range(top)] for p in range(P.n)]
+    gens = []
+    for psi in enumerate_isotone(P, top):
+        if not J.member(psi):
+            floors = [max([psi[q] for q in below[p]], default=0) for p in range(P.n)]
+            gens.append(Monomial((x[p][i], 1) for p in range(P.n) for i in range(floors[p], psi[p])))
+    return MonomialIdeal(gens)
 
 
 def ref_project_ideal(I: MonomialIdeal, f) -> MonomialIdeal:
