@@ -12,14 +12,13 @@ never truncated silently.
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .errors import BudgetExceeded
-from .monomial import Monomial, MonomialIdeal, Var, _of_exponent_list, parse_monomial
+from .monomial import Monomial, MonomialIdeal, Var, _of_exponent_list
 
 
 class TermOrder:
@@ -120,35 +119,6 @@ class Polynomial:
 
     def __repr__(self):
         return self.text()
-
-
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-
-
-def parse_polynomial(text: str, family: str = "pair") -> Polynomial:
-    """Parse the sign-prefixed text form emitted by Polynomial.text.
-
-    In each term, factors that start with a letter are variables, read by
-    parse_monomial with the given family; the others are rational coefficients.
-    """
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return Polynomial()
-    if text[0] not in "+-":
-        text = "+" + text
-    terms = []
-    for chunk in _TERM_SPLIT.split(text):
-        if not chunk:
-            continue
-        coeff = Fraction(-1 if chunk[0] == "-" else 1)
-        factors = []
-        for piece in chunk[1:].split("*"):
-            if piece[:1].isalpha():
-                factors.append(piece)
-            else:
-                coeff *= Fraction(piece)
-        terms.append((parse_monomial("*".join(factors) or "1", family=family), coeff))
-    return Polynomial(terms)
 
 
 # -- packed exponents ----------------------------------------------------------

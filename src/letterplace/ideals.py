@@ -29,10 +29,6 @@ def _ascent_pairs(phi, below) -> list:
     return [(p, i) for p, top in enumerate(phi) for i in range(_floor(phi, below[p]), top)]
 
 
-def graph_pairs(phi) -> frozenset:
-    return frozenset((p, v) for p, v in enumerate(phi))
-
-
 def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal ascent monomials of the complement filter.
 
@@ -64,9 +60,9 @@ def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
             return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, graphs=True))
         # members come lexicographically and all have degree n: sort_key order
         return MonomialIdeal._of_canonical([_of_sorted_pairs(enumerate(m)) for m in J.members()])
-    gens = [_of_sorted_pairs(sorted(m.graph())) for m in J.minimal_markers(cap)]
-    # minimal markers have distinct graphs, none inside another
-    return MonomialIdeal._of_minimal(gens)
+    # minimal markers have distinct graphs, none inside another, and come by
+    # (domain size, sorted graph), which is sort_key order of their monomials
+    return MonomialIdeal._of_canonical([_of_sorted_pairs(sorted(m.graph())) for m in J.minimal_markers(cap)])
 
 
 def support(J: HomIdeal, cap: int = 10**7) -> frozenset:

@@ -136,12 +136,6 @@ class Monomial:
     def degree(self) -> int:
         return self._deg
 
-    def exp(self, v: Var) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
     def support(self) -> frozenset:
         return frozenset(v for v, _ in self.exps)
 
@@ -386,7 +380,7 @@ class MonomialIdeal:
         return max((g.degree() for g in self.gens), default=0)
 
     def with_universe(self, universe: Iterable[Var]) -> "MonomialIdeal":
-        return MonomialIdeal._of_minimal(self.gens, universe)  # gens are minimal already
+        return MonomialIdeal._of_canonical(self.gens, universe)  # gens are canonical already
 
     def __eq__(self, other):
         return (
@@ -756,8 +750,8 @@ def _mask_split(masks: tuple, bit: int, planes: list) -> tuple:
     holders with bit cleared, and the x-free g that no quotient is a subset
     of, which are counted into them.  No other pair can be comparable, since
     `masks` is an antichain.  An x-free g is first looked up minus one bit
-    among the sorted quotients, and only if that fails tested against the
-    quotients bucketed by lowest bit.
+    among the sorted quotients, and only if that fails tested against every
+    quotient.
     """
     plus = [g for g in masks if not g & bit]
     held = [g for g in masks if g & bit]
@@ -777,7 +771,6 @@ def _mask_split(masks: tuple, bit: int, planes: list) -> tuple:
         union |= p
     while colon_planes and not colon_planes[-1]:
         colon_planes.pop()
-    by_low = None
     kept = []
     for g in plus:
         # most x-free g hold a quotient with one bit less, which then misses
@@ -795,22 +788,8 @@ def _mask_split(masks: tuple, bit: int, planes: list) -> tuple:
                 break
             rest ^= low
         else:
-            if by_low is None:
-                # a quotient inside g has its lowest bit in g: only those
-                # bits of g that are some quotient's lowest bit are looked up
-                by_low, lows = {}, 0
-                for q in quotients:
-                    low = q & -q
-                    by_low.setdefault(low, []).append(q)
-                    lows |= low
             outside = ~g
-            rest = g & lows
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if any(not q & outside for q in by_low.get(low, ())):
-                    break
-            else:
+            if all(q & outside for q in quotients):
                 kept.append(g)
     if kept:
         colon_planes = _bit_planes(kept, colon_planes)

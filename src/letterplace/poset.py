@@ -125,17 +125,25 @@ class Poset:
         return all(not self.comparable(p, q) for i, p in enumerate(S) for q in S[:i])
 
     def ideals(self) -> list:
-        """All order ideals, as frozensets.  Exponential; fine for small n."""
-        out = []
-        for mask in range(1 << self.n):
-            ok = True
-            for p in range(self.n):
-                if mask >> p & 1 and self.down[p] & ~mask:
-                    ok = False
-                    break
-            if ok:
-                out.append(_mask_to_set(mask))
-        return out
+        """All order ideals, as frozensets, in increasing order of their masks.
+
+        An ideal grows only by the elements after its last one in a linear
+        extension (elements by down-set size) whose strict down-set it
+        holds, so each ideal is reached once, in O(n) work.
+        """
+        order = sorted(range(self.n), key=lambda p: self.down[p].bit_count())
+        below = [self.down[p] ^ 1 << p for p in order]
+        found = [0]
+        stack = [(0, 0)]  # (ideal, first position in order it may grow by)
+        while stack:
+            mask, start = stack.pop()
+            for k in range(start, self.n):
+                if not below[k] & ~mask:
+                    grown = mask | 1 << order[k]
+                    found.append(grown)
+                    stack.append((grown, k + 1))
+        found.sort()
+        return [_mask_to_set(m) for m in found]
 
     # -- identity / serialization -------------------------------------------
 
@@ -190,7 +198,8 @@ def _mask_to_set(mask: int) -> frozenset:
 
 
 def _close(n: int, covers) -> tuple:
-    """Reflexive-transitive closure of the cover digraph; rejects cycles."""
+    """Reflexive-transitive closure of the cover digraph, by a depth-first
+    walk on an explicit stack; rejects cycles, naming an element on one."""
     succ = [0] * n
     for lower, upper in covers:
         if not (0 <= lower < n and 0 <= upper < n):
@@ -198,25 +207,30 @@ def _close(n: int, covers) -> tuple:
         succ[lower] |= 1 << upper
     up = [1 << p for p in range(n)]
     state = [0] * n  # 0 new, 1 active, 2 done
-
-    def visit(p):
-        if state[p] == 2:
-            return
-        if state[p] == 1:
-            raise CycleDetected(f"cycle through element {p}")
-        state[p] = 1
-        m = succ[p]
-        q = 0
-        while m:
-            if m & 1:
-                visit(q)
-                up[p] |= up[q]
-            m >>= 1
-            q += 1
-        state[p] = 2
-
-    for p in range(n):
-        visit(p)
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [[root, succ[root]]]  # depth-first: [element, successors not yet visited]
+        while stack:
+            frame = stack[-1]
+            p, rest = frame
+            if rest:
+                low = rest & -rest
+                frame[1] = rest ^ low
+                q = low.bit_length() - 1
+                if state[q] == 1:
+                    raise CycleDetected(f"cycle through element {q}")
+                if state[q]:
+                    up[p] |= up[q]
+                else:
+                    state[q] = 1
+                    stack.append([q, succ[q]])
+            else:
+                state[p] = 2
+                stack.pop()
+                if stack:
+                    up[stack[-1][0]] |= up[p]
     down = [0] * n
     for p in range(n):
         for q in range(n):

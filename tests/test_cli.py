@@ -74,6 +74,15 @@ def test_hom_enumerate(tmp_path, capsys):
     assert json.loads(out)["maps"] == [[0, 0], [0, 1], [1, 1]]
 
 
+def test_hom_enumerate_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 200
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}))
+    code, out = run(capsys, "hom", "enumerate", "--poset", str(path), "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["maps"] == [[0] * n]
+
+
 def test_project_and_regular_check(running_example, capsys):
     code, out = run(
         capsys, "project", "--ideal", str(running_example), "--side", "letterplace",

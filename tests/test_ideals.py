@@ -13,7 +13,6 @@ from letterplace.ideals import (
     _multichains,
     ascent,
     coletterplace_ideal,
-    graph_pairs,
     hull_map,
     letterplace_ideal,
     principal_letterplace_gens,
@@ -115,7 +114,7 @@ def test_coletterplace_finite_full_degree():
     C = coletterplace_ideal(J)
     members = set(J.members())
     assert {g.support() for g in C.gens} == {
-        frozenset(pair_var(p, v) for p, v in graph_pairs(m)) for m in members
+        frozenset(pair_var(p, v) for p, v in enumerate(m)) for m in members
     }
     assert all(g.degree() == P.n for g in C.gens)
 
@@ -219,7 +218,7 @@ def test_graph_meets_ascent_lemma_small():
                     continue
                 amoves = ascent(P, psi)
                 for phi in members:
-                    assert graph_pairs(phi) & amoves
+                    assert not amoves.isdisjoint(enumerate(phi))
 
 
 def test_letterplace_principal_beyond_enumeration_reach():
@@ -367,8 +366,8 @@ def test_multichains_match_recursive_oracle(data):
 
 
 def test_principal_and_coletterplace_gens_are_minimal_by_construction():
-    # MonomialIdeal._of_minimal skips minimalization; the general
-    # constructor must find nothing to drop or reorder
+    # MonomialIdeal._of_canonical skips minimalization and sorting; the
+    # general constructor must find nothing to drop or reorder
     rng = random.Random(41)
     for P in [P for n in range(5) for P in poset_classes(n)]:
         built = [principal_letterplace_gens(P, alpha) for alpha in enumerate_isotone(P, 3)]
@@ -376,3 +375,4 @@ def test_principal_and_coletterplace_gens_are_minimal_by_construction():
         built += [coletterplace_ideal(random_cofinite_ideal(P, rng)) for _ in range(8)]
         for I in built:
             assert MonomialIdeal(I.gens, I.universe) == I
+

@@ -58,7 +58,7 @@ def mono(*pairs):
 def test_monomial_basics():
     m = mono((x, 2), (y, 1))
     assert m.degree() == 3
-    assert m.exp(x) == 2 and m.exp(z) == 0
+    assert dict(m.exps).get(x, 0) == 2 and dict(m.exps).get(z, 0) == 0
     assert (m / mono((x, 1))) == mono((x, 1), (y, 1))
     assert mono((x, 1)).divides(m)
     assert not mono((z, 1)).divides(m)
@@ -163,8 +163,9 @@ def test_alexander_dual_of_perfect_matching():
     M = MonomialIdeal(mono((vs[2 * k], 1), (vs[2 * k + 1], 1)) for k in range(n))
     D = alexander_dual(M)
     assert len(D.gens) == 2 ** n
-    assert all(g.degree() == n and all(g.exp(vs[2 * k]) + g.exp(vs[2 * k + 1]) == 1 for k in range(n))
-               for g in D.gens)
+    for g in D.gens:
+        e = dict(g.exps)
+        assert g.degree() == n and all(e.get(vs[2 * k], 0) + e.get(vs[2 * k + 1], 0) == 1 for k in range(n))
     assert height(M) == n
 
 
@@ -390,7 +391,7 @@ def test_kernel_arithmetic_matches_general_constructor(a, b):
     assert same_monomial(a.lcm(b), [(v, max(ea.get(v, 0), eb.get(v, 0))) for v in both])
     assert same_monomial(a.colon(b), [(v, max(e - eb.get(v, 0), 0)) for v, e in a.exps])
     g = Monomial((v, min(e, eb.get(v, 0))) for v, e in a.exps)  # a divisor of a
-    assert same_monomial(a / g, [(v, e - g.exp(v)) for v, e in a.exps])
+    assert same_monomial(a / g, [(v, e - dict(g.exps).get(v, 0)) for v, e in a.exps])
     assert same_monomial(a / a, [])
     if not all(ea.get(v, 0) >= e for v, e in b.exps):
         with pytest.raises(ValueError, match="does not divide"):
@@ -493,6 +494,24 @@ def test_pivot_colon_matches_minimalized_colons(gens):
             assert colon == tuple(sorted(sum(1 << first[w] for w, _ in q.exps) for q in ref))
 
 
+def test_colon_scan_drops_a_mask_the_lookup_misses():
+    # I = (x0 x2, x0 x4, x1 x2 x3 x4) pivots on x0 with quotients x2 and x4;
+    # x1 x2 x3 x4 has the two bits x1, x3 outside them, so the one-bit
+    # lookup skips it and only the scan finds x2 inside it: I : x0 = (x2, x4)
+    xs = [elem_var(i) for i in range(5)]
+    I = MonomialIdeal(
+        [mono((xs[0], 1), (xs[2], 1)), mono((xs[0], 1), (xs[4], 1)), mono(*((xs[i], 1) for i in range(1, 5)))]
+    )
+    masks, _ = _polarize(I.gens)
+    assert masks == (0b00101, 0b10001, 0b11110)
+    counts = ref_bit_counts(masks)
+    assert min(b for b, k in counts.items() if k == max(counts.values())) == 0b1  # the pivot is x0
+    plus, _, colon, _ = _mask_split(masks, 0b1, _bit_planes(masks))
+    assert plus == (0b11110,)
+    assert colon == (0b00100, 0b10000)
+    assert hilbert_numerator(I) == ref_hilbert_numerator(I)
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=24))
 @example(drawn=[(1, True)] * 5)  # part planes [1, 0, 1]: a zero plane below a nonzero one
@@ -581,7 +600,7 @@ def test_level_polarization_keeps_lcm_degrees(gens):
     I = MonomialIdeal(gens)
     masks, levels = _polarize(I.gens)
     assert levels == sorted({(v, e) for g in I.gens for v, e in g.exps})
-    mask_of = {g: sum(1 << b for b, (v, e) in enumerate(levels) if e <= g.exp(v)) for g in I.gens}
+    mask_of = {g: sum(1 << b for b, (v, e) in enumerate(levels) if e <= dict(g.exps).get(v, 0)) for g in I.gens}
     assert masks == tuple(sorted(mask_of.values()))
     assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
     weights = level_weights(levels)
@@ -651,8 +670,9 @@ def test_transversals_match_berge(supports):
 @settings(max_examples=300, deadline=None)
 @given(gens=st.lists(squarefree_monomials, max_size=9))
 def test_alexander_dual_and_with_universe_are_minimal_by_construction(gens):
-    # MonomialIdeal._of_minimal skips minimalization; the general
-    # constructor must find nothing to drop or reorder
+    # both build through MonomialIdeal._of_canonical, which skips
+    # minimalization and sorting; the general constructor must find nothing
+    # to drop or reorder
     I = MonomialIdeal(gens)
     for built in (alexander_dual(I, MIXED_VARS), I.with_universe(MIXED_VARS)):
         assert MonomialIdeal(built.gens, built.universe) == built

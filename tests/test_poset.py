@@ -1,13 +1,14 @@
 """Poset construction, closures, and subset classification."""
 
 import json
+import sys
 
 import pytest
 
 from letterplace.errors import CycleDetected, IdentifierOutOfRange
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
-from util import all_labeled_posets, is_antichain_poset, is_filter, opposite
+from util import all_labeled_posets, brute_ideals, is_antichain_poset, is_filter, opposite
 
 
 def fence():
@@ -43,6 +44,18 @@ def test_cycle_rejected():
         poset_from_covers(2, [(0, 1), (1, 0)])
     with pytest.raises(CycleDetected):
         poset_from_covers(3, [(0, 1), (1, 2), (2, 0)])
+    # the error names an element on the cycle, not the tail that leads to it
+    with pytest.raises(CycleDetected, match="cycle through element 1$"):
+        poset_from_covers(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+
+
+def test_closure_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    P = chain(n)
+    assert P.up[0] == P.down[n - 1] == (1 << n) - 1
+    assert P.leq(0, n - 1) and not P.leq(n - 1, 0)
+    with pytest.raises(CycleDetected):
+        poset_from_covers(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_identifier_range_rejected():
@@ -137,6 +150,14 @@ def test_ideals_enumeration():
     P = chain(3)
     got = sorted(tuple(sorted(s)) for s in P.ideals())
     assert got == [(), (0,), (0, 1), (0, 1, 2)]
+    # 41 ideals of the 2^40 subsets: the enumeration must not filter them all
+    assert [sorted(s) for s in chain(40).ideals()] == [list(range(k)) for k in range(41)]
+
+
+def test_ideals_match_brute_force_on_small_posets():
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            assert P.ideals() == brute_ideals(P)
 
 
 def test_json_round_trip_and_determinism():

@@ -297,6 +297,13 @@ def ref_stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
     return True
 
 
+def brute_ideals(P: Poset) -> list:
+    """Oracle for Poset.ideals: of all 2^n subsets, in increasing order of
+    their masks, those that hold every element below each of their own."""
+    subsets = (frozenset(p for p in range(P.n) if mask >> p & 1) for mask in range(1 << P.n))
+    return [S for S in subsets if all(q in S for p in S for q in range(P.n) if P.leq(q, p))]
+
+
 def brute_minimal_elements(items, below) -> set:
     """Oracle for monomial._minimal: the items with no other item below them."""
     items = set(items)
@@ -315,7 +322,7 @@ def brute_minimal_markers(J: HomIdeal) -> list:
     P = J.poset
     markers = {
         Marker.on(dom, {p: phi[p] for p in dom}, P.n)
-        for dom in P.ideals()
+        for dom in brute_ideals(P)
         for phi in brute_isotone(P, J.nmax())
     }
     markers = [m for m in markers if J.is_marker(m)]
