@@ -615,7 +615,32 @@ def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     weight w, ties to the lowest bit:
     K(I) = K(I + (x)) + t^w * K(I : x), with K(I + (x)) = (1-t^w) * K(drop x-gens).
     """
-    masks, levels = _polarize(ideal.gens)
+    return _numerator(*_polarize([g.exps for g in ideal.gens]))
+
+
+def _polarize(tables) -> tuple:
+    """(masks, levels): the level polarization of `tables`, a collection of
+    exponent tables, each of (key, exponent) pairs with distinct keys and
+    positive exponents, as Monomial.exps.  Each key gets one bit per distinct
+    exponent among the tables, in key order and then ascending exponent, and
+    levels[b] is the (key, exponent) of bit b; a table's mask holds the bits
+    of each of its keys up to its own exponent.  masks is the sorted tuple of
+    those masks.  The mask of an lcm is the OR of the masks, so polarizing
+    keeps and reflects divisibility and minimal tables give an antichain."""
+    levels = sorted(set().union(*tables))
+    upto, mask, last = {}, 0, None  # (key, e) -> the bits of key up to e
+    for b, level in enumerate(levels):
+        mask = (mask if level[0] == last else 0) | 1 << b
+        upto[level] = mask
+        last = level[0]
+    bits = upto.__getitem__
+    return tuple(sorted([sum(map(bits, t)) for t in tables])), levels
+
+
+def _numerator(masks: tuple, levels: list) -> IntPoly:
+    """K of a level polarization (see _polarize) whose masks are sorted,
+    distinct and none inside another: bit b weighs the gap between the
+    exponent of levels[b] and the level below it in its key."""
     weights = {}  # the bits of weight > 1
     for b, (v, e) in enumerate(levels):
         if b and levels[b - 1][0] == v:
@@ -623,23 +648,6 @@ def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
         if e > 1:
             weights[1 << b] = e
     return IntPoly(_hilbert_masks(masks, weights))
-
-
-def _polarize(gens) -> tuple:
-    """(masks, levels): the level polarization of `gens`.  Each variable gets
-    one bit per distinct exponent among the gens, in Var order and then
-    ascending exponent, and levels[b] is the (variable, exponent) of bit b; a
-    generator's mask holds the bits of each of its variables up to its own
-    exponent.  masks is the sorted tuple of those masks.  The mask of an lcm
-    is the OR of the masks, so polarizing keeps and reflects divisibility and
-    minimal gens give an antichain."""
-    levels = sorted({level for g in gens for level in g.exps})
-    upto, mask, last = {}, 0, None  # (v, e) -> the bits of v up to e
-    for b, level in enumerate(levels):
-        mask = (mask if level[0] == last else 0) | 1 << b
-        upto[level] = mask
-        last = level[0]
-    return tuple(sorted(sum(upto[level] for level in g.exps) for g in gens)), levels
 
 
 def _hilbert_masks(masks: tuple, weights: dict) -> dict:
@@ -827,5 +835,5 @@ def associated_primes(ideal: MonomialIdeal) -> set:
     """
     if ideal.is_zero:
         return set()
-    masks, levels = _polarize(ideal.gens)
+    masks, levels = _polarize([g.exps for g in ideal.gens])
     return {frozenset(v for v, _ in _mask_vars(t, levels)) for t in _transversals(masks)}

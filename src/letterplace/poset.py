@@ -199,7 +199,12 @@ def _mask_to_set(mask: int) -> frozenset:
 
 def _close(n: int, covers) -> tuple:
     """Reflexive-transitive closure of the cover digraph, by a depth-first
-    walk on an explicit stack; rejects cycles, naming an element on one."""
+    walk on an explicit stack; rejects cycles, naming an element on one.
+
+    The walk finishes an element after every element above it, so in
+    reverse finish order each element comes after its lower covers: its
+    down-set is complete when it is reached there, and goes to the down-sets
+    of its upper covers."""
     succ = [0] * n
     for lower, upper in covers:
         if not (0 <= lower < n and 0 <= upper < n):
@@ -207,6 +212,7 @@ def _close(n: int, covers) -> tuple:
         succ[lower] |= 1 << upper
     up = [1 << p for p in range(n)]
     state = [0] * n  # 0 new, 1 active, 2 done
+    finished = []
     for root in range(n):
         if state[root]:
             continue
@@ -228,14 +234,17 @@ def _close(n: int, covers) -> tuple:
                     stack.append([q, succ[q]])
             else:
                 state[p] = 2
+                finished.append(p)
                 stack.pop()
                 if stack:
                     up[stack[-1][0]] |= up[p]
-    down = [0] * n
-    for p in range(n):
-        for q in range(n):
-            if up[q] >> p & 1:
-                down[p] |= 1 << q
+    down = [1 << p for p in range(n)]
+    for p in reversed(finished):
+        rest, below = succ[p], down[p]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            down[low.bit_length() - 1] |= below
     return tuple(up), tuple(down)
 
 

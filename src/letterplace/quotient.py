@@ -5,18 +5,31 @@ fiber corresponds to dividing the polynomial ring by the differences of its
 variables.  Whether that basis of differences is a regular sequence for a
 quotient by a monomial ideal is detected exactly through Hilbert-series
 numerators: for graded linear forms the quotient is regular iff the numerator
-is unchanged by the substitution.
+is unchanged by the substitution.  The projected side is polarized and
+minimalized as bitmasks and goes to the Hilbert recursion as such; only
+project_ideal turns the kept masks into monomials.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import VariableOutsideSource
-from .monomial import MonomialIdeal, Var, _minimal, _of_exponent_list, elem_var, hilbert_numerator, nat_var, pair_var
+from .monomial import (
+    MonomialIdeal,
+    Var,
+    _make,
+    _mask_of,
+    _mask_vars,
+    _numerator,
+    _polarize,
+    elem_var,
+    hilbert_numerator,
+    nat_var,
+    pair_var,
+)
 from .poset import Poset
 
 
@@ -128,33 +141,64 @@ def fiber_kind(P: Poset, f: FiberMap) -> str:
 def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
     """Substitute x[p,i] -> target variable; exponents accumulate; minimalize.
 
-    Each generator becomes an exponent row over the sorted targets, with its
-    degree and its support as a mask over the columns.  Equal rows are kept
-    once, and the rows are minimalized by the masks first and then
-    componentwise; only the kept rows become monomials.
+    The kept masks of _projection become monomials over the sorted targets.
+    A mask holds the bits of each of its columns up to the column's
+    exponent, so that exponent is the level of its highest bit there: a bit
+    of the mask whose next bit is unset or starts the next column.  Those
+    bits ascend with the columns, so they give the exponent table in order.
+    """
+    targets, masks, levels = _projection(I, f)
+    ends, entry = 0, []  # ends: the bit of the highest level of each column
+    for b, (k, e) in enumerate(levels):
+        if b + 1 == len(levels) or levels[b + 1][0] != k:
+            ends |= 1 << b
+        entry.append(((targets[k], e), e, _mask_of((targets[k],))))
+    gens = []
+    for m in masks:
+        exps, deg, bits = [], 0, 0
+        for item, e, bit in _mask_vars(m & (ends | ~(m >> 1)), entry):
+            exps.append(item)
+            deg += e
+            bits |= bit
+        gens.append(_make(tuple(exps), deg, bits))
+    return MonomialIdeal._of_minimal(gens, targets)
+
+
+def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
+    """(targets, masks, levels): the sorted targets of f and the level
+    polarization (see monomial._polarize) of the image of I, minimal.
+
+    Each generator becomes an exponent row of (column, exponent) pairs over
+    the sorted targets; exponents accumulate, and equal rows give equal
+    masks, kept once.  Under polarization a proper divisor is exactly a
+    proper submask, so a mask is dropped when it contains a kept mask of
+    smaller popcount.  A level held only by dropped rows stays in levels:
+    its bit is in no kept mask, or always with the next level of its
+    column, so the weighted popcount of every OR of kept masks is still the
+    degree of the lcm.
     """
     targets = sorted(set(f.targets))
     column = {t: k for k, t in enumerate(targets)}
     where = {pair_var(p, i): column[t] for (p, i), t in zip(f.source, f.targets)}
-    width = len(targets)
-    rows = set()
+    rows = []
     for g in I.gens:
-        row = [0] * width
-        mask = 0
+        row = {}
         for v, e in g.exps:
             k = where.get(v)
             if k is None:
                 raise VariableOutsideSource(f"variable {v} not in the fiber map source")
-            row[k] += e
-            mask |= 1 << k
-        rows.add((g.degree(), tuple(row), mask))
-    kept = _minimal(rows, itemgetter(0, 1), _row_below)
-    return MonomialIdeal._of_minimal([_of_exponent_list(targets, row) for _, row, _ in kept], targets)
-
-
-def _row_below(a: tuple, b: tuple) -> bool:
-    """a <= b componentwise, for (degree, exponent row, support mask) triples."""
-    return not a[2] & ~b[2] and all(s <= t for s, t in zip(a[1], b[1]))
+            row[k] = row[k] + e if k in row else e
+        rows.append(row.items())
+    masks, levels = _polarize(rows)
+    kept, below, grade = [], [], -1  # below: the kept masks of smaller popcount
+    for m in sorted(set(masks), key=int.bit_count):
+        if m.bit_count() != grade:
+            grade, below = m.bit_count(), kept[:]
+        outside = ~m
+        if all(k & outside for k in below):
+            kept.append(m)
+    kept.sort()
+    return targets, tuple(kept), levels
 
 
 def regular_quotient_check(I: MonomialIdeal, f: FiberMap) -> bool:
@@ -164,6 +208,8 @@ def regular_quotient_check(I: MonomialIdeal, f: FiberMap) -> bool:
     independent linear forms multiplies the series by (1-t)^d exactly when the
     forms are regular; both sides then share the same numerator.  So the basis
     of fiber differences is regular iff the numerator of the projected ideal
-    equals the numerator of the source ideal.
+    equals the numerator of the source ideal.  The projected side never
+    becomes monomials: K runs on the kept masks of _projection.
     """
-    return hilbert_numerator(I) == hilbert_numerator(project_ideal(I, f))
+    _, masks, levels = _projection(I, f)
+    return hilbert_numerator(I) == _numerator(masks, levels)

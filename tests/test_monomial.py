@@ -472,7 +472,7 @@ def plane_counts(planes) -> dict:
 def test_pivot_colon_matches_minimalized_colons(gens):
     # the mask split on every bit of the polarization, and one bit past it
     I = MonomialIdeal(gens)
-    masks, _ = _polarize(I.gens)
+    masks, _ = _polarize([g.exps for g in I.gens])
     assert masks == minimal_masks(masks)  # sorted, distinct, none inside another
     planes = _bit_planes(masks)
     assert plane_counts(planes) == ref_bit_counts(masks)
@@ -502,7 +502,7 @@ def test_colon_scan_drops_a_mask_the_lookup_misses():
     I = MonomialIdeal(
         [mono((xs[0], 1), (xs[2], 1)), mono((xs[0], 1), (xs[4], 1)), mono(*((xs[i], 1) for i in range(1, 5)))]
     )
-    masks, _ = _polarize(I.gens)
+    masks, _ = _polarize([g.exps for g in I.gens])
     assert masks == (0b00101, 0b10001, 0b11110)
     counts = ref_bit_counts(masks)
     assert min(b for b, k in counts.items() if k == max(counts.values())) == 0b1  # the pivot is x0
@@ -534,7 +534,7 @@ def test_split_planes_match_fresh_counts(gens):
     # the planes a split hands down equal a fresh count of each part, at
     # every split of the pivot recursion (pivot: the bit in most masks, ties
     # to the lowest), down to the nodes where no bit is in two masks
-    masks, _ = _polarize(MonomialIdeal(gens).gens)
+    masks, _ = _polarize([g.exps for g in MonomialIdeal(gens).gens])
     stack = [(masks, _bit_planes(masks))]
     while stack:
         node, planes = stack.pop()
@@ -598,7 +598,7 @@ def test_level_polarization_keeps_lcm_degrees(gens):
     # the weighted popcount of the OR of any generators' masks is the degree
     # of their lcm, so K(t), fixed by the lcm lattice and its degrees, is kept
     I = MonomialIdeal(gens)
-    masks, levels = _polarize(I.gens)
+    masks, levels = _polarize([g.exps for g in I.gens])
     assert levels == sorted({(v, e) for g in I.gens for v, e in g.exps})
     mask_of = {g: sum(1 << b for b, (v, e) in enumerate(levels) if e <= dict(g.exps).get(v, 0)) for g in I.gens}
     assert masks == tuple(sorted(mask_of.values()))
@@ -622,7 +622,7 @@ def test_level_polarization_of_high_exponents():
     a, b, c = elem_var(0), elem_var(1), elem_var(2)
     I = MonomialIdeal([mono((a, 2500)), mono((a, 1250), (b, 1250)), mono((b, 2500)),
                        mono((a, 1), (b, 1), (c, 2500))])
-    masks, levels = _polarize(I.gens)
+    masks, levels = _polarize([g.exps for g in I.gens])
     assert len(levels) == 7 and level_weights(levels) == [1, 1249, 1250, 1, 1249, 1250, 2500]
     assert hilbert_numerator(I) == hilbert_incl_excl(I.gens)
 
@@ -715,6 +715,6 @@ def test_polarization_is_minimal_by_construction(gens):
     # polarizing keeps and reflects divisibility, so the minimal generators
     # give distinct masks, none a subset of another
     I = MonomialIdeal(gens)
-    masks, _ = _polarize(I.gens)
+    masks, _ = _polarize([g.exps for g in I.gens])
     assert len(set(masks)) == len(masks) == len(I.gens)
     assert not any(a != b and a & b == a for a in masks for b in masks)

@@ -4,11 +4,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterplace.errors import CycleDetected, IdentifierOutOfRange
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
-from util import all_labeled_posets, brute_ideals, is_antichain_poset, is_filter, opposite
+from util import all_labeled_posets, brute_ideals, is_antichain_poset, is_filter, opposite, ref_down
 
 
 def fence():
@@ -56,6 +58,25 @@ def test_closure_deeper_than_the_recursion_limit():
     assert P.leq(0, n - 1) and not P.leq(n - 1, 0)
     with pytest.raises(CycleDetected):
         poset_from_covers(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_down_masks_match_transposed_up_masks_small():
+    for n in range(6):
+        for P in all_labeled_posets(n):
+            assert P.down == ref_down(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_down_masks_match_transposed_up_masks_random_dags(data):
+    # edges a -> b with a before b in a drawn order, so the graph is acyclic;
+    # they need not be covers, and the element numbers are shuffled
+    n = data.draw(st.integers(1, 14))
+    order = data.draw(st.permutations(range(n)))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    covers = [(order[a], order[b]) for a, b in edges if a < b]
+    P = poset_from_covers(n, covers)
+    assert P.down == ref_down(P)
 
 
 def test_identifier_range_rejected():

@@ -10,16 +10,24 @@ from hypothesis import strategies as st
 from letterplace.errors import VariableOutsideSource
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import coletterplace_ideal, letterplace_ideal, support
-from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, _numerator, elem_var, nat_var, pair_var
 from letterplace.quotient import (
     FiberMap,
+    _projection,
     fiber_kind,
     project_ideal,
     regular_quotient_check,
 )
 from letterplace.poset import antichain, chain
 
-from util import nonstrict_merge_map, poset_classes, quotient_order_ok, ref_project_ideal, single_merge_maps
+from util import (
+    nonstrict_merge_map,
+    poset_classes,
+    quotient_order_ok,
+    ref_hilbert_numerator,
+    ref_project_ideal,
+    single_merge_maps,
+)
 
 
 def pairs_mono(*pairs):
@@ -131,19 +139,52 @@ def test_project_drops_duplicates_and_proper_divisors():
 TARGET_POOL = [elem_var(0), elem_var(1), nat_var(0), nat_var(2), pair_var(1, 0)]
 
 
+@st.composite
+def merged_pair_ideals(draw):
+    """(I, f): a random pair ideal with exponents 1 to 3 and a map of its
+    pairs onto at most three targets, so that images coincide and divide
+    one another."""
+    source = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=9, unique=True))
+    palette = draw(st.lists(st.sampled_from(TARGET_POOL), min_size=1, max_size=3, unique=True))
+    targets = draw(st.lists(st.sampled_from(palette), min_size=len(source), max_size=len(source)))
+    tables = draw(st.lists(st.dictionaries(st.sampled_from(source), st.integers(1, 3), max_size=4), max_size=8))
+    I = MonomialIdeal(Monomial((pair_var(p, i), e) for (p, i), e in t.items()) for t in tables)
+    return I, FiberMap.make(source, targets)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_project_ideal_matches_monomial_oracle(data):
-    # random squarefree pair ideals under maps onto at most three targets,
-    # so that images coincide and divide one another
-    source = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=9,
-                                unique=True))
-    palette = data.draw(st.lists(st.sampled_from(TARGET_POOL), min_size=1, max_size=3, unique=True))
-    targets = data.draw(st.lists(st.sampled_from(palette), min_size=len(source), max_size=len(source)))
-    fmap = FiberMap.make(source, targets)
-    supports = data.draw(st.lists(st.sets(st.sampled_from(source), max_size=4), max_size=8))
-    I = MonomialIdeal(pairs_mono(*s) for s in supports)
+@given(merged_pair_ideals())
+def test_project_ideal_matches_monomial_oracle(case):
+    I, fmap = case
     assert same_gens(project_ideal(I, fmap), ref_project_ideal(I, fmap))
+
+
+def test_projection_keeps_a_level_of_dropped_rows_only():
+    # p1 sends x[0,1]^2 x[1,0] to the row (2, 1), a multiple of the row
+    # (1, 1) of x[0,0] x[1,0]: it is dropped, and its level x0^2 is held by
+    # no kept row, yet stays a bit, always set together with the bit of x0^3
+    I = MonomialIdeal([Monomial([(pair_var(0, 0), 1), (pair_var(1, 0), 1)]),
+                       Monomial([(pair_var(0, 1), 2), (pair_var(1, 0), 1)]),
+                       Monomial([(pair_var(0, 0), 3)])])
+    fmap = FiberMap.projection_first([(0, 0), (0, 1), (1, 0)])
+    targets, masks, levels = _projection(I, fmap)
+    assert levels == [(0, 1), (0, 2), (0, 3), (1, 1)]
+    assert masks == (0b0111, 0b1001)  # x0^3 and x0 x1
+    projected = ref_project_ideal(I, fmap)
+    assert _numerator(masks, levels) == ref_hilbert_numerator(projected)
+    assert regular_quotient_check(I, fmap) == (ref_hilbert_numerator(I) == ref_hilbert_numerator(projected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merged_pair_ideals())
+def test_regular_quotient_check_matches_monomial_oracle(case):
+    # the projected side runs on masks only; the oracle projects through
+    # the general constructors and recurses on monomials
+    I, fmap = case
+    projected = ref_project_ideal(I, fmap)
+    _, masks, levels = _projection(I, fmap)
+    assert _numerator(masks, levels) == ref_hilbert_numerator(projected)
+    assert regular_quotient_check(I, fmap) == (ref_hilbert_numerator(I) == ref_hilbert_numerator(projected))
 
 
 def test_project_rejects_outside_variables():

@@ -297,6 +297,17 @@ def ref_stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
     return True
 
 
+def ref_down(P: Poset) -> tuple:
+    """Oracle for the down masks of Poset: the transpose of its up masks,
+    by a double loop over all pairs of elements."""
+    down = [0] * P.n
+    for p in range(P.n):
+        for q in range(P.n):
+            if P.up[q] >> p & 1:
+                down[p] |= 1 << q
+    return tuple(down)
+
+
 def brute_ideals(P: Poset) -> list:
     """Oracle for Poset.ideals: of all 2^n subsets, in increasing order of
     their masks, those that hold every element below each of their own."""
