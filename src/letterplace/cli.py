@@ -17,7 +17,6 @@ from .homset import HomIdeal, enumerate_isotone
 from .ideals import _ascents_outside, _checked_support, coletterplace_ideal, letterplace_ideal
 from .monomial import (
     MonomialIdeal,
-    _mask_vars,
     alexander_dual,
     elem_var,
     hilbert_numerator,
@@ -102,10 +101,7 @@ def write_ideal_file(I: MonomialIdeal, family: str, path=None) -> str:
 
 
 def _fiber_map(selector: str, ideal: MonomialIdeal) -> FiberMap:
-    used = 0
-    for g in ideal.gens:
-        used |= g._mask
-    pairs = sorted((v.a, v.b) for v in _mask_vars(used))
+    pairs = sorted({(v.a, v.b) for g in ideal.gens for v, _ in g.exps})
     if selector == "p1":
         return FiberMap.projection_first(pairs)
     if selector == "p2":

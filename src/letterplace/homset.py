@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
-from .monomial import _PAIR, _make, _minimal, _pair_entry
+from .monomial import _PAIR, _make, _minimal_masks, _pair_entry, _polarize
 from .poset import Poset, _int_list
 
 
@@ -89,29 +89,26 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     is raised as soon as there are more than cap of them.
 
     Depth first on an explicit stack, over sorted(elements): a frame is the
-    value tuple of a prefix and, with `graphs`, its graph's exponent table
-    and variable bits.  The last position is filled in one go.
+    value tuple of a prefix and, with `graphs`, its graph's exponent table.
+    The last position is filled in one go.
     """
     order = sorted(range(P.n) if elements is None else elements)
     m = len(order)
     if not m:
-        return [_make((), 0, 0)] if graphs else [()]
+        return [_make((), 0)] if graphs else [()]
     # the earlier positions below and above each position
     below = [[j for j in range(k) if P.down[p] >> order[j] & 1] for k, p in enumerate(order)]
     above = [[j for j in range(k) if P.up[p] >> order[j] & 1] for k, p in enumerate(order)]
     tops = [upper[p] for p in order]
     if graphs:
-        # the interned table entries and bits of x[p, v] for v in 0..upper[p]
-        parts = []
-        for p, top in zip(order, tops):
-            entries = [_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)]
-            parts.append(([e[0] for e in entries], [e[1] for e in entries]))
+        # the interned exponent items of x[p, v] for v in 0..upper[p]
+        parts = [[_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)] for p, top in zip(order, tops)]
     last = m - 1
     out = []
-    stack = [((), (), 0)]
+    stack = [((), ())]
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, exps, mask = pop()
+        prefix, exps = pop()
         k = len(prefix)
         lo = 0
         for j in below[k]:
@@ -124,16 +121,16 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
         if k < last:
             # pushed from the top down, so popped in ascending order
             if graphs:
-                items, bits = parts[k]
+                items = parts[k]
                 for v in range(hi, lo - 1, -1):
-                    push((prefix + (v,), exps + (items[v],), mask | bits[v]))
+                    push((prefix + (v,), exps + (items[v],)))
             else:
                 for v in range(hi, lo - 1, -1):
-                    push((prefix + (v,), (), 0))
+                    push((prefix + (v,), ()))
             continue
         if graphs:
-            items, bits = parts[k]
-            out += [_make(exps + (items[v],), m, mask | bits[v]) for v in range(lo, hi + 1)]
+            items = parts[k]
+            out += [_make(exps + (items[v],), m) for v in range(lo, hi + 1)]
         else:
             out += [prefix + (v,) for v in range(lo, hi + 1)]
         if cap is not None and len(out) > cap:
@@ -146,7 +143,10 @@ def minimal_of(maps: Iterable[tuple]) -> list:
     maps = {tuple(m) for m in maps}
     if len({len(m) for m in maps}) > 1:
         raise MixedPosets("maps have different lengths")
-    return sorted(_minimal(maps, lambda m: (sum(m), m), lambda u, v: dominates(v, u)))
+    # a map is the exponent table of its graph, and u <= v pointwise is divisibility
+    masks, _ = _polarize([[(p, a) for p, a in enumerate(m) if a] for m in maps])
+    of = dict(zip(masks, maps))
+    return sorted([of[m] for m in _minimal_masks(masks)])
 
 
 @dataclass(frozen=True)

@@ -44,29 +44,8 @@ def var_text(v: Var, labels=None, letter: str = "x") -> str:
     return f"{letter}[{v.a}]"
 
 
-# Each Var gets one bit on first sight; a monomial's support is the OR of the
-# bits of its variables.  The table only grows, and a bit never reaches output.
-_BIT = {}
-_BIT_VAR = []
-
-
-def _new_bit(v: Var) -> int:
-    b = _BIT[v] = 1 << len(_BIT_VAR)
-    _BIT_VAR.append(v)
-    return b
-
-
-def _mask_of(variables) -> int:
-    """The support mask of the given variables; new ones get a bit."""
-    mask = 0
-    for v in variables:
-        mask |= _BIT.get(v) or _new_bit(v)
-    return mask
-
-
-def _mask_vars(mask: int, table: list = _BIT_VAR):
-    """The entries of table at the bits set in mask, lowest bit first; by
-    default the variables of those bits."""
+def _mask_vars(mask: int, table: list):
+    """The entries of table at the bits set in mask, lowest bit first."""
     while mask:
         low = mask & -mask
         yield table[low.bit_length() - 1]
@@ -76,11 +55,10 @@ def _mask_vars(mask: int, table: list = _BIT_VAR):
 class Monomial:
     """Sparse exponent vector; immutable and hashable.  Empty product is 1.
 
-    Besides the sorted exponent table it carries its degree and its support
-    bitmask, so that divisibility is mostly decided without looking at `exps`.
+    Besides the sorted exponent table it carries its degree.
     """
 
-    __slots__ = ("exps", "_deg", "_mask")
+    __slots__ = ("exps", "_deg")
 
     def __init__(self, exps: Iterable = ()):
         acc = {}
@@ -91,23 +69,17 @@ class Monomial:
                 acc[v] = acc.get(v, 0) + e
         self.exps = tuple(sorted(acc.items()))
         self._deg = sum(acc.values())
-        self._mask = _mask_of(acc)
 
     @staticmethod
-    def _make(exps: tuple, deg: int, mask: int) -> "Monomial":
+    def _make(exps: tuple, deg: int) -> "Monomial":
         """The monomial with these parts, taken as they are: `exps` sorted
-        with positive exponents, `deg` their sum, `mask` the bits of their
-        variables.  Only for tables taken from existing monomials or built
-        over sorted variables; Monomial(...) checks its input."""
+        with positive exponents, `deg` their sum.  Only for tables taken
+        from existing monomials or built over sorted variables;
+        Monomial(...) checks its input."""
         m = _new_monomial(Monomial)
         m.exps = exps
         m._deg = deg
-        m._mask = mask
         return m
-
-    def __reduce__(self):
-        # the mask is only valid in the process that interned the bits
-        return Monomial, (self.exps,)
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -143,11 +115,9 @@ class Monomial:
         return self._deg == len(self.exps)
 
     def divides(self, other: "Monomial") -> bool:
-        if self._mask & ~other._mask or self._deg > other._deg:
+        if self._deg > other._deg:
             return False
-        if self._deg == len(self.exps):
-            return True
-        # Every variable of self occurs in other: walk both sorted tables.
+        # walk both sorted tables; a variable of self passed over is missing
         theirs = iter(other.exps)
         for v, e in self.exps:
             for w, f in theirs:
@@ -155,6 +125,10 @@ class Monomial:
                     if f < e:
                         return False
                     break
+                if w > v:
+                    return False
+            else:
+                return False
         return True
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -163,36 +137,27 @@ class Monomial:
             return other
         if not b:
             return self
-        if self._mask & other._mask:
-            acc = dict(a)
-            for v, e in b:
-                acc[v] = acc.get(v, 0) + e
-            exps = tuple(sorted(acc.items()))
-        else:  # disjoint supports: merge the two sorted tables
-            exps = tuple(sorted(a + b))
-        return _make(exps, self._deg + other._deg, self._mask | other._mask)
+        acc = dict(a)
+        for v, e in b:
+            acc[v] = acc.get(v, 0) + e
+        return _make(tuple(sorted(acc.items())), self._deg + other._deg)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if other does not divide self."""
-        if other._mask & ~self._mask or other._deg > self._deg:
+        if other._deg > self._deg:
             raise ValueError(f"{other} does not divide {self}")
         acc = dict(self.exps)
-        mask = self._mask
         for v, e in other.exps:
-            left = acc[v] - e
+            left = acc.get(v, 0) - e
             if left < 0:
                 raise ValueError(f"{other} does not divide {self}")
             if left:
                 acc[v] = left
             else:
                 del acc[v]
-                mask ^= _BIT[v]
-        return _make(tuple(acc.items()), self._deg - other._deg, mask)
+        return _make(tuple(acc.items()), self._deg - other._deg)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        mask = self._mask & other._mask
-        if not mask:
-            return _ONE
         theirs = dict(other.exps)
         exps = []
         deg = 0
@@ -203,20 +168,26 @@ class Monomial:
                     e = f
                 exps.append((v, e))
                 deg += e
-        return _make(tuple(exps), deg, mask)
+        return _make(tuple(exps), deg)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         acc = dict(self.exps)
         for v, e in other.exps:
             if acc.get(v, 0) < e:
                 acc[v] = e
-        return _make(tuple(sorted(acc.items())), sum(acc.values()), self._mask | other._mask)
+        return _make(tuple(sorted(acc.items())), sum(acc.values()))
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other, i.e. self / gcd(self, other)."""
-        if not self._mask & other._mask:
-            return self
-        return self / self.gcd(other)
+        theirs = dict(other.exps)
+        exps = []
+        deg = 0
+        for v, e in self.exps:
+            e -= theirs.get(v, 0)
+            if e > 0:
+                exps.append((v, e))
+                deg += e
+        return _make(tuple(exps), deg)
 
     def text(self, labels=None, letter: str = "x") -> str:
         return _text(self.exps, {}, labels, letter)
@@ -242,45 +213,31 @@ def _text(exps: tuple, names: dict, labels, letter: str) -> str:
 
 _new_monomial = object.__new__
 _make = Monomial._make
-_ONE = Monomial()
 
 
-# Each pair variable x[p,i] also gets one entry, ((x[p,i], 1), its bit),
-# keyed by the int pair (p, i), so that a squarefree pair monomial is read
-# from (p, i) ints without building or comparing Vars.  Like _BIT it only
-# grows, on demand.
+# Each pair variable x[p,i] gets its exponent item (x[p,i], 1), keyed by
+# the int pair (p, i), so that a squarefree pair monomial is read from
+# (p, i) ints without building or comparing Vars.  The table grows on demand.
 _PAIR = {}
 
 
 def _pair_entry(key: tuple) -> tuple:
-    v = pair_var(*key)
-    entry = _PAIR[key] = ((v, 1), _BIT.get(v) or _new_bit(v))
-    return entry
+    item = _PAIR[key] = (pair_var(*key), 1)
+    return item
 
 
 def _of_sorted_pairs(pairs) -> Monomial:
     """The squarefree monomial on distinct (p, i) int pairs given in
     ascending order, which is the Var order of their variables."""
-    exps = []
-    mask = 0
-    for key in pairs:
-        item, bit = _PAIR.get(key) or _pair_entry(key)
-        exps.append(item)
-        mask |= bit
-    return _make(tuple(exps), len(exps), mask)
+    exps = tuple([_PAIR.get(key) or _pair_entry(key) for key in pairs])
+    return _make(exps, len(exps))
 
 
 def _of_exponent_list(variables, exps) -> Monomial:
     """The monomial with exponent exps[i] >= 0 at variables[i], a sorted
     sequence of distinct variables."""
-    table = []
-    deg = mask = 0
-    for v, e in zip(variables, exps):
-        if e:
-            table.append((v, e))
-            deg += e
-            mask |= _BIT.get(v) or _new_bit(v)
-    return _make(tuple(table), deg, mask)
+    table = tuple([(v, e) for v, e in zip(variables, exps) if e])
+    return _make(table, sum(e for _, e in table))
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")
@@ -322,15 +279,19 @@ def parse_monomial(text: str, labels=None, family: str = "pair") -> Monomial:
 class MonomialIdeal:
     """Finitely generated monomial ideal with a fixed variable universe.
 
-    Generators are stored divisibility-minimal and canonically sorted.  The
-    unit ideal normalizes to the single generator 1; the zero ideal has no
+    Generators are stored divisibility-minimal (minimalized on their level
+    polarization, see _minimal_masks) and canonically sorted.  The unit
+    ideal normalizes to the single generator 1; the zero ideal has no
     generators.
     """
 
     __slots__ = ("gens", "universe")
 
     def __init__(self, gens: Iterable[Monomial] = (), universe: Iterable[Var] = None):
-        self._set(_minimal(gens, Monomial.sort_key, Monomial.divides), universe)
+        gens = list(gens)
+        masks, _ = _polarize([g.exps for g in gens])
+        of = dict(zip(masks, gens))  # equal masks are equal monomials
+        self._set(sorted([of[m] for m in _minimal_masks(masks)], key=Monomial.sort_key), universe)
 
     @classmethod
     def _of_minimal(cls, gens: Iterable[Monomial], universe: Iterable[Var] = None) -> "MonomialIdeal":
@@ -344,14 +305,12 @@ class MonomialIdeal:
         return object.__new__(cls)._set(gens, universe)
 
     def _set(self, gens: list, universe) -> "MonomialIdeal":
-        used = 0
-        for g in gens:
-            used |= g._mask
+        used = {v for g in gens for v, _ in g.exps}
         if universe is None:
-            universe = _mask_vars(used)
+            universe = used
         else:
             universe = set(universe)
-            if used & ~_mask_of(universe):
+            if not used <= universe:
                 raise ValueError("universe does not cover generator variables")
         self.gens = tuple(gens)
         self.universe = tuple(sorted(universe))
@@ -366,10 +325,8 @@ class MonomialIdeal:
         return bool(self.gens) and not self.gens[0]
 
     def contains(self, m: Monomial) -> bool:
-        # the mask test of divides, inlined: most generators fail it
-        outside = ~m._mask
         for g in self.gens:
-            if not g._mask & outside and g.divides(m):
+            if g.divides(m):
                 return True
         return False
 
@@ -402,25 +359,6 @@ class MonomialIdeal:
         return [_text(g.exps, names, labels, letter) for g in self.gens]
 
 
-def _minimal(items, key, below) -> list:
-    """Minimal elements of `items` under the order `below(x, y)` (x <= y),
-    sorted by `key`.
-
-    key(x)[0] is a grade that strictly increases along `below`, so two
-    distinct items of one grade are never comparable and each item is tested
-    only against the kept items of smaller grade.
-    """
-    out = []
-    grade, lower = None, 0
-    for x in sorted(set(items), key=key):
-        g = key(x)[0]
-        if g != grade:
-            grade, lower = g, len(out)
-        if not any(below(y, x) for y in out[:lower]):
-            out.append(x)
-    return out
-
-
 def minimalize(gens: Iterable[Monomial], universe=None) -> MonomialIdeal:
     """Divisibility-minimal generating set, canonically sorted."""
     return MonomialIdeal(gens, universe)
@@ -447,29 +385,25 @@ def alexander_dual(ideal: MonomialIdeal, universe=None) -> MonomialIdeal:
         raise NotSquarefree("alexander_dual requires squarefree generators")
     universe = tuple(sorted(universe)) if universe is not None else ideal.universe
     own = ideal.universe[::-1]
-    local = {v: 1 << j for j, v in enumerate(own)}
-    supports = []
-    for g in ideal.gens:
-        t = 0
-        for v, _ in g.exps:
-            t |= local[v]
-        supports.append(t)
-    table = [((v, 1), _BIT[v]) for v in own]
-    transversals = _transversals(supports)
+    table = [(v, 1) for v in own]
+    transversals = _transversals(_supports(ideal, own))
     transversals.sort(reverse=True)
     transversals.sort(key=int.bit_count)
     gens = []
     for t in transversals:
         exps = []
-        mask = 0
         while t:
             j = t.bit_length() - 1
-            item, bit = table[j]
-            exps.append(item)
-            mask |= bit
+            exps.append(table[j])
             t ^= 1 << j
-        gens.append(_make(tuple(exps), len(exps), mask))
+        gens.append(_make(tuple(exps), len(exps)))
     return MonomialIdeal._of_canonical(gens, universe)  # minimal transversals, see _transversals
+
+
+def _supports(ideal: MonomialIdeal, order) -> list:
+    """The support mask of each generator, with bit j for order[j]."""
+    local = {v: 1 << j for j, v in enumerate(order)}
+    return [sum([local[v] for v, _ in g.exps]) for g in ideal.gens]
 
 
 def _transversals(supports) -> list:
@@ -615,7 +549,8 @@ def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     weight w, ties to the lowest bit:
     K(I) = K(I + (x)) + t^w * K(I : x), with K(I + (x)) = (1-t^w) * K(drop x-gens).
     """
-    return _numerator(*_polarize([g.exps for g in ideal.gens]))
+    masks, levels = _polarize([g.exps for g in ideal.gens])
+    return _numerator(tuple(sorted(masks)), levels)
 
 
 def _polarize(tables) -> tuple:
@@ -624,9 +559,10 @@ def _polarize(tables) -> tuple:
     positive exponents, as Monomial.exps.  Each key gets one bit per distinct
     exponent among the tables, in key order and then ascending exponent, and
     levels[b] is the (key, exponent) of bit b; a table's mask holds the bits
-    of each of its keys up to its own exponent.  masks is the sorted tuple of
-    those masks.  The mask of an lcm is the OR of the masks, so polarizing
-    keeps and reflects divisibility and minimal tables give an antichain."""
+    of each of its keys up to its own exponent.  masks lists those masks in
+    table order.  The mask of an lcm is the OR of the masks, so polarizing
+    keeps and reflects divisibility, equal masks are equal tables and minimal
+    tables give an antichain."""
     levels = sorted(set().union(*tables))
     upto, mask, last = {}, 0, None  # (key, e) -> the bits of key up to e
     for b, level in enumerate(levels):
@@ -634,7 +570,23 @@ def _polarize(tables) -> tuple:
         upto[level] = mask
         last = level[0]
     bits = upto.__getitem__
-    return tuple(sorted([sum(map(bits, t)) for t in tables])), levels
+    return [sum(map(bits, t)) for t in tables], levels
+
+
+def _minimal_masks(masks) -> list:
+    """The distinct masks of `masks` that hold no other of them, by
+    ascending popcount.  On a level polarization (see _polarize) these are
+    the masks of the minimal tables: a proper divisor is a proper submask,
+    of smaller popcount, so each mask is tested only against the kept masks
+    of smaller popcount."""
+    kept, below, grade = [], [], -1  # below: the kept masks of smaller popcount
+    for m in sorted(set(masks), key=int.bit_count):
+        if m.bit_count() != grade:
+            grade, below = m.bit_count(), kept[:]
+        outside = ~m
+        if all(k & outside for k in below):
+            kept.append(m)
+    return kept
 
 
 def _numerator(masks: tuple, levels: list) -> IntPoly:
@@ -816,7 +768,7 @@ def height(ideal: MonomialIdeal) -> int:
     generator supports.  The zero ideal reports 0 (height undefined there);
     the unit ideal is rejected.
     """
-    transversals = _transversals({g._mask for g in ideal.gens})
+    transversals = _transversals(_supports(ideal, ideal.universe))
     if not transversals:
         raise ValueError("height of the unit ideal is undefined")
     return min(map(int.bit_count, transversals))

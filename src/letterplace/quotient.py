@@ -21,8 +21,8 @@ from .monomial import (
     MonomialIdeal,
     Var,
     _make,
-    _mask_of,
     _mask_vars,
+    _minimal_masks,
     _numerator,
     _polarize,
     elem_var,
@@ -152,15 +152,11 @@ def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
     for b, (k, e) in enumerate(levels):
         if b + 1 == len(levels) or levels[b + 1][0] != k:
             ends |= 1 << b
-        entry.append(((targets[k], e), e, _mask_of((targets[k],))))
+        entry.append((targets[k], e))
     gens = []
     for m in masks:
-        exps, deg, bits = [], 0, 0
-        for item, e, bit in _mask_vars(m & (ends | ~(m >> 1)), entry):
-            exps.append(item)
-            deg += e
-            bits |= bit
-        gens.append(_make(tuple(exps), deg, bits))
+        exps = tuple(_mask_vars(m & (ends | ~(m >> 1)), entry))
+        gens.append(_make(exps, sum(e for _, e in exps)))
     return MonomialIdeal._of_minimal(gens, targets)
 
 
@@ -169,10 +165,9 @@ def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
     polarization (see monomial._polarize) of the image of I, minimal.
 
     Each generator becomes an exponent row of (column, exponent) pairs over
-    the sorted targets; exponents accumulate, and equal rows give equal
-    masks, kept once.  Under polarization a proper divisor is exactly a
-    proper submask, so a mask is dropped when it contains a kept mask of
-    smaller popcount.  A level held only by dropped rows stays in levels:
+    the sorted targets; exponents accumulate.  The masks are minimalized by
+    monomial._minimal_masks, so equal rows are kept once and proper multiples
+    are dropped.  A level held only by dropped rows stays in levels:
     its bit is in no kept mask, or always with the next level of its
     column, so the weighted popcount of every OR of kept masks is still the
     degree of the lcm.
@@ -190,15 +185,7 @@ def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
             row[k] = row[k] + e if k in row else e
         rows.append(row.items())
     masks, levels = _polarize(rows)
-    kept, below, grade = [], [], -1  # below: the kept masks of smaller popcount
-    for m in sorted(set(masks), key=int.bit_count):
-        if m.bit_count() != grade:
-            grade, below = m.bit_count(), kept[:]
-        outside = ~m
-        if all(k & outside for k in below):
-            kept.append(m)
-    kept.sort()
-    return targets, tuple(kept), levels
+    return targets, tuple(sorted(_minimal_masks(masks))), levels
 
 
 def regular_quotient_check(I: MonomialIdeal, f: FiberMap) -> bool:

@@ -238,7 +238,7 @@ def test_max_ideal_power_criterion_all_posets_up_to_4():
                 assert verdict == ref_stable_exact(P, I)
                 combos = combinations_with_replacement(range(n), d)
                 built = [Monomial((elem_var(p), 1) for p in c) for c in combos]
-                assert {(g, g.degree(), g._mask) for g in I.gens} == {(g, g.degree(), g._mask) for g in built}
+                assert {(g, g.degree()) for g in I.gens} == {(g, g.degree()) for g in built}
 
 
 def test_image_of_complement_is_projected_letterplace():

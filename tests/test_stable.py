@@ -21,7 +21,14 @@ from letterplace.stable import (
     ss_from_homideal,
 )
 
-from util import eliahou_kervaire, linear_quotient_numerator, monomials_up_to, ref_homideal_from_ss
+from util import (
+    eliahou_kervaire,
+    linear_quotient_numerator,
+    monomials_up_to,
+    ref_borel_closure,
+    ref_homideal_from_ss,
+    ref_is_strongly_stable,
+)
 
 
 def emono(*pairs):
@@ -289,3 +296,19 @@ def test_strongly_stable_results_match_eliahou_kervaire(data):
         K = hilbert_numerator(R)
         assert K == eliahou_kervaire(R.gens)
         assert linear_quotient_numerator(R.gens) in (None, K)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_next_smaller_moves_match_all_exchanges(data):
+    # a universe of mixed kinds with gaps, so the next smaller variable is
+    # not the next index; drawn ideals are mostly not strongly stable
+    universe = sorted(data.draw(st.sets(st.sampled_from(
+        [elem_var(0), elem_var(2), elem_var(3), nat_var(1), nat_var(4)]), min_size=1)))
+    pool = [x for x in monomials_up_to(universe, 3) if x]
+    seeds = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    I = MonomialIdeal(seeds, universe)
+    assert is_strongly_stable(I) == ref_is_strongly_stable(I)
+    closure = borel_closure(seeds, universe)
+    assert closure == ref_borel_closure(seeds, universe)
+    assert is_strongly_stable(closure)

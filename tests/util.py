@@ -37,7 +37,6 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
-    _minimal,
     elem_var,
     height,
     pair_var,
@@ -316,7 +315,7 @@ def brute_ideals(P: Poset) -> list:
 
 
 def brute_minimal_elements(items, below) -> set:
-    """Oracle for monomial._minimal: the items with no other item below them."""
+    """Oracle for minimalization: the items with no other item below them."""
     items = set(items)
     return {x for x in items if not any(y != x and below(y, x) for y in items)}
 
@@ -491,6 +490,34 @@ def brute_alexander_dual_gens(I: MonomialIdeal):
     )
 
 
+def ref_is_strongly_stable(I: MonomialIdeal) -> bool:
+    """Oracle for stable.is_strongly_stable: every exchange of a generator's
+    variable for any smaller universe variable stays in the ideal."""
+    for g in I.gens:
+        for v in g.support():
+            base = g / Monomial.variable(v)
+            if not all(I.contains(base * Monomial.variable(u)) for u in I.universe if u < v):
+                return False
+    return True
+
+
+def ref_borel_closure(gens, universe) -> MonomialIdeal:
+    """Oracle for stable.borel_closure: the closure under every exchange of
+    a variable for a smaller universe variable."""
+    universe = sorted(universe)
+    seen = set()
+    stack = list(gens)
+    while stack:
+        m = stack.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        for v in m.support():
+            base = m / Monomial.variable(v)
+            stack += [base * Monomial.variable(u) for u in universe if u < v]
+    return MonomialIdeal(seen, universe)
+
+
 def ref_homideal_from_ss(I: MonomialIdeal) -> HomIdeal:
     """Oracle for stable.homideal_from_ss: minimal preimages of every monomial
     of I up to its largest generator degree."""
@@ -531,7 +558,7 @@ def ref_bit_counts(masks) -> dict:
 def ref_hilbert_colon(gens, x: Monomial) -> tuple:
     """I : x as the minimal elements of all the g : x, for I on gens, sorted
     by sort_key."""
-    return tuple(_minimal([g.colon(x) for g in gens], Monomial.sort_key, Monomial.divides))
+    return tuple(sorted(brute_minimal_elements([g.colon(x) for g in gens], ref_divides), key=Monomial.sort_key))
 
 
 def ref_hilbert_numerator(I: MonomialIdeal) -> IntPoly:
@@ -694,7 +721,8 @@ def nonstrict_merge_map(P, pairs):
                     for k in range(len(pairs))
                 )
                 fmap = FiberMap(tuple(pairs), targets)
-                assert fiber_kind(P, fmap) == "neither"
+                if fiber_kind(P, fmap) != "neither":
+                    raise AssertionError("a merge of two incomparable pairs in one column must be neither")
                 return fmap
     return None
 
@@ -858,7 +886,8 @@ def ref_normal_form_packed(work: dict, heads: list, guard: int) -> dict:
             if ((e | guard) - lt) & guard == guard:
                 for te, tc in tail:
                     t = te + e - lt
-                    assert not t & guard, "a product outgrew its fields"
+                    if t & guard:
+                        raise AssertionError("a product outgrew its fields")
                     acc = work.get(t, 0) - c * tc
                     if acc:
                         work[t] = acc
