@@ -101,7 +101,7 @@ def write_ideal_file(I: MonomialIdeal, family: str, path=None) -> str:
 
 
 def _fiber_map(selector: str, ideal: MonomialIdeal) -> FiberMap:
-    pairs = sorted({(v.a, v.b) for g in ideal.gens for v, _ in g.exps})
+    pairs = {(v.a, v.b) for g in ideal.gens for v, _ in g.exps}
     if selector == "p1":
         return FiberMap.projection_first(pairs)
     if selector == "p2":
@@ -150,15 +150,18 @@ def _cmd_letterplace(args, side: str) -> int:
 
 def _cmd_dual_check(args) -> int:
     J = _load_homideal(args.ideal)
-    L = letterplace_ideal(J)
-    C = coletterplace_ideal(J)
     if J.kind == "principal":
-        # the multichain route built L independently of C
+        # the multichain route builds L independently of C
+        L = letterplace_ideal(J)
+        C = coletterplace_ideal(J)
         ok = alexander_dual(C, L.universe or C.universe).gens == L.gens
     else:
-        # L is the dual of C by construction.  Each generator of L is the
-        # ascent of a non-member; every such ascent meets every marker graph,
-        # so lies in the dual of C: L is the ideal of those ascents
+        # L is the dual of C by construction, as letterplace_ideal builds it,
+        # so the markers are walked once.  Each generator of L is the ascent
+        # of a non-member; every such ascent meets every marker graph, so lies
+        # in the dual of C: L is the ideal of those ascents
+        C = coletterplace_ideal(J)
+        L = alexander_dual(C)
         ok = _ascents_outside(J, L)
     labels = J.poset.labels
     doc = {"dual_ok": ok, "letterplace": L.text_lines(labels), "coletterplace": C.text_lines(labels)}

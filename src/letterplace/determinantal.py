@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .errors import NotTerrace
 from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
-from .ideals import _multichains
-from .monomial import MonomialIdeal, _of_sorted_pairs, height, pair_var
+from .ideals import principal_letterplace_gens
+from .monomial import MonomialIdeal, _make, height, pair_var
 from .poset import chain
 
 
@@ -206,12 +206,13 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    # the shift is injective and keeps each multichain's pairs sorted, and a
-    # multichain is never a proper prefix of another, as in principal_letterplace_gens
-    return MonomialIdeal._of_minimal(
-        _of_sorted_pairs([(p + lo + j + a, j + a) for j, p in enumerate(c)])
-        for c in _multichains(chain(len(alpha)), alpha)
-    )
+    # on a chain the j-th pair of every generator is in column j, so the shift
+    # adds the same to the j-th pair of each: it keeps each generator's pairs
+    # and the generators in sort_key order
+    L = principal_letterplace_gens(chain(len(alpha)), alpha)
+    shifted = {v: (pair_var(v.a + lo + v.b + a, v.b + a), 1) for v in L.universe}  # exponent items
+    gens = [_make(tuple([shifted[v] for v, _ in g.exps]), g.degree()) for g in L.gens]
+    return MonomialIdeal._of_canonical(gens)
 
 
 def codim_formulas(seq: LSequence) -> dict:
@@ -258,10 +259,10 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     target = ly_ideal(iseq)
     diag_ok = _diagonal_leads(row, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
-    # each reduced element lists its leading term first, and the leading terms
-    # of a reduced basis divide none of each other
-    init = MonomialIdeal._of_minimal(codec.monomial(next(iter(d))) for d in basis)
-    initial_ok = init.gens == target.gens
+    # each reduced element lists its leading term first; the leading terms
+    # must be the target's generators, each once
+    leads = {codec.monomial(next(iter(d))) for d in basis}
+    initial_ok = len(basis) == len(target.gens) and leads == set(target.gens)
     codims = codim_formulas(seq)
     h = height(target)
     codim_ok = h == codims["from_i"] == codims["max_formula"]

@@ -294,14 +294,9 @@ class MonomialIdeal:
         self._set(sorted([of[m] for m in _minimal_masks(masks)], key=Monomial.sort_key), universe)
 
     @classmethod
-    def _of_minimal(cls, gens: Iterable[Monomial], universe: Iterable[Var] = None) -> "MonomialIdeal":
-        """MonomialIdeal(gens, universe) for distinct gens none of which divides another
-        (not checked): only sorts by sort_key and sets the universe."""
-        return cls._of_canonical(sorted(gens, key=Monomial.sort_key), universe)
-
-    @classmethod
     def _of_canonical(cls, gens: list, universe: Iterable[Var] = None) -> "MonomialIdeal":
-        """_of_minimal for gens that are already in sort_key order (not checked)."""
+        """MonomialIdeal(gens, universe) for distinct gens in sort_key order,
+        none of which divides another (not checked): only sets the universe."""
         return object.__new__(cls)._set(gens, universe)
 
     def _set(self, gens: list, universe) -> "MonomialIdeal":

@@ -308,7 +308,7 @@ def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
     """The d-th power of (x_p : p in P), generated by all degree-d monomials."""
     variables = [elem_var(p) for p in range(P.n)]
     gens = [_of_exponent_list(variables, e) for e in _compositions(P.n, d)]
-    return MonomialIdeal._of_minimal(gens, variables)  # distinct, all of degree d
+    return MonomialIdeal(gens, variables)
 
 
 def max_ideal_power_stable(P: Poset, d: int) -> tuple:

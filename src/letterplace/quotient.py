@@ -21,7 +21,6 @@ from .monomial import (
     MonomialIdeal,
     Var,
     _make,
-    _mask_vars,
     _minimal_masks,
     _numerator,
     _polarize,
@@ -139,39 +138,19 @@ def fiber_kind(P: Poset, f: FiberMap) -> str:
 
 
 def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
-    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize.
-
-    The kept masks of _projection become monomials over the sorted targets.
-    A mask holds the bits of each of its columns up to the column's
-    exponent, so that exponent is the level of its highest bit there: a bit
-    of the mask whose next bit is unset or starts the next column.  Those
-    bits ascend with the columns, so they give the exponent table in order.
-    """
-    targets, masks, levels = _projection(I, f)
-    ends, entry = 0, []  # ends: the bit of the highest level of each column
-    for b, (k, e) in enumerate(levels):
-        if b + 1 == len(levels) or levels[b + 1][0] != k:
-            ends |= 1 << b
-        entry.append((targets[k], e))
+    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize."""
+    targets, rows = _rows(I, f)
     gens = []
-    for m in masks:
-        exps = tuple(_mask_vars(m & (ends | ~(m >> 1)), entry))
-        gens.append(_make(exps, sum(e for _, e in exps)))
-    return MonomialIdeal._of_minimal(gens, targets)
+    for row in rows:
+        exps = tuple([(targets[k], e) for k, e in sorted(row.items())])
+        gens.append(_make(exps, sum(row.values())))
+    return MonomialIdeal(gens, targets)
 
 
-def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
-    """(targets, masks, levels): the sorted targets of f and the level
-    polarization (see monomial._polarize) of the image of I, minimal.
-
-    Each generator becomes an exponent row of (column, exponent) pairs over
-    the sorted targets; exponents accumulate.  The masks are minimalized by
-    monomial._minimal_masks, so equal rows are kept once and proper multiples
-    are dropped.  A level held only by dropped rows stays in levels:
-    its bit is in no kept mask, or always with the next level of its
-    column, so the weighted popcount of every OR of kept masks is still the
-    degree of the lcm.
-    """
+def _rows(I: MonomialIdeal, f: FiberMap) -> tuple:
+    """(targets, rows): the sorted targets of f and the exponent row of the
+    image of each generator of I, a dict {column: exponent} over targets;
+    exponents accumulate."""
     targets = sorted(set(f.targets))
     column = {t: k for k, t in enumerate(targets)}
     where = {pair_var(p, i): column[t] for (p, i), t in zip(f.source, f.targets)}
@@ -183,8 +162,23 @@ def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
             if k is None:
                 raise VariableOutsideSource(f"variable {v} not in the fiber map source")
             row[k] = row[k] + e if k in row else e
-        rows.append(row.items())
-    masks, levels = _polarize(rows)
+        rows.append(row)
+    return targets, rows
+
+
+def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
+    """(targets, masks, levels): the sorted targets of f and the level
+    polarization (see monomial._polarize) of the image of I, minimal.
+
+    The masks of the exponent rows of _rows are minimalized by
+    monomial._minimal_masks, so equal rows are kept once and proper multiples
+    are dropped.  A level held only by dropped rows stays in levels:
+    its bit is in no kept mask, or always with the next level of its
+    column, so the weighted popcount of every OR of kept masks is still the
+    degree of the lcm.
+    """
+    targets, rows = _rows(I, f)
+    masks, levels = _polarize([row.items() for row in rows])
     return targets, tuple(sorted(_minimal_masks(masks))), levels
 
 

@@ -60,8 +60,8 @@ def ss_from_homideal(J: HomIdeal) -> MonomialIdeal:
     """Project the letterplace ideal onto first coordinates; strongly stable."""
     _require_chain(J.poset)
     L = letterplace_ideal(J)
-    pairs = sorted({(v.a, v.b) for g in L.gens for v in g.support()})
-    out = project_ideal(L, FiberMap.projection_first(pairs)) if pairs else L
+    pairs = {(v.a, v.b) for g in L.gens for v, _ in g.exps}
+    out = project_ideal(L, FiberMap.projection_first(pairs))
     out = out.with_universe([elem_var(p) for p in range(J.poset.n)])
     if not is_strongly_stable(out):
         raise AssertionError("projected letterplace ideal must be strongly stable")
@@ -87,8 +87,8 @@ def dualize_ss(I: MonomialIdeal) -> MonomialIdeal:
     ideal of its HomIdeal onto second coordinates.  Generators have degree <= m."""
     J = homideal_from_ss(I)
     C = coletterplace_ideal(J)
-    pairs = sorted({(v.a, v.b) for g in C.gens for v in g.support()})
-    out = project_ideal(C, FiberMap.projection_second(pairs)) if pairs else C.with_universe([])
+    pairs = {(v.a, v.b) for g in C.gens for v, _ in g.exps}
+    out = project_ideal(C, FiberMap.projection_second(pairs))
     m = len(I.universe)
     if out.max_degree() > m:
         raise AssertionError(f"dual must be generated in degrees <= {m}")

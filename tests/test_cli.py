@@ -402,6 +402,10 @@ GOLDEN_IDEALS = ("principal", "finite", "cofinite")
         for cmd in ("project", "regular-check")
         for side, fmap in (("letterplace", "p1"), ("coletterplace", "p2"))
         for kind in GOLDEN_IDEALS
+    ]
+    + [
+        ("ss_dualize", ["ss", "dualize", "--gens", "ss_gens.txt"]),
+        ("ss_dualize_bound_3", ["ss", "dualize", "--gens", "ss_gens.txt", "--bound", "3"]),
     ],
 )
 def test_golden_stdout(name, argv, capsys):
@@ -409,7 +413,9 @@ def test_golden_stdout(name, argv, capsys):
 
     The inputs are a labelled fence a < c > b < d, one principal, one finite
     and one cofinite HomIdeal on it, and a monomial ideal in five variables
-    with exponents up to 3 for `hilbert`; `<name>.out` holds what
+    with exponents up to 3 for `hilbert`, and the strongly stable Borel
+    closure of x[1]^2*x[3] and x[0]*x[2]^2 in four variables for
+    `ss dualize`; `<name>.out` holds what
     `letterplace <argv>` printed when the outputs were recorded.  The fence
     is not a chain, so its p2 quotients are not regular and `regular-check`
     exits 1 on them.
@@ -460,6 +466,21 @@ def test_dual_check_catches_a_dropped_coletterplace_generator(kind, capsys, monk
     code, out = run(capsys, "dual-check", "--ideal", str(GOLDEN / f"{kind}.json"))
     assert code == 1
     assert json.loads(out)["dual_ok"] is False
+
+
+def test_dual_check_walks_the_cofinite_markers_once(capsys, monkeypatch):
+    # L of a cofinite J is the dual of C, so the markers behind C serve both
+    calls = []
+    original = HomIdeal.minimal_markers
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomIdeal, "minimal_markers", counting)
+    code, out = run(capsys, "dual-check", "--ideal", str(GOLDEN / "cofinite.json"))
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["dual_ok"] is True
 
 
 def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monkeypatch):

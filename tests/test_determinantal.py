@@ -165,8 +165,8 @@ def test_minors_and_ly_ideal_match_reference_routes():
 
 
 def test_ly_ideal_is_minimal_by_construction():
-    # MonomialIdeal._of_minimal skips minimalization; the general constructor
-    # must find nothing to drop or reorder
+    # MonomialIdeal._of_canonical skips minimalization and sorting; the
+    # general constructor must find nothing to drop or reorder
     for seq in SMALL_SEQUENCES:
         I = ly_ideal(seq)
         assert MonomialIdeal(I.gens, I.universe) == I, seq
@@ -347,25 +347,20 @@ def test_reduction_lemma_membership():
 
 
 def test_ly_ideal_builds_one_ideal(monkeypatch):
-    # the shifted generators go straight from the multichains into one ideal,
-    # by either constructor
+    # the shifted generators go straight from the principal letterplace
+    # generators into one ideal, never through the general constructor's
+    # minimalization
     builds = []
     init = MonomialIdeal.__init__
-    of_minimal = MonomialIdeal._of_minimal
 
     def counted(self, *args, **kwargs):
         builds.append("general")
         init(self, *args, **kwargs)
 
-    def counted_minimal(*args, **kwargs):
-        builds.append("minimal")
-        return of_minimal(*args, **kwargs)
-
     monkeypatch.setattr(MonomialIdeal, "__init__", counted)
-    monkeypatch.setattr(MonomialIdeal, "_of_minimal", counted_minimal)
     iseq = LSequence(0, (0, 1, 2, 3, 4))
     target = ly_ideal(iseq)
-    assert len(builds) == 1
+    assert builds == []
     monkeypatch.undo()
     assert target == ref_ly_ideal(iseq)
 

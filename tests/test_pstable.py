@@ -400,8 +400,9 @@ def test_bounded_matches_scan(instance):
 
 
 def test_artinian_ideals_are_minimal_by_construction():
-    # artinian_ideals builds through MonomialIdeal._of_minimal; the general
-    # constructor must give the same sequence of ideals
+    # artinian_ideals sorts its generators into MonomialIdeal._of_canonical,
+    # which skips minimalization; the general constructor must give the same
+    # sequence of ideals
     for n, maxdeg in [(0, 3), (1, 3), (2, 3), (3, 3), (4, 2)]:
         vs = [elem_var(p) for p in range(n)]
         general = [MonomialIdeal(gens, vs) for gens in artinian_generators(n, maxdeg)]
@@ -409,8 +410,8 @@ def test_artinian_ideals_are_minimal_by_construction():
 
 
 def test_maximal_ideal_power_is_minimal_by_construction():
-    # MonomialIdeal._of_minimal skips minimalization; the general
-    # constructor must find nothing to drop or reorder
+    # maximal_ideal_power builds through the general constructor, which
+    # must find nothing to drop or reorder
     for n in range(6):
         for d in range(4):
             I = maximal_ideal_power(antichain(n), d)

@@ -662,7 +662,7 @@ def artinian_ideals(n: int, maxdeg: int):
         # pure power: the generators are distinct and minimal.  Every
         # variable has its pure power, so the generators' variables are
         # the universe x[0..n-1].
-        yield MonomialIdeal._of_minimal(gens)
+        yield MonomialIdeal._of_canonical(sorted(gens, key=Monomial.sort_key))
 
 
 def _product_range(n, top):
