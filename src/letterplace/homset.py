@@ -20,15 +20,17 @@ from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
 from .monomial import _PAIR, _make, _minimal_masks, _pair_entry, _polarize
-from .poset import Poset, _int_list
+from .poset import Poset, _bits, _int_list
 
 
 def is_isotone(P: Poset, values) -> bool:
+    """values has one entry per element and never drops along a cover, so
+    never along the order the covers generate."""
     if len(values) != P.n:
         return False
     for p in range(P.n):
         v = values[p]
-        above = P.up[p] ^ 1 << p  # the elements strictly above p
+        above = P.upper[p]
         while above:
             low = above & -above
             if values[low.bit_length() - 1] < v:
@@ -44,19 +46,17 @@ def check_isotone(P: Poset, values) -> tuple:
     return values
 
 
-def _strictly(masks) -> list:
-    """For each element p, the other elements of masks[p], ascending: with
-    P.down the elements strictly below p, with P.up those strictly above."""
-    return [[q for q in range(len(masks)) if q != p and m >> q & 1] for p, m in enumerate(masks)]
-
-
-def _floor(values, below) -> int:
-    """The largest value over `below`, the elements strictly below some p
-    (values are non-negative); 0 at a minimal p."""
+def _floor(values, lower: int) -> int:
+    """The largest value on `lower`, the mask P.lower[p] of the elements p
+    covers; for values isotone below p (and non-negative), the largest value
+    strictly below p, and 0 at a minimal p."""
     top = 0
-    for q in below:
-        if values[q] > top:
-            top = values[q]
+    while lower:
+        low = lower & -lower
+        v = values[low.bit_length() - 1]
+        if v > top:
+            top = v
+        lower ^= low
     return top
 
 
@@ -170,11 +170,14 @@ class Marker:
 
 
 def check_marker_shape(P: Poset, m: Marker) -> None:
+    """The domain is an ideal, so the covers inside it generate its order,
+    and the values rise along each of them."""
     if not P.is_ideal(m.domain):
         raise ValueError(f"marker domain {sorted(m.domain)} is not a poset ideal")
+    inside = sum(1 << p for p in m.domain)
     for p in m.domain:
-        for q in m.domain:
-            if P.lt(p, q) and m.values[p] > m.values[q]:
+        for q in _bits(P.upper[p] & inside):
+            if m.values[p] > m.values[q]:
                 raise NotIsotone(f"marker values not isotone at {p} <= {q}")
 
 
@@ -200,10 +203,9 @@ class HomIdeal:
     @classmethod
     def finite(cls, P: Poset, maps: Iterable) -> "HomIdeal":
         maps = frozenset(check_isotone(P, m) for m in maps)
-        below = _strictly(P.down)
         for m in maps:
             for p in range(P.n):
-                if m[p] > _floor(m, below[p]):
+                if m[p] > _floor(m, P.lower[p]):
                     step = tuple(v - 1 if i == p else v for i, v in enumerate(m))
                     if step not in maps:
                         raise ValueError(
@@ -258,12 +260,11 @@ class HomIdeal:
         # stays isotone and lands inside).
         if not self.maps:
             return ((0,) * P.n,)
-        above = _strictly(P.up)
         raises = [
             m[:p] + (m[p] + 1,) + m[p + 1 :]
             for m in self.maps
             for p in range(P.n)
-            if all(m[q] > m[p] for q in above[p])
+            if all(m[q] > m[p] for q in _bits(P.upper[p]))
         ]
         return tuple(minimal_of(r for r in raises if r not in self.maps))
 

@@ -10,9 +10,9 @@ non-principal letterplace ideal is built.
 from __future__ import annotations
 
 from .errors import InfiniteIdeal
-from .homset import HomIdeal, _floor, _isotone_maps, _strictly, check_isotone
+from .homset import HomIdeal, _floor, _isotone_maps, check_isotone
 from .monomial import MonomialIdeal, _of_sorted_pairs, alexander_dual
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 def ascent(P: Poset, phi) -> frozenset:
@@ -20,13 +20,12 @@ def ascent(P: Poset, phi) -> frozenset:
 
     For minimal p the lower constraint is vacuous, so i runs from 0.
     """
-    return frozenset(_ascent_pairs(check_isotone(P, phi), _strictly(P.down)))
+    return frozenset(_ascent_pairs(P, check_isotone(P, phi)))
 
 
-def _ascent_pairs(phi, below) -> list:
-    """The ascent pairs of an isotone phi in ascending order, given
-    below = _strictly(P.down)."""
-    return [(p, i) for p, top in enumerate(phi) for i in range(_floor(phi, below[p]), top)]
+def _ascent_pairs(P: Poset, phi) -> list:
+    """The ascent pairs of an isotone phi in ascending order."""
+    return [(p, i) for p, top in enumerate(phi) for i in range(_floor(phi, P.lower[p]), top)]
 
 
 def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
@@ -35,9 +34,9 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     A principal ideal takes the multichain description of
     principal_letterplace_gens.  Any other J takes the duality theorem:
     L(J, P) is the Alexander dual of the co-letterplace ideal L(P, J), and
-    `cap` bounds the marker walk of a cofinite J.  An empty ideal
-    (complement = everything) yields the unit ideal, flagged by
-    MonomialIdeal.is_unit; J = Hom yields the zero ideal.
+    `cap` bounds the marker walk of a cofinite J; the multichain walk takes
+    no cap.  An empty ideal (complement = everything) yields the unit ideal,
+    flagged by MonomialIdeal.is_unit; J = Hom yields the zero ideal.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -51,13 +50,15 @@ def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
 
     The minimal markers of a finite-representation J are its members, so
     their graphs are read straight from J's maps; for a principal J the
-    isotone-map walk builds them, already in sort_key order.
+    isotone-map walk builds them, already in sort_key order.  `cap` bounds
+    the maps that walk produces, and for a cofinite J the maps of its marker
+    walk on one poset ideal; past it ExplosionGuard is raised.
     """
     if J.is_finite_repr:
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         if J.kind == "principal":
-            return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, graphs=True))
+            return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, cap=cap, graphs=True))
         # members come lexicographically and all have degree n: sort_key order
         return MonomialIdeal._of_canonical([_of_sorted_pairs(enumerate(m)) for m in J.members()])
     # minimal markers have distinct graphs, none inside another, and come by
@@ -96,16 +97,14 @@ def _ascents_outside(J: HomIdeal, L: MonomialIdeal) -> bool:
     generator.  This psi is isotone, and no other map can have that ascent.
     """
     P = J.poset
-    below = _strictly(P.down)
-    order = sorted(range(P.n), key=lambda p: P.down[p].bit_count())
     for g in L.gens:
         pairs = [(v.a, v.b) for v, _ in g.exps]  # ascending, as _ascent_pairs lists them
         psi = [0] * P.n
         for p, i in pairs:
             psi[p] = i + 1
-        for p in order:
-            psi[p] = max(psi[p], _floor(psi, below[p]))
-        if J.member(psi) or _ascent_pairs(psi, below) != pairs:
+        for p in P.order:
+            psi[p] = max(psi[p], _floor(psi, P.lower[p]))
+        if J.member(psi) or _ascent_pairs(P, psi) != pairs:
             return False
     return True
 
@@ -145,7 +144,7 @@ def _multichains(P: Poset, alpha) -> list:
     prefix and the elements that may come next, all of P first and then the
     up-set of the prefix's last element, read from one list per element.
     """
-    above = [[q for q in range(P.n) if up >> q & 1] for up in P.up]
+    above = [_bits(up) for up in P.up]
     out = []
     stack = [((), range(P.n))]
     pop, push = stack.pop, stack.append

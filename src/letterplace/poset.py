@@ -1,8 +1,9 @@
 """Finite posets with a materialized order table, plus ideal/filter/antichain queries.
 
 Elements are dense integer identifiers 0..n-1; labels are cosmetic.  The full
-reflexive-transitive relation is derived once from a cover list and stored as
-per-element bitmasks, so every leq query is O(1).
+reflexive-transitive relation and the Hasse diagram are derived once from a
+cover list and stored as per-element bitmasks, with a linear extension, so
+every leq query is O(1).
 """
 
 from __future__ import annotations
@@ -35,19 +36,27 @@ class Poset:
     """Immutable finite poset built from a cover list.
 
     `up[p]` is the bitmask of elements >= p and `down[p]` of elements <= p;
-    both include p itself.  Construction rejects cycles and out-of-range
-    identifiers; antisymmetry and transitivity then hold by construction.
+    both include p itself.  `lower[p]` and `upper[p]` are the masks of the
+    elements p covers and of those covering p, whose transitive closure is
+    the order, and `order` is a linear extension.  Construction rejects
+    cycles and out-of-range identifiers; antisymmetry and transitivity then
+    hold by construction.
     """
 
-    __slots__ = ("n", "labels", "up", "down")
+    __slots__ = ("n", "_labels", "up", "down", "lower", "upper", "order")
 
     def __init__(self, n: int, covers: Iterable[tuple] = (), labels=None):
         covers = [tuple(c) for c in covers]
         if labels is not None and len(labels) != n:
             raise IdentifierOutOfRange(f"expected {n} labels, got {len(labels)}")
         self.n = n
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        self.up, self.down = _close(n, covers)
+        self._labels = tuple(labels) if labels is not None else None
+        self.up, self.down, self.lower, self.upper, self.order = _close(n, covers)
+
+    @property
+    def labels(self) -> tuple:
+        """The element names, by default "0".."n-1"."""
+        return self._labels if self._labels is not None else tuple(str(i) for i in range(self.n))
 
     # -- queries ------------------------------------------------------------
 
@@ -65,21 +74,14 @@ class Poset:
         return range(self.n)
 
     def up_set(self, p: int) -> frozenset:
-        return _mask_to_set(self.up[p])
+        return frozenset(_bits(self.up[p]))
 
     def down_set(self, p: int) -> frozenset:
-        return _mask_to_set(self.down[p])
+        return frozenset(_bits(self.down[p]))
 
     def covers(self) -> list:
         """Canonical cover list (the Hasse diagram), sorted."""
-        out = []
-        for p in range(self.n):
-            for q in range(self.n):
-                if p != q and self.leq(p, q):
-                    between = self.up[p] & self.down[q] & ~(1 << p) & ~(1 << q)
-                    if not between:
-                        out.append((p, q))
-        return sorted(out)
+        return [(p, q) for p in range(self.n) for q in _bits(self.upper[p])]
 
     def is_chain(self) -> bool:
         return all(self.comparable(p, q) for p in range(self.n) for q in range(p))
@@ -103,7 +105,7 @@ class Poset:
         m = 0
         for p in A:
             m |= masks[p]
-        return PSubset(_mask_to_set(m), "ideal" if direction == "down" else "filter")
+        return PSubset(frozenset(_bits(m)), "ideal" if direction == "down" else "filter")
 
     def min_elements(self, S: Iterable[int]) -> PSubset:
         """Elements of S with no strictly smaller element of S; an antichain."""
@@ -127,23 +129,23 @@ class Poset:
     def ideals(self) -> list:
         """All order ideals, as frozensets, in increasing order of their masks.
 
-        An ideal grows only by the elements after its last one in a linear
-        extension (elements by down-set size) whose strict down-set it
-        holds, so each ideal is reached once, in O(n) work.
+        An ideal grows only by the elements after its last one in `order`
+        whose lower covers it holds, so each ideal is reached once, in O(n)
+        work.
         """
-        order = sorted(range(self.n), key=lambda p: self.down[p].bit_count())
-        below = [self.down[p] ^ 1 << p for p in order]
+        order, lower = self.order, self.lower
         found = [0]
         stack = [(0, 0)]  # (ideal, first position in order it may grow by)
         while stack:
             mask, start = stack.pop()
             for k in range(start, self.n):
-                if not below[k] & ~mask:
-                    grown = mask | 1 << order[k]
+                p = order[k]
+                if not lower[p] & ~mask:
+                    grown = mask | 1 << p
                     found.append(grown)
                     stack.append((grown, k + 1))
         found.sort()
-        return [_mask_to_set(m) for m in found]
+        return [frozenset(_bits(m)) for m in found]
 
     # -- identity / serialization -------------------------------------------
 
@@ -186,31 +188,33 @@ def _int_list(value, what: str) -> list:
     return value
 
 
-def _mask_to_set(mask: int) -> frozenset:
-    out = set()
-    p = 0
+def _bits(mask: int) -> list:
+    """The elements of a bitmask, ascending."""
+    out = []
     while mask:
-        if mask & 1:
-            out.add(p)
-        mask >>= 1
-        p += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _close(n: int, covers) -> tuple:
-    """Reflexive-transitive closure of the cover digraph, by a depth-first
-    walk on an explicit stack; rejects cycles, naming an element on one.
-
-    The walk finishes an element after every element above it, so in
-    reverse finish order each element comes after its lower covers: its
-    down-set is complete when it is reached there, and goes to the down-sets
-    of its upper covers."""
+    """(up, down, lower, upper, order) of the order generated by the cover
+    digraph, which may repeat edges and hold transitive ones, by a
+    depth-first walk on an explicit stack; rejects cycles, naming an element
+    on one.  The walk finishes an element after every element above it.  So when p
+    finishes, the up-sets of its successors are complete: up[p] is p with
+    them, and p's upper covers are the successors above no other successor.
+    In reverse finish order, the order returned, each element comes after
+    its lower covers: its down-set is complete when it is reached there,
+    and goes to the down-sets of its upper covers."""
     succ = [0] * n
     for lower, upper in covers:
         if not (0 <= lower < n and 0 <= upper < n):
             raise IdentifierOutOfRange(f"cover ({lower},{upper}) not in 0..{n - 1}")
         succ[lower] |= 1 << upper
-    up = [1 << p for p in range(n)]
+    up = [0] * n
+    upper = [0] * n
     state = [0] * n  # 0 new, 1 active, 2 done
     finished = []
     for root in range(n):
@@ -227,25 +231,27 @@ def _close(n: int, covers) -> tuple:
                 q = low.bit_length() - 1
                 if state[q] == 1:
                     raise CycleDetected(f"cycle through element {q}")
-                if state[q]:
-                    up[p] |= up[q]
-                else:
+                if not state[q]:
                     state[q] = 1
                     stack.append([q, succ[q]])
             else:
                 state[p] = 2
                 finished.append(p)
                 stack.pop()
-                if stack:
-                    up[stack[-1][0]] |= up[p]
+                beyond = 0  # the elements strictly above some successor
+                for q in _bits(succ[p]):
+                    beyond |= up[q] ^ 1 << q
+                up[p] = 1 << p | succ[p] | beyond
+                upper[p] = succ[p] & ~beyond
+    order = finished[::-1]
     down = [1 << p for p in range(n)]
-    for p in reversed(finished):
-        rest, below = succ[p], down[p]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            down[low.bit_length() - 1] |= below
-    return tuple(up), tuple(down)
+    lower = [0] * n
+    for p in order:
+        below = down[p]
+        for q in _bits(upper[p]):
+            down[q] |= below
+            lower[q] |= 1 << p
+    return tuple(up), tuple(down), tuple(lower), tuple(upper), tuple(order)
 
 
 def poset_from_covers(n: int, covers: Iterable[tuple], labels=None) -> Poset:

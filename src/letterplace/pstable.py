@@ -13,16 +13,15 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
-from .homset import _floor, _strictly, check_isotone
+from .homset import _floor, check_isotone
 from .monomial import Monomial, MonomialIdeal, _of_exponent_list, elem_var, var_text
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 def lambda_bar(P: Poset, phi) -> Monomial:
     """Monomial with exponent phi(p) - max over strictly smaller elements."""
     phi = check_isotone(P, phi)
-    below = _strictly(P.down)
-    return Monomial((elem_var(p), phi[p] - _floor(phi, below[p])) for p in range(P.n))
+    return Monomial((elem_var(p), phi[p] - _floor(phi, P.lower[p])) for p in range(P.n))
 
 
 def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
@@ -32,15 +31,7 @@ def lambda_bar_inv(P: Poset, m: Monomial) -> tuple:
     where a multichain repeats each element at most its exponent many times:
     phi(p) = m_p + the largest phi strictly below p.
     """
-    order, below, _ = _tables(P)
-    return tuple(_heaviest(order, below, _weights(P, m)))
-
-
-def _tables(P: Poset) -> tuple:
-    """(a linear extension of P, the elements strictly below each element,
-    those strictly above it).  Built per call and not kept on P."""
-    order = sorted(range(P.n), key=lambda p: P.down[p].bit_count())
-    return order, _strictly(P.down), _strictly(P.up)
+    return tuple(_heaviest(P.order, P.lower, _weights(P, m)))
 
 
 def _weights(P: Poset, m: Monomial) -> list:
@@ -57,35 +48,31 @@ def _weights(P: Poset, m: Monomial) -> list:
     return weight
 
 
-def _heaviest(order, below, weight) -> list:
-    """phi(p) = weight[p] + the largest phi strictly below p, filled along
-    `order` (a linear extension of some elements) and 0 elsewhere: the
-    weight of a heaviest multichain inside those elements ending at p."""
+def _heaviest(order, lower, weight) -> list:
+    """phi(p) = weight[p] + the largest phi on the mask lower[p], filled
+    along `order` and 0 elsewhere.  With P.order and P.lower, the weight of
+    a heaviest multichain ending at p (phi is isotone, so largest below p on
+    a lower cover); with P.upper, the same recursion run downward."""
     phi = [0] * len(weight)
     for p in order:
-        phi[p] = weight[p] + _floor(phi, below[p])
+        phi[p] = weight[p] + _floor(phi, lower[p])
     return phi
 
 
-def _through(downward, above, weight, ending, b: int) -> int:
+def _through(P: Poset, weight, ending, b: int) -> int:
     """Bitmask of the elements a <= b on some heaviest multichain ending at
-    b, where ending = _heaviest(order, below, weight) and `downward` lists
-    the elements <= b, b first, down a linear extension: a heaviest
+    b, where ending = _heaviest(P.order, P.lower, weight): a heaviest
     multichain ending at a and one from a up to b (the same recursion run
     downward from b inside its down-set) weigh ending[b], counting
     weight[a] once."""
-    starting = _heaviest(downward, above, weight)
+    downward = [p for p in reversed(P.order) if P.down[b] >> p & 1]
+    starting = _heaviest(downward, P.upper, weight)
     length = ending[b]
     through = 0
     for a in downward:
         if ending[a] + starting[a] - weight[a] == length:
             through |= 1 << a
     return through
-
-
-def _downward(P: Poset, order) -> list:
-    """For each element b, the elements <= b along `order` reversed."""
-    return [[p for p in reversed(order) if P.down[b] >> p & 1] for b in range(P.n)]
 
 
 def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
@@ -96,10 +83,8 @@ def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
     `through` holds the elements a <= b on some longest one.
     """
     weight = _weights(P, m)
-    order, below, above = _tables(P)
-    ending = _heaviest(order, below, weight)
-    through = _through(_downward(P, order)[b], above, weight, ending, b)
-    return ending[b], frozenset(a for a in range(P.n) if through >> a & 1)
+    ending = _heaviest(P.order, P.lower, weight)
+    return ending[b], frozenset(_bits(_through(P, weight, ending, b)))
 
 
 _CAP = 10**6
@@ -177,7 +162,7 @@ def _stable_exact(P: Poset, gens: set, power: list, cap: int) -> bool:
     still waiting when the walk ends lies above every standard monomial.
     """
     n = P.n
-    order, below, above = _tables(P)
+    order, lower, upper = P.order, P.lower, P.upper
     one = (0,) * n
     standard = {one}
     if cap < 1:
@@ -190,19 +175,20 @@ def _stable_exact(P: Poset, gens: set, power: list, cap: int) -> bool:
             if j not in standard:
                 return False
         for w, _ in level:
-            phi = _heaviest(order, below, w)  # lambda_bar_inv of w
+            phi = _heaviest(order, lower, w)  # lambda_bar_inv of w
             for a in range(n):
                 e = w[a]
-                if not e or not above[a]:
+                covers = upper[a]
+                if not e or not covers:
                     continue  # at a maximal a the move only divides w by x_a
                 # Lowering phi at a support element a keeps it isotone; the
-                # jumps (lambda_bar of the lowered map) change only at a and
-                # above it.
+                # jumps (lambda_bar of the lowered map) read phi on lower
+                # covers, so they change only at a and at a's upper covers.
                 phi[a] -= 1
                 jumps = list(w)
                 jumps[a] = e - 1
-                for p in above[a]:
-                    jumps[p] = phi[p] - _floor(phi, below[p])
+                for p in _bits(covers):
+                    jumps[p] = phi[p] - _floor(phi, lower[p])
                 phi[a] += 1
                 j = tuple(jumps)
                 size = sum(jumps)
@@ -248,7 +234,6 @@ def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
     these, and the longest multichains of m are computed only for the rest.
     """
     n = P.n
-    order, below, above = _tables(P)
     # the members of degree k: the generators of degree k and the members
     # of degree k - 1 times each variable
     members = set()
@@ -257,7 +242,6 @@ def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
         level = {m[:p] + (m[p] + 1,) + m[p + 1:] for m in level for p in range(n)}
         level.update(g for g in gens if sum(g) == k)
         members |= level
-    downward = _downward(P, order)
     comparable = [P.down[p] | P.up[p] for p in range(n)]
     everything = (1 << n) - 1
     antichains_of = {}  # support -> its nonempty antichains, for this call only
@@ -278,11 +262,11 @@ def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
             if tuple(stripped) in members:
                 continue  # so is every stripped * x_a
             if ending is None:
-                ending = _heaviest(order, below, m)
+                ending = _heaviest(P.order, P.lower, m)
             candidates = everything
             for b in B:
                 if b not in through:
-                    through[b] = _through(downward[b], above, m, ending, b)
+                    through[b] = _through(P, m, ending, b)
                 candidates &= through[b]
             while candidates:
                 low = candidates & -candidates
@@ -320,8 +304,4 @@ def max_ideal_power_stable(P: Poset, d: int) -> tuple:
     if d < 2:
         raise ValueError("d must be >= 2")
     verdict = _stable_exact(P, set(_compositions(P.n, d)), [d] * P.n, _CAP)
-    cover_counts = [0] * P.n
-    for lower, _ in P.covers():
-        cover_counts[lower] += 1
-    structural = all(c <= 1 for c in cover_counts)
-    return verdict, structural
+    return verdict, all(upper.bit_count() <= 1 for upper in P.upper)

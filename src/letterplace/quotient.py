@@ -29,7 +29,7 @@ from .monomial import (
     nat_var,
     pair_var,
 )
-from .poset import Poset
+from .poset import Poset, _int_list
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,17 @@ class FiberMap:
 
     @classmethod
     def from_json(cls, text: str) -> "FiberMap":
+        """The map of a JSON object with a list `source` of integer pairs and
+        a parallel list `assignment` of target variables (see _target)."""
         doc = json.loads(text)
-        return cls.make([tuple(s) for s in doc["source"]], [_target(t) for t in doc["assignment"]])
+        if not isinstance(doc, dict):
+            raise ValueError("a fiber map must be a JSON object with keys source and assignment")
+        source, assignment = doc.get("source"), doc.get("assignment")
+        if not isinstance(source, list) or any(len(_int_list(s, "a source pair")) != 2 for s in source):
+            raise ValueError(f"fiber map source must be a list of integer pairs, got {json.dumps(source)}")
+        if not isinstance(assignment, list):
+            raise ValueError(f"fiber map assignment must be a list of variables, got {json.dumps(assignment)}")
+        return cls.make(source, [_target(t) for t in assignment])
 
 
 def _target(t) -> Var:

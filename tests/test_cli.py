@@ -1,12 +1,18 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letterplace.cli import main, read_ideal_file, write_ideal_file
 from letterplace.homset import HomIdeal
@@ -552,3 +558,221 @@ def test_handlers_are_looked_up_at_call_time(capsys, monkeypatch):
     code, out = run(capsys, "hilbert", "--gens", str(GOLDEN / "hilbert_gens.txt"))
     assert code == 0 and len(calls) == 1
     assert out == (GOLDEN / "hilbert.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"source": 5, "assignment": 3}, "fiber map source must be a list of integer pairs, got 5"),
+     ([1, 2], "a fiber map must be a JSON object with keys source and assignment"),
+     ({"source": [[0, 0]], "assignment": 7}, "fiber map assignment must be a list of variables, got 7")],
+    ids=["int-source", "list-document", "int-assignment"],
+)
+@pytest.mark.parametrize("command", ["project", "regular-check"])
+def test_malformed_fiber_map_exit_two(tmp_path, capsys, command, doc, message):
+    fmap_path = tmp_path / "fmap.json"
+    fmap_path.write_text(json.dumps(doc))
+    code, out = run(
+        capsys, command, "--ideal", str(GOLDEN / "principal.json"), "--side", "letterplace",
+        "--map", str(fmap_path),
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": message, "reason": "ValueError", "version": 2}
+
+
+def _dump(value, repeat=(None,), path=()) -> str:
+    """JSON text of value; with repeat = (path, key, extra), the object at
+    that path lists key once more, with the value extra, at its end."""
+    if isinstance(value, dict):
+        items = list(value.items()) + ([repeat[1:]] if repeat[0] == path else [])
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v, repeat, path + (k,))}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v, repeat, path + (i,)) for i, v in enumerate(value)) + "]"
+    return json.dumps(value)
+
+
+def _wrong_values():
+    return st.one_of(st.sampled_from([None, "x", 1.5, True, [], {}, [[0, 1]], ["elem", 0]]), st.integers(-3, 3))
+
+
+def _nodes(doc, path=()):
+    """The paths of every node of a JSON document, itself first."""
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _nodes(v, path + (i,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _replace(doc, path, new):
+    """doc with the node at path replaced by new, copied along the path."""
+    if not path:
+        return new
+    k, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {**doc, k: _replace(doc[k], rest, new)}
+    return doc[:k] + [_replace(doc[k], rest, new)] + doc[k + 1:]
+
+
+def _mutate_json(data, doc):
+    """doc with one structural change at a node drawn by hypothesis: a key
+    deleted, a list entry deleted, duplicated or appended, a value of a
+    wrong type, an integer negated; on a poset, a duplicate, transitive or
+    self-loop cover, or a label count that does not match n.  Every integer
+    written lies in -3..4, so that each valid document stays small."""
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    node = _at(doc, path)
+    kinds = ["wrong"]
+    if isinstance(node, dict) and node:
+        kinds.append("delete-key")
+    if isinstance(node, list):
+        kinds += ["duplicate", "append"] + (["delete"] if node else [])
+    if type(node) is int:
+        kinds.append("negate")
+    if isinstance(node, dict) and isinstance(node.get("covers"), list):
+        kinds += ["self-loop", "transitive", "labels"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "wrong":
+        new = data.draw(_wrong_values())
+    elif kind == "delete-key":
+        new = dict(node)
+        del new[data.draw(st.sampled_from(sorted(node)))]
+    elif kind == "duplicate":
+        new = node + [data.draw(st.sampled_from(node))] if node else [node]
+    elif kind == "append":
+        new = node + [data.draw(st.one_of(st.lists(st.integers(0, 4), max_size=3), _wrong_values()))]
+    elif kind == "delete":
+        i = data.draw(st.integers(0, len(node) - 1))
+        new = node[:i] + node[i + 1:]
+    elif kind == "negate":
+        new = -node if node else -1
+    elif kind == "self-loop":
+        p = data.draw(st.integers(0, 4))
+        new = dict(node, covers=node["covers"] + [[p, p]])
+    elif kind == "transitive":
+        edges = [c for c in node["covers"] if isinstance(c, list) and len(c) == 2]
+        chained = [[a[0], b[1]] for a in edges for b in edges if a[1] == b[0]]
+        new = dict(node, covers=node["covers"] + chained + node["covers"][:1])
+    else:
+        labels = node["labels"] if isinstance(node.get("labels"), list) else []
+        new = dict(node, labels=data.draw(st.sampled_from([labels[1:], labels + ["e"], ["a"]])))
+    return _replace(doc, path, new)
+
+
+def _draw_json(data, doc) -> str:
+    """The text of doc after up to three mutations, and perhaps a repeated key."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        doc = _mutate_json(data, doc)
+    objects = [path for path in _nodes(doc) if isinstance(_at(doc, path), dict) and _at(doc, path)]
+    if objects and data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(sorted(_at(doc, path))))
+        return _dump(doc, (path, key, data.draw(st.one_of(st.just(_at(doc, path)[key]), _wrong_values()))))
+    return _dump(doc)
+
+
+def _draw_ideal_file(data, text: str) -> str:
+    """An ideal file with up to three of: a line deleted or duplicated, a
+    header field changed, a monomial of small wrong or negative exponents
+    and indices appended."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["delete", "duplicate", "header", "append"]))
+        if kind in ("delete", "duplicate") and lines:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines = lines[:i] + lines[i + (kind == "delete"):]
+        elif kind == "header":
+            family = data.draw(st.sampled_from(["elem", "nat", "pair", "foo"]))
+            n = data.draw(st.sampled_from(["-1", "x", "1.5", "0", "2", "5"]))
+            lines = [data.draw(st.sampled_from([f"# family={family} n={n}", f"# n={n}", "#", "x[0]"]))] + lines[1:]
+        else:
+            token = st.sampled_from(["0", "1", "2", "3", "4", "-1", "x", "1.5", ""])
+            factors = data.draw(st.lists(st.tuples(token, token, token), min_size=1, max_size=3))
+            lines.append("*".join(data.draw(st.sampled_from([f"x[{a}]^{e}", f"x[{a},{b}]^{e}", f"x[{a}]"]))
+                                  for a, b, e in factors))
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _fiber_map_json() -> str:
+    """The first-coordinate projection of the golden principal ideal's
+    letterplace generators, as a fiber-map file."""
+    from letterplace.ideals import letterplace_ideal
+    from letterplace.quotient import FiberMap
+
+    J = HomIdeal.from_json((GOLDEN / "principal.json").read_text(encoding="utf-8"))
+    pairs = {(v.a, v.b) for g in letterplace_ideal(J).gens for v, _ in g.exps}
+    return FiberMap.projection_first(pairs).to_json()
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_documented_code(data):
+    """Every subcommand, run in-process on a mutated golden input, exits 0,
+    1, 2 or 3: no exception escapes main.  Its stdout is a JSON report, an
+    ideal file from `ss dualize`, or empty after a usage error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, argv, out = _fuzz_once(data, Path(tmp))
+    assert code in (0, 1, 2, 3), (argv, code)
+    if out and not (argv[0] == "ss" and code == 0):
+        json.loads(out)
+
+
+def _fuzz_once(data, work: Path) -> tuple:
+    """(exit code, argv, stdout) of one drawn command on inputs written under work."""
+    golden = lambda name: json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    command = data.draw(st.sampled_from([
+        "hom", "markers", "letterplace", "coletterplace", "dual-check", "project", "regular-check",
+        "pstable", "ss", "det", "hilbert",
+    ]))
+    small = lambda: str(data.draw(st.integers(-1, 3)))
+    if command == "hom":
+        (work / "poset.json").write_text(_draw_json(data, golden("poset.json")))
+        argv = ["hom", "enumerate", "--poset", str(work / "poset.json"), "--bound", small()]
+        argv += data.draw(st.sampled_from([[], ["--cap", small()]]))
+    elif command == "pstable":
+        (work / "poset.json").write_text(_draw_json(data, golden("poset.json")))
+        gens = _draw_ideal_file(data, (GOLDEN / "ss_gens.txt").read_text(encoding="utf-8"))
+        (work / "gens.txt").write_text(gens)
+        argv = ["pstable", "--poset", str(work / "poset.json"), "--gens", str(work / "gens.txt"),
+                "--mode", data.draw(st.sampled_from(["exact", "bounded"]))]
+        argv += data.draw(st.sampled_from([[], ["--depth", small()]]))
+    elif command in ("ss", "hilbert"):
+        source = "ss_gens.txt" if command == "ss" else "hilbert_gens.txt"
+        gens = _draw_ideal_file(data, (GOLDEN / source).read_text(encoding="utf-8"))
+        (work / "gens.txt").write_text(gens)
+        argv = ["ss", "dualize"] if command == "ss" else ["hilbert"]
+        argv += ["--gens", str(work / "gens.txt")]
+        if command == "ss":
+            argv += data.draw(st.sampled_from([[], ["--bound", small()]]))
+    elif command == "det":
+        values = data.draw(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), max_size=4))
+        argv = ["det", "verify", "--l=" + ",".join(values), "--a", small()]
+        argv += data.draw(st.sampled_from([[], ["--pair-cap", small()], ["--degree-cap", small()]]))
+    else:
+        kind = data.draw(st.sampled_from(GOLDEN_IDEALS))
+        ideal, fmap = golden(f"{kind}.json"), json.loads(_fiber_map_json())
+        argv = [command, "--ideal", str(work / "ideal.json")]
+        # project and regular-check mutate one of their two inputs, so that the other one is read
+        if command in ("project", "regular-check") and data.draw(st.booleans()):
+            fmap = _draw_json(data, fmap)
+            ideal = json.dumps(ideal)
+            path = str(work / "fmap.json")
+        else:
+            ideal = _draw_json(data, ideal)
+            fmap = json.dumps(fmap)
+            path = data.draw(st.sampled_from(["p1", "p2", str(work / "fmap.json")]))
+        (work / "ideal.json").write_text(ideal)
+        (work / "fmap.json").write_text(fmap)
+        if command in ("project", "regular-check"):
+            argv += ["--side", data.draw(st.sampled_from(["letterplace", "coletterplace"])), "--map", path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv), argv, out.getvalue()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letterplace.errors import InfiniteIdeal
+from letterplace.errors import ExplosionGuard, InfiniteIdeal
 from letterplace.homset import HomIdeal, dominates, enumerate_isotone
 from letterplace.ideals import (
     _checked_support,
@@ -243,6 +243,14 @@ def test_negative_cap_is_rejected_for_every_kind():
             letterplace_ideal(J, cap=-1)
         with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
             support(J, cap=-1)
+
+
+def test_principal_coletterplace_walk_honours_the_cap():
+    # antichain(3) under alpha = (2, 2, 2) has 3**3 = 27 isotone maps, one graph each
+    J = HomIdeal.principal(antichain(3), (2, 2, 2))
+    with pytest.raises(ExplosionGuard, match="produced 27 isotone maps, more than cap 26"):
+        coletterplace_ideal(J, cap=26)
+    assert len(coletterplace_ideal(J, cap=27).gens) == 27
 
 
 def test_finite_letterplace_does_not_walk_the_value_box():

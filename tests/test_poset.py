@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letterplace.errors import CycleDetected, IdentifierOutOfRange
+from letterplace.errors import CycleDetected, IdentifierOutOfRange, NotIsotone
+from letterplace.homset import Marker, check_marker_shape, is_isotone
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
-from util import all_labeled_posets, brute_ideals, is_antichain_poset, is_filter, opposite, ref_down
+from util import (
+    all_labeled_posets,
+    brute_ideals,
+    is_antichain_poset,
+    is_filter,
+    opposite,
+    ref_covers,
+    ref_down,
+)
 
 
 def fence():
@@ -60,23 +69,63 @@ def test_closure_deeper_than_the_recursion_limit():
         poset_from_covers(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def check_order_tables(P: Poset) -> None:
+    """down, covers(), lower and upper against the all-pairs oracles, and
+    order a linear extension."""
+    assert P.down == ref_down(P)
+    covers = ref_covers(P)
+    assert P.covers() == covers
+    assert P.upper == tuple(sum(1 << q for p, q in covers if p == e) for e in range(P.n))
+    assert P.lower == tuple(sum(1 << p for p, q in covers if q == e) for e in range(P.n))
+    assert sorted(P.order) == list(range(P.n))
+    position = {p: k for k, p in enumerate(P.order)}
+    assert all(position[p] < position[q] for p in range(P.n) for q in range(P.n) if P.lt(p, q))
+
+
+def all_pairs_isotone(P: Poset, values) -> bool:
+    """Oracle for is_isotone: values[p] <= values[q] for every p <= q."""
+    return all(values[p] <= values[q] for p in range(P.n) for q in range(P.n) if P.leq(p, q))
+
+
 def test_down_masks_match_transposed_up_masks_small():
+    # and the other order tables; all_labeled_posets lists every strict
+    # relation, so most of its cover lists hold transitive edges
     for n in range(6):
         for P in all_labeled_posets(n):
-            assert P.down == ref_down(P)
+            check_order_tables(P)
+            for mask in range(1 << n):
+                values = [mask >> p & 1 for p in range(n)]
+                assert is_isotone(P, values) == all_pairs_isotone(P, values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_down_masks_match_transposed_up_masks_random_dags(data):
-    # edges a -> b with a before b in a drawn order, so the graph is acyclic;
-    # they need not be covers, and the element numbers are shuffled
+    # and the other order tables.  Edges a -> b with a before b in a drawn
+    # order, so the graph is acyclic; the element numbers are shuffled, and
+    # the edge list repeats some edges and adds the transitive edge of some
+    # paths of two
     n = data.draw(st.integers(1, 14))
     order = data.draw(st.permutations(range(n)))
     edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
-    covers = [(order[a], order[b]) for a, b in edges if a < b]
+    edges = [(a, b) for a, b in edges if a < b]
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=n)) if edges else []
+    edges += [(a, c) for a, b in edges for b2, c in edges if b == b2][:n]
+    covers = [(order[a], order[b]) for a, b in data.draw(st.permutations(edges))]
     P = poset_from_covers(n, covers)
-    assert P.down == ref_down(P)
+    check_order_tables(P)
+    assert poset_from_covers(n, P.covers()) == P
+    for values in data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=5)):
+        assert is_isotone(P, values) == all_pairs_isotone(P, values)
+    # a marker's values are checked on the covers inside its domain
+    ideal = P.closure(data.draw(st.sets(st.integers(0, n - 1), max_size=3)), "down")
+    values = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    marker = Marker.on(ideal, dict(enumerate(values)), n)
+    if all(values[p] <= values[q] for p in ideal for q in ideal if P.leq(p, q)):
+        check_marker_shape(P, marker)
+    else:
+        with pytest.raises(NotIsotone):
+            check_marker_shape(P, marker)
 
 
 def test_identifier_range_rejected():
@@ -195,3 +244,35 @@ def test_chain_antichain_builders():
     assert chain(3).is_chain()
     assert is_antichain_poset(antichain(3))
     assert chain(3).labels == ("1", "2", "3")
+
+
+def test_redundant_and_repeated_covers_are_not_kept():
+    P = poset_from_covers(4, [(0, 3), (0, 1), (1, 2), (2, 3), (0, 2), (0, 1), (1, 3)])
+    assert P.covers() == [(0, 1), (1, 2), (2, 3)] and P == chain(4, one_based=False)
+    assert P.upper == (0b10, 0b100, 0b1000, 0) and P.lower == (0, 0b1, 0b10, 0b100)
+    assert P.order == (0, 1, 2, 3)
+    assert Poset.from_json(P.to_json()).covers() == P.covers()
+
+
+@pytest.mark.parametrize(
+    "labels, shown",
+    [(None, None), (["0", "1", "2"], None), (("0", "1", "2"), None), (["a", "b", "c"], ["a", "b", "c"]),
+     (["1", "2", "3"], ["1", "2", "3"])],
+    ids=["none", "default-list", "default-tuple", "letters", "one-based"],
+)
+def test_labels_and_json_keep_their_values(labels, shown):
+    # labels equal to the default are not written, whether given or not
+    P = Poset(3, [(0, 1), (0, 2), (1, 2)], labels)
+    assert P.labels == (tuple(shown) if shown else ("0", "1", "2"))
+    text = '{"covers": [[0, 1], [1, 2]], ' + (f'"labels": {json.dumps(shown)}, ' if shown else "") + '"n": 3}'
+    assert P.to_json() == text
+    Q = Poset.from_json(text)
+    assert Q == P and Q.labels == P.labels and Q.to_json() == text
+    assert Poset(0).labels == () and Poset(0).to_json() == '{"covers": [], "n": 0}'
+
+
+def test_deep_chain_covers_without_pair_tests():
+    P = chain(3000)
+    assert P.covers() == [(i, i + 1) for i in range(2999)]
+    assert P.order == tuple(range(3000))
+    assert Poset.from_json(P.to_json()) == P

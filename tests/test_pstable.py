@@ -228,6 +228,13 @@ def test_max_ideal_power_criterion_examples():
     assert max_ideal_power_stable(antichain(4), 3) == (True, True)
 
 
+def test_max_ideal_power_criterion_reads_the_hasse_diagram():
+    # the chain 0 < 1 < 2 given with the redundant edge (0, 2): 0 has one cover, not two
+    P = poset_from_covers(3, [(0, 1), (1, 2), (0, 2)])
+    assert P.upper[0] == 0b10
+    assert max_ideal_power_stable(P, 2) == (True, True)
+
+
 def test_max_ideal_power_criterion_all_posets_up_to_4():
     for n in range(5):
         for P in all_labeled_posets(n):

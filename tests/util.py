@@ -307,6 +307,19 @@ def ref_down(P: Poset) -> tuple:
     return tuple(down)
 
 
+def ref_covers(P: Poset) -> list:
+    """Oracle for Poset.covers: the pairs p < q with no element strictly
+    between them, by a test of all n^2 pairs on the order masks, sorted."""
+    out = []
+    for p in range(P.n):
+        for q in range(P.n):
+            if p != q and P.leq(p, q):
+                between = P.up[p] & P.down[q] & ~(1 << p) & ~(1 << q)
+                if not between:
+                    out.append((p, q))
+    return out
+
+
 def brute_ideals(P: Poset) -> list:
     """Oracle for Poset.ideals: of all 2^n subsets, in increasing order of
     their masks, those that hold every element below each of their own."""
