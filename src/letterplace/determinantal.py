@@ -247,24 +247,39 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     them under "budget"; BudgetExceeded is raised if the basis computation
     overruns them.  For a non-terrace input the report also carries the
     terrace-reduced instance.
-
-    The minors are built packed and stay packed through the basis computation;
-    only the leading terms of the reduced basis become Monomials.
     """
     _check_caps(degree_cap, pair_cap)
+    return _verify(seq, degree_cap, pair_cap)
+
+
+def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
+    """verify_main's report on seq; known is the target ly_ideal of seq's
+    i-sequence and its height, when the caller has built them.  terrace is
+    idempotent, so the terrace instance of seq has the target and height of
+    seq and takes them from its caller.
+
+    The minors are built packed and stay packed through the basis
+    computation; the target's generators are packed by the codec of the
+    basis to meet its leading terms.
+    """
     row, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
     ter = terrace(seq)
     iseq = i_sequence(ter)
-    target = ly_ideal(iseq)
+    # built after the minors: built before them, the target raised
+    # det-verify's peak RSS by about 0.6 MB
+    if known is None:
+        target = ly_ideal(iseq)
+        known = target, height(target)
+    target, h = known
     diag_ok = _diagonal_leads(row, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
     # each reduced element lists its leading term first; the leading terms
     # must be the target's generators, each once
-    leads = {codec.monomial(next(iter(d))) for d in basis}
-    initial_ok = len(basis) == len(target.gens) and leads == set(target.gens)
+    leads = {next(iter(d)) for d in basis}
+    packed = _packed_gens(target, codec)
+    initial_ok = packed is not None and len(basis) == len(target.gens) and leads == packed
     codims = codim_formulas(seq)
-    h = height(target)
     codim_ok = h == codims["from_i"] == codims["max_formula"]
     report = {
         "a": seq.a,
@@ -282,7 +297,23 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
         "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
     }
     if ter != seq:
-        report["terrace_instance"] = verify_main(ter, degree_cap, pair_cap)
+        report["terrace_instance"] = _verify(ter, degree_cap, pair_cap, known)
         report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
     return report
 
+
+def _packed_gens(ideal: MonomialIdeal, codec: _Codec) -> set | None:
+    """The generators of ideal packed by codec, or None if one of them has a
+    variable the codec does not rank or an exponent its fields cannot hold:
+    no packed term of the codec equals such a generator."""
+    unit, top = codec.unit, 1 << codec.width - 1
+    out = set()
+    for g in ideal.gens:
+        e = 0
+        for v, k in g.exps:
+            u = unit.get(v)
+            if u is None or k >= top:
+                return None
+            e += k * u
+        out.add(e)
+    return out

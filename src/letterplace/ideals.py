@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import InfiniteIdeal
 from .homset import HomIdeal, _floor, _isotone_maps, check_isotone
 from .monomial import MonomialIdeal, _of_sorted_pairs, alexander_dual
-from .poset import Poset, _bits
+from .poset import Poset
 
 
 def ascent(P: Poset, phi) -> frozenset:
@@ -140,21 +140,35 @@ def _multichains(P: Poset, alpha) -> list:
     """The multichains (p_0, ..., p_r) of principal_letterplace_gens, as
     element tuples, each once; alpha must be isotone.
 
-    Depth first on an explicit stack, as homset._isotone_maps: a frame is a
-    prefix and the elements that may come next, all of P first and then the
-    up-set of the prefix's last element, read from one list per element.
+    Depth first on an explicit stack of frames (j, p): p comes at position
+    j after path[:j], so a frame cuts the one shared path back to j entries
+    and appends p.  Only a finished multichain is copied, and each frame
+    walks the up-set mask of its own element, so the walk is linear in
+    what it produces.
     """
-    above = [_bits(up) for up in P.up]
+    up = P.up
     out = []
-    stack = [((), range(P.n))]
+    stack = []
+    for q in range(P.n):
+        if alpha[q]:
+            stack.append((0, q))
+        else:
+            out.append((q,))
+    path = []
     pop, push = stack.pop, stack.append
     while stack:
-        prefix, after = pop()
-        pos = len(prefix)
-        for q in after:
+        pos, p = pop()
+        del path[pos:]
+        path.append(p)
+        pos += 1
+        rest = up[p]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
             top = alpha[q]
             if top == pos:
-                out.append(prefix + (q,))
+                out.append((*path, q))
             elif top > pos:
-                push((prefix + (q,), above[q]))
+                push((pos, q))
     return out

@@ -759,14 +759,40 @@ def _mask_split(masks: tuple, bit: int, planes: list) -> tuple:
 def height(ideal: MonomialIdeal) -> int:
     """Minimum size of a variable set meeting every generator's support.
 
-    That is the least popcount among the minimal transversals of the
-    generator supports.  The zero ideal reports 0 (height undefined there);
-    the unit ideal is rejected.
+    A depth-first search for a least transversal of the generator supports,
+    on an explicit stack.  A frame (size, rest) has chosen `size` vertices
+    and keeps the edges they miss, smallest first; it branches on the
+    vertices of its smallest edge.  A greedy packing of pairwise disjoint
+    edges of rest needs that many more vertices, so a frame whose size plus
+    packing reaches the best transversal found is dropped.  The zero ideal
+    reports 0 (height undefined there); the unit ideal is rejected.
     """
-    transversals = _transversals(_supports(ideal, ideal.universe))
-    if not transversals:
+    edges = sorted(set(_supports(ideal, ideal.universe)), key=int.bit_count)
+    if edges and not edges[0]:
         raise ValueError("height of the unit ideal is undefined")
-    return min(map(int.bit_count, transversals))
+    best = len(edges)  # a vertex of each edge meets them all
+    stack = [(0, edges)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        size, rest = pop()
+        bound, packed = size, 0
+        for e in rest:
+            if not e & packed:
+                packed |= e
+                bound += 1
+                if bound >= best:
+                    break
+        if bound >= best:
+            continue
+        if not rest:
+            best = size
+            continue
+        branch = rest[0]
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            push((size + 1, [e for e in rest if not e & v]))
+    return best
 
 
 def associated_primes(ideal: MonomialIdeal) -> set:

@@ -1,5 +1,6 @@
 """Staircase matrices, terrace/i sequences, and the initial-ideal theorem."""
 
+import json
 import random
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -263,6 +264,54 @@ def test_verify_main_computes_minors_once(monkeypatch):
     monkeypatch.setattr(determinantal, "_laplace_minors", counted)
     assert verify_main(LSequence(0, (0, 0, 3, 3, 6)))["ok"]
     assert len(calls) == 1
+
+
+def test_verify_main_builds_one_target_and_height(monkeypatch):
+    # (0, 2, 3, 5, 8) is not a terrace; terrace is idempotent, so its
+    # terrace instance has the same target and height as the outer call
+    calls = {"ly_ideal": 0, "height": 0}
+    for name in calls:
+        build = getattr(determinantal, name)
+
+        def counted(arg, name=name, build=build):
+            calls[name] += 1
+            return build(arg)
+
+        monkeypatch.setattr(determinantal, name, counted)
+    report = verify_main(LSequence(0, (0, 2, 3, 5, 8)))
+    assert report["ok"] and "terrace_instance" in report
+    assert calls == {"ly_ideal": 1, "height": 1}
+
+
+def test_target_outside_the_matrix_is_a_mismatch(monkeypatch, capsys):
+    # a target variable that the codec of the basis does not rank fails the
+    # comparison of leading terms instead of raising
+    build = determinantal.ly_ideal
+
+    def outside(iseq):
+        gens = list(build(iseq).gens)
+        gens[0] = gens[0] * Monomial.variable(pair_var(99, 0))
+        return MonomialIdeal(gens)
+
+    monkeypatch.setattr(determinantal, "ly_ideal", outside)
+    report = verify_main(LSequence(0, (0, 2, 3, 5, 8)))
+    assert report["initial_equals_target"] is False and report["ok"] is False
+    assert report["terrace_instance"]["initial_equals_target"] is False
+    capsys.readouterr()
+    assert main(["det", "verify", "--l", "0,2,3,5,8"]) == 1
+    assert json.loads(capsys.readouterr().out)["initial_equals_target"] is False
+
+
+def test_packed_target_rejects_exponents_its_fields_cannot_hold():
+    # one exponent bit and a guard bit per field: y[2,0]^4 would carry into
+    # the field of y[1,0] and pack as y[1,0]
+    _, codec, _ = determinantal._packed_minors(LSequence(0, (0, 2)))
+    assert codec.width == 2
+    y10, y20 = pair_var(1, 0), pair_var(2, 0)
+    assert determinantal._packed_gens(MonomialIdeal([ymono((1, 0))]), codec) == {codec.unit[y10]}
+    assert codec.unit[y10] == 4 * codec.unit[y20]
+    assert determinantal._packed_gens(MonomialIdeal([Monomial.variable(y20, 4)]), codec) is None
+    assert determinantal._packed_gens(MonomialIdeal([Monomial.variable(y20, 1)]), codec) == {codec.unit[y20]}
 
 
 def test_verify_main_eight_rows_at_default_caps():

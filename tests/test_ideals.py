@@ -22,7 +22,7 @@ from letterplace.ideals import (
     support,
 )
 from letterplace.monomial import Monomial, MonomialIdeal, alexander_dual, hilbert_numerator, pair_var
-from letterplace.poset import antichain, chain, poset_from_covers
+from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
 from util import (
     all_labeled_posets,
@@ -407,3 +407,15 @@ def test_coletterplace_with_many_new_variables_fits_600_mb():
     out = subprocess.run([sys.executable, "-c", code, poset], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr[-1000:]
     assert out.stdout.split() == ["60001"]
+
+
+def test_long_multichain_ideal_has_four_generators():
+    # alpha = (0, 0, 30000, 0) on the golden fence: 0, 1 and 3 end at once,
+    # and 2 repeats 30,001 times; copying each prefix as it grew took 2.2 s
+    poset = os.path.join(os.path.dirname(__file__), "data", "golden_cli", "poset.json")
+    with open(poset, encoding="utf-8") as fh:
+        P = Poset.from_json(fh.read())
+    n = 30000
+    L = letterplace_ideal(HomIdeal.principal(P, (0, 0, n, 0)))
+    assert [g.degree() for g in L.gens] == [1, 1, 1, n + 1]
+    assert L.gens[3] == ref_pairs_monomial((2, j) for j in range(n + 1))

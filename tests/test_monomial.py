@@ -42,6 +42,7 @@ from util import (
     ref_bit_counts,
     ref_contains,
     ref_divides,
+    ref_height,
     ref_hilbert_colon,
     ref_hilbert_numerator,
     ref_transversals,
@@ -418,6 +419,47 @@ def test_height_matches_bruteforce(gens):
             height(I)
     else:
         assert height(I) == brute_height(I)
+
+
+# Up to 30 generators on 14 variables, beyond brute_height's reach.  A
+# generator may take an earlier one's support or a part of it, and exponents
+# run up to 3, so generators such as x0^2 x1 and x0 x1^2 repeat a support
+# and x0^2 and x0 x1 nest one: the search meets edges equal to and inside
+# other edges.
+HEIGHT_VARS = [nat_var(i) for i in range(14)]
+
+
+@st.composite
+def hypergraph_ideals(draw):
+    # hypothesis keeps its own draws small; a Random seeded by it gives every size
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    supports = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if supports and kind < 0.2:
+            support = rng.choice(supports)
+        elif supports and kind < 0.4:
+            support = rng.choice(supports)
+            support = rng.sample(support, rng.randint(1, len(support)))
+        else:
+            support = rng.sample(range(14), rng.randint(2, 5))
+        supports.append(support)
+    return MonomialIdeal(Monomial((HEIGHT_VARS[k], rng.randint(1, 3)) for k in s) for s in supports)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(I=hypergraph_ideals())
+def test_height_search_matches_least_minimal_transversal(I):
+    assert height(I) == ref_height(I)
+
+
+def test_height_of_disjoint_edges_is_their_number():
+    # 18 disjoint edges have 2^18 minimal transversals, which the route
+    # through _transversals listed (0.43 s); the packing bound meets the
+    # number of edges at once
+    vs = [nat_var(i) for i in range(36)]
+    I = MonomialIdeal(mono((vs[2 * k], 1), (vs[2 * k + 1], 1)) for k in range(18))
+    assert height(I) == 18
 
 
 # pair_var(0, 1) and pair_var(1, 0) are also names of polarization copies

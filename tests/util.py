@@ -37,8 +37,9 @@ from letterplace.monomial import (
     IntPoly,
     Monomial,
     MonomialIdeal,
+    _supports,
+    _transversals,
     elem_var,
-    height,
     pair_var,
 )
 from letterplace.poset import Poset, chain
@@ -171,6 +172,15 @@ def brute_height(I: MonomialIdeal) -> int:
             if all(cand & s for s in supports):
                 return k
     raise ValueError("height of the unit ideal is undefined")
+
+
+def ref_height(I: MonomialIdeal) -> int:
+    """Oracle for height: the least popcount among the minimal transversals
+    of the generator supports (MMCS, monomial._transversals)."""
+    transversals = _transversals(_supports(I, I.universe))
+    if not transversals:
+        raise ValueError("height of the unit ideal is undefined")
+    return min(map(int.bit_count, transversals))
 
 
 def ref_associated_primes(I: MonomialIdeal) -> set:
@@ -1018,7 +1028,7 @@ def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_
     basis = buchberger(gens, order, degree_cap, pair_cap)
     initial_ok = initial_ideal(basis, order).gens == target.gens
     codims = codim_formulas(seq)
-    h = height(target)
+    h = ref_height(target)
     codim_ok = h == codims["from_i"] == codims["max_formula"]
     report = {
         "a": seq.a,
