@@ -222,7 +222,11 @@ def codim_formulas(seq: LSequence) -> dict:
     running maxima of the shifted differences, whose first entry never exceeds
     the second.
     """
-    iseq = i_sequence(terrace(seq))
+    return _codims(seq, i_sequence(terrace(seq)))
+
+
+def _codims(seq: LSequence, iseq: LSequence) -> dict:
+    """codim_formulas(seq), given the i-sequence of seq's terrace."""
     return {
         "from_i": iseq[iseq.b] - iseq[iseq.a],
         "max_formula": max(
@@ -279,7 +283,7 @@ def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
     leads = {next(iter(d)) for d in basis}
     packed = _packed_gens(target, codec)
     initial_ok = packed is not None and len(basis) == len(target.gens) and leads == packed
-    codims = codim_formulas(seq)
+    codims = _codims(seq, iseq)
     codim_ok = h == codims["from_i"] == codims["max_formula"]
     report = {
         "a": seq.a,

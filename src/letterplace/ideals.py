@@ -9,7 +9,7 @@ non-principal letterplace ideal is built.
 
 from __future__ import annotations
 
-from .errors import InfiniteIdeal
+from .errors import ExplosionGuard, InfiniteIdeal
 from .homset import HomIdeal, _floor, _isotone_maps, check_isotone
 from .monomial import MonomialIdeal, _of_sorted_pairs, alexander_dual
 from .poset import Poset
@@ -32,16 +32,17 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal ascent monomials of the complement filter.
 
     A principal ideal takes the multichain description of
-    principal_letterplace_gens.  Any other J takes the duality theorem:
-    L(J, P) is the Alexander dual of the co-letterplace ideal L(P, J), and
-    `cap` bounds the marker walk of a cofinite J; the multichain walk takes
-    no cap.  An empty ideal (complement = everything) yields the unit ideal,
-    flagged by MonomialIdeal.is_unit; J = Hom yields the zero ideal.
+    principal_letterplace_gens, and `cap` bounds the multichains its walk
+    produces.  Any other J takes the duality theorem: L(J, P) is the
+    Alexander dual of the co-letterplace ideal L(P, J), and `cap` bounds the
+    marker walk of a cofinite J.  Past the cap ExplosionGuard is raised.  An
+    empty ideal (complement = everything) yields the unit ideal, flagged by
+    MonomialIdeal.is_unit; J = Hom yields the zero ideal.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if J.kind == "principal":
-        return principal_letterplace_gens(J.poset, J.alpha)
+        return _principal_letterplace(J.poset, J.alpha, cap)
     return alexander_dual(coletterplace_ideal(J, cap))
 
 
@@ -129,16 +130,24 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     with alpha(p_r) = r and alpha(p_j) > j for j < r: the letterplace ideal of
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
-    chains = _multichains(P, check_isotone(P, alpha))
+    return _principal_letterplace(P, alpha, None)
+
+
+def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
+    """principal_letterplace_gens(P, alpha), with its multichains bounded by
+    `cap` as in _multichains."""
+    chains = _multichains(P, check_isotone(P, alpha), cap)
     # a multichain's sorted pairs (p_j, j), listed by (degree, pairs): the sort_key order of the monomials
     keyed = sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)
     # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
     return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for _, pairs in keyed])
 
 
-def _multichains(P: Poset, alpha) -> list:
+def _multichains(P: Poset, alpha, cap=None) -> list:
     """The multichains (p_0, ..., p_r) of principal_letterplace_gens, as
-    element tuples, each once; alpha must be isotone.
+    element tuples, each once; alpha must be isotone.  `cap` (None: no
+    limit) bounds the multichains produced: ExplosionGuard is raised once
+    there are more than cap of them, checked once per frame.
 
     Depth first on an explicit stack of frames (j, p): p comes at position
     j after path[:j], so a frame cuts the one shared path back to j entries
@@ -156,7 +165,11 @@ def _multichains(P: Poset, alpha) -> list:
             out.append((q,))
     path = []
     pop, push = stack.pop, stack.append
-    while stack:
+    while True:
+        if cap is not None and len(out) > cap:
+            raise ExplosionGuard(f"produced {len(out)} multichains, more than cap {cap}")
+        if not stack:
+            return out
         pos, p = pop()
         del path[pos:]
         path.append(p)
@@ -171,4 +184,3 @@ def _multichains(P: Poset, alpha) -> list:
                 out.append((*path, q))
             elif top > pos:
                 push((pos, q))
-    return out

@@ -126,105 +126,146 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
         missing = [p for p in range(n) if not power[p]]
         if missing:
             raise NotArtinian(f"no pure power of elements {missing} in the ideal")
-        return _stable_exact(P, _exponent_tuples(n, I.gens), power, cap)
+        radix = _radix([e + 1 for e in power])
+        # no walked monomial has an exponent above its pure power, so a
+        # generator with one is never looked up (and its code could alias)
+        codes = {_code(g, radix) for g in I.gens if all(e <= power[v.a] for v, e in g.exps)}
+        return _stable_exact(P, codes, power, radix, cap)
     if mode == "bounded":
         if depth is None:
             depth = I.max_degree() + 2
         if not isinstance(depth, int) or depth < 0:
             raise ValueError(f"depth must be a non-negative integer, got {depth}")
-        return _stable_bounded(P, _exponent_tuples(n, I.gens), depth)
+        radix = _radix([depth + 1] * n)
+        gens = [(g.degree(), _code(g, radix)) for g in I.gens if g.degree() <= depth]
+        return _stable_bounded(P, gens, radix, depth)
     raise ValueError(f"mode must be 'exact' or 'bounded', got {mode!r}")
 
 
-def _exponent_tuples(n: int, gens) -> set:
-    """The exponent tuples over x[0..n-1] of monomials in those variables."""
-    out = set()
-    for g in gens:
-        e = [0] * n
-        for v, x in g.exps:
-            e[v.a] = x
-        out.add(tuple(e))
-    return out
+def _radix(bases) -> list:
+    """The place values of the mixed radix with these bases.  A monomial
+    with exponent w[p] < bases[p] at each p has the code sum of
+    w[p] * radix[p], and no two such monomials share a code."""
+    radix = []
+    place = 1
+    for base in bases:
+        radix.append(place)
+        place *= base
+    return radix
 
 
-def _stable_exact(P: Poset, gens: set, power: list, cap: int) -> bool:
-    """Exact mode on exponent tuples: `gens` holds the generators of an
-    artinian ideal, power[p] the exponent of its pure power of x[p].
+def _code(g: Monomial, radix) -> int:
+    """The code of a monomial in the variables x[p]."""
+    return sum(e * radix[v.a] for v, e in g.exps)
+
+
+def _stable_exact(P: Poset, gens: set, power: list, radix: list, cap: int) -> bool:
+    """Exact mode on codes in the radix with bases power[p] + 1: `gens`
+    holds the generator codes of an artinian ideal, power[p] the exponent
+    of its pure power of x[p].
 
     The standard monomials are walked level by level (by degree) from 1,
     each reached once: from w by raising a variable p at or after the one
     last raised in w.  The child c = w + e_p is standard iff it stays below
-    the pure power, is not a generator, and every c - e_q (q != p in its
-    support) is standard already.  The exchange move of a standard w at a
-    support element a gives j = lambda_bar(phi_w - e_a), and the ideal is
-    stable iff every such j is standard.  Once the levels up to deg j are
+    the pure power, is not a generator, and every c - e_q (q in the support
+    of w; q = p gives w) is standard already.  The exchange move of a
+    standard w at a support element a gives j = lambda_bar(phi_w - e_a),
+    and the ideal is stable iff every such j is standard.  Once the levels up to deg j are
     complete, that is a set lookup, so j waits in `pending` until then; a j
     still waiting when the walk ends lies above every standard monomial.
+    A standard monomial has every exponent below power[p] and an exchange
+    result none above it, so no code stands for two of them.
     """
     n = P.n
-    order, lower, upper = P.order, P.lower, P.upper
-    one = (0,) * n
-    standard = {one}
+    below = _lower_covers(P)
+    standard = {0}
     if cap < 1:
         raise _past_cap(1, cap)
-    level = [(one, 0)]
+    # (code, exponent tuple, last variable raised, radix[q] for q in the support)
+    level = [(0, (0,) * n, 0, ())]
     pending = {}  # degree -> the exchange results of that degree, undecided
     deg = 0
     while level:
         for j in pending.pop(deg, ()):
             if j not in standard:
                 return False
-        for w, _ in level:
-            phi = _heaviest(order, lower, w)  # lambda_bar_inv of w
-            for a in range(n):
-                e = w[a]
-                covers = upper[a]
-                if not e or not covers:
-                    continue  # at a maximal a the move only divides w by x_a
-                # Lowering phi at a support element a keeps it isotone; the
-                # jumps (lambda_bar of the lowered map) read phi on lower
-                # covers, so they change only at a and at a's upper covers.
-                phi[a] -= 1
-                jumps = list(w)
-                jumps[a] = e - 1
-                for p in _bits(covers):
-                    jumps[p] = phi[p] - _floor(phi, lower[p])
-                phi[a] += 1
-                j = tuple(jumps)
-                size = sum(jumps)
-                if size <= deg:
+        for c, w, _, _ in level:
+            for j, k in _exchanges(below, radix, c, w):
+                # with k = 0, j divides w and is standard
+                if k == 1:
                     if j not in standard:
                         return False
-                else:
-                    pending.setdefault(size, set()).add(j)
+                elif k:
+                    pending.setdefault(deg - 1 + k, set()).add(j)
         grown = []
-        for w, low in level:
+        for c, w, low, downs in level:
             for p in range(low, n):
                 e = w[p] + 1
                 if e >= power[p]:
                     continue
-                c = w[:p] + (e,) + w[p + 1:]
-                if c in gens:
+                r = radix[p]
+                child = c + r
+                if child in gens:
                     continue
-                # the support of w lies in 0..low, so q < p covers c's other variables
-                if any(w[q] and c[:q] + (w[q] - 1,) + c[q + 1:] not in standard for q in range(p)):
-                    continue
-                standard.add(c)
-                if len(standard) > cap:
-                    raise _past_cap(len(standard), cap)
-                grown.append((c, p))
+                for q in downs:
+                    if child - q not in standard:
+                        break
+                else:
+                    standard.add(child)
+                    if len(standard) > cap:
+                        raise _past_cap(len(standard), cap)
+                    grown.append((child, w[:p] + (e,) + w[p + 1:], p, downs if e > 1 else downs + (r,)))
         level = grown
         deg += 1
     return not pending
+
+
+def _lower_covers(P: Poset) -> list:
+    """(p, the elements p covers) for each element p that is not minimal,
+    along the linear extension."""
+    return [(p, tuple(_bits(P.lower[p]))) for p in P.order if P.lower[p]]
+
+
+def _exchanges(below, radix, c: int, w) -> list:
+    """The exchange moves of the monomial with exponents w and code c: for
+    each support element a, ascending, the pair (j, k) where j is the code
+    of lambda_bar(phi_w - e_a) and k counts the elements whose jump that
+    move raises, so deg j = deg w - 1 + k.  `below` is _lower_covers(P).
+
+    Lowering phi at a keeps it isotone and lowers the jump at a by one.  The
+    jump at p reads the largest phi on p's lower covers, so it rises by one
+    exactly where a is the sole lower cover of p with the highest phi, and
+    stays put everywhere else.
+    """
+    n = len(w)
+    phi = list(w)
+    gain = [0] * n  # a -> sum of radix[p] over the p whose sole highest lower cover is a
+    count = [0] * n
+    for p, lows in below:
+        top = 0
+        sole = -1
+        for q in lows:
+            v = phi[q]
+            if v > top:
+                top = v
+                sole = q
+            elif v == top:
+                sole = -1
+        phi[p] += top
+        if sole >= 0:
+            gain[sole] += radix[p]
+            count[sole] += 1
+    return [(c - radix[a] + gain[a], count[a]) for a in range(n) if w[a]]
 
 
 def _past_cap(produced: int, cap: int) -> ExplosionGuard:
     return ExplosionGuard(f"{produced} standard monomials produced, more than the cap {cap}")
 
 
-def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
-    """Bounded mode on exponent tuples: the definitional test on every member
-    of degree <= depth, walked up from the generators into one set.
+def _stable_bounded(P: Poset, gens: list, radix: list, depth: int) -> bool:
+    """Bounded mode on codes in the radix with base depth + 1: the
+    definitional test on every member of degree <= depth, walked up from
+    the generators, given as (degree, code) pairs, into one set.
 
     For a member m and an antichain B of its support, let `candidates` be
     the elements on some longest multichain through every b in B; then each
@@ -234,47 +275,49 @@ def _stable_bounded(P: Poset, gens: set, depth: int) -> bool:
     these, and the longest multichains of m are computed only for the rest.
     """
     n = P.n
+    base = depth + 1
     # the members of degree k: the generators of degree k and the members
     # of degree k - 1 times each variable
     members = set()
     level = set()
     for k in range(depth + 1):
-        level = {m[:p] + (m[p] + 1,) + m[p + 1:] for m in level for p in range(n)}
-        level.update(g for g in gens if sum(g) == k)
+        level = {m + r for m in level for r in radix}
+        level.update(c for d, c in gens if d == k)
         members |= level
     comparable = [P.down[p] | P.up[p] for p in range(n)]
     everything = (1 << n) - 1
-    antichains_of = {}  # support -> its nonempty antichains, for this call only
+    antichains_of = {}  # support mask -> its nonempty antichains, for this call only
     for m in members:
-        supp = tuple(p for p in range(n) if m[p])
+        supp = 0
+        for p, r in enumerate(radix):
+            if m // r % base:
+                supp |= 1 << p
         antichains = antichains_of.get(supp)
         if antichains is None:
             grown = [((), 0)]  # (antichain, the elements comparable with it)
-            for b in supp:
+            for b in _bits(supp):
                 grown += [(B + (b,), seen | comparable[b]) for B, seen in grown if not seen >> b & 1]
             antichains = antichains_of[supp] = [B for B, _ in grown[1:]]
-        ending = None
+        weight = None
         through = {}
         for B in antichains:
-            stripped = list(m)
+            stripped = m
             for b in B:
-                stripped[b] -= 1
-            if tuple(stripped) in members:
+                stripped -= radix[b]
+            if stripped in members:
                 continue  # so is every stripped * x_a
-            if ending is None:
-                ending = _heaviest(P.order, P.lower, m)
+            if weight is None:
+                weight = [m // r % base for r in radix]
+                ending = _heaviest(P.order, P.lower, weight)
             candidates = everything
             for b in B:
                 if b not in through:
-                    through[b] = _through(P, m, ending, b)
+                    through[b] = _through(P, weight, ending, b)
                 candidates &= through[b]
             while candidates:
                 low = candidates & -candidates
-                a = low.bit_length() - 1
-                stripped[a] += 1
-                if tuple(stripped) not in members:
+                if stripped + radix[low.bit_length() - 1] not in members:
                     return False
-                stripped[a] -= 1
                 candidates ^= low
     return True
 
@@ -303,5 +346,7 @@ def max_ideal_power_stable(P: Poset, d: int) -> tuple:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    verdict = _stable_exact(P, set(_compositions(P.n, d)), [d] * P.n, _CAP)
+    radix = _radix([d + 1] * P.n)
+    gens = set(map(sum, combinations_with_replacement(radix, d)))
+    verdict = _stable_exact(P, gens, [d] * P.n, radix, _CAP)
     return verdict, all(upper.bit_count() <= 1 for upper in P.upper)

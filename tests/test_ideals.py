@@ -253,6 +253,26 @@ def test_principal_coletterplace_walk_honours_the_cap():
     assert len(coletterplace_ideal(J, cap=27).gens) == 27
 
 
+def test_principal_letterplace_walk_honours_the_cap():
+    # alpha = (1, ..., 7, 7) on chain(8) has 2055 multichains, one generator each
+    J = HomIdeal.principal(chain(8), (1, 2, 3, 4, 5, 6, 7, 7))
+    with pytest.raises(ExplosionGuard, match="produced 2055 multichains, more than cap 2054"):
+        letterplace_ideal(J, cap=2054)
+    with pytest.raises(ExplosionGuard, match="produced 2055 multichains, more than cap 2054"):
+        support(J, cap=2054)
+    assert len(letterplace_ideal(J, cap=2055).gens) == 2055
+    # the walk stops after the frame that passes the cap, not at its end
+    with pytest.raises(ExplosionGuard, match="produced 1 multichains, more than cap 0"):
+        _multichains(J.poset, J.alpha, 0)
+    # principal_letterplace_gens takes no cap
+    assert len(principal_letterplace_gens(J.poset, J.alpha).gens) == 2055
+    # every element with alpha 0 is a multichain of its own, found before any frame
+    J0 = HomIdeal.principal(antichain(3), (0, 0, 0))
+    with pytest.raises(ExplosionGuard, match="produced 3 multichains, more than cap 2"):
+        letterplace_ideal(J0, cap=2)
+    assert len(letterplace_ideal(J0, cap=3).gens) == 3
+
+
 def test_finite_letterplace_does_not_walk_the_value_box():
     # {k*e_1 : k < 7} on antichain(6): a walk over the 8**6 maps valued <= nmax = 7
     # would pass the cap; the ideal has one generator per element

@@ -12,8 +12,11 @@ from letterplace.errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
 from letterplace.homset import HomIdeal, enumerate_isotone
 from letterplace.ideals import letterplace_ideal, support
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var, pair_var
-from letterplace.poset import antichain, chain, poset_from_covers
+from letterplace.poset import Poset, antichain, chain, poset_from_covers
 from letterplace.pstable import (
+    _exchanges,
+    _lower_covers,
+    _radix,
     is_p_stable,
     lambda_bar,
     lambda_bar_inv,
@@ -238,7 +241,7 @@ def test_max_ideal_power_criterion_reads_the_hasse_diagram():
 def test_max_ideal_power_criterion_all_posets_up_to_4():
     for n in range(5):
         for P in all_labeled_posets(n):
-            for d in (2, 3):
+            for d in (2, 3, 4):
                 verdict, structural = max_ideal_power_stable(P, d)
                 assert verdict == structural
                 I = maximal_ideal_power(P, d)
@@ -246,6 +249,73 @@ def test_max_ideal_power_criterion_all_posets_up_to_4():
                 combos = combinations_with_replacement(range(n), d)
                 built = [Monomial((elem_var(p), 1) for p in c) for c in combos]
                 assert {(g, g.degree()) for g in I.gens} == {(g, g.degree()) for g in built}
+
+
+def test_codes_on_the_radix_boundary():
+    # The exact walk codes a monomial in the radix with base power[p] + 1 at
+    # p, and bounded mode in base depth + 1; these ideals put digits on the
+    # edges of those radices.
+    vee = poset_from_covers(3, [(0, 1), (0, 2)])
+    cases = [
+        # a pure power of 1: the digit of x0 is 0 in every standard monomial
+        (chain(2), [[(0, 1)], [(1, 3)]]),
+        (vee, [[(0, 1)], [(1, 2)], [(2, 2)]]),
+        (vee, [[(0, 2)], [(1, 1)], [(2, 3)]]),
+        # mixed generators with exponent power[p] - 1
+        (chain(2), [[(0, 3)], [(1, 3)], [(0, 2), (1, 1)]]),
+        (chain(2), [[(0, 2)], [(1, 3)], [(0, 1), (1, 2)]]),
+        (antichain(3), [[(0, 2)], [(1, 3)], [(2, 1)], [(0, 1), (1, 2)]]),
+        (vee, [[(0, 2)], [(1, 3)], [(2, 3)], [(0, 1), (1, 2)], [(1, 2), (2, 2)]]),
+        (fence(), [[(0, 2)], [(1, 2)], [(2, 3)], [(3, 2)], [(1, 1), (2, 2), (3, 1)]]),
+        # an exchange result with the top digit power[p]: on 0 < 1 the move
+        # of x0*x1 at 0 gives x1^2, a generator
+        (chain(2), [[(0, 2)], [(1, 2)]]),
+        # the powers of 2000 of test_exact_walks_standard_monomials_only, on
+        # a chain, where the box scan stops at x0^2
+        (chain(2), [[(0, 2000)], [(1, 2000)], [(0, 1), (1, 1)]]),
+    ]
+    for P, gens in cases:
+        vs = [elem_var(p) for p in range(P.n)]
+        I = MonomialIdeal([emono(*g) for g in gens], vs)
+        assert is_p_stable(P, I, "exact") == ref_stable_exact(P, I)
+        # a generator of degree depth sits on the top digit of bounded
+        # mode, and one of larger degree is left out
+        top = min(I.max_degree(), 4) + 2
+        for depth in range(top + 1):
+            assert is_p_stable(P, I, "bounded", depth) == ref_stable_bounded(P, I, depth)
+
+
+@st.composite
+def posets_with_exponents(draw):
+    """A poset on at most 6 elements, from random relations i < j between
+    labels, and an exponent tuple over it with entries 0..4."""
+    n = draw(st.integers(0, 6))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    P = Poset(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    return P, draw(st.tuples(*[st.integers(0, 4)] * n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(instance=posets_with_exponents())
+def test_exchange_moves_match_their_definition(instance):
+    # the exchange move of w at a support element a is lambda_bar of
+    # lambda_bar_inv(w) - e_a, read here off the sole highest lower covers
+    P, w = instance
+    base = max(w, default=0) + 2  # an exchange raises an exponent by at most 1
+    radix = _radix([base] * P.n)
+    c = sum(e * r for e, r in zip(w, radix))
+    moves = _exchanges(_lower_covers(P), radix, c, w)
+    support = [a for a in range(P.n) if w[a]]
+    assert len(moves) == len(support)
+    phi = lambda_bar_inv(P, emono(*enumerate(w)))
+    for a, (j, k) in zip(support, moves):
+        lowered = tuple(v - 1 if p == a else v for p, v in enumerate(phi))
+        expected = lambda_bar(P, lowered)
+        digits = [j // r % base for r in radix]
+        assert emono(*enumerate(digits)) == expected
+        assert j < base ** P.n
+        assert expected.degree() == sum(w) - 1 + k
 
 
 def test_image_of_complement_is_projected_letterplace():
