@@ -96,9 +96,7 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     m = len(order)
     if not m:
         return [_make((), 0)] if graphs else [()]
-    # the earlier positions below and above each position
-    below = [[j for j in range(k) if P.down[p] >> order[j] & 1] for k, p in enumerate(order)]
-    above = [[j for j in range(k) if P.up[p] >> order[j] & 1] for k, p in enumerate(order)]
+    below, above = _prefix_covers(P, order)
     tops = [upper[p] for p in order]
     if graphs:
         # the interned exponent items of x[p, v] for v in 0..upper[p]
@@ -136,6 +134,34 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
         if cap is not None and len(out) > cap:
             raise ExplosionGuard(f"produced {len(out)} isotone maps, more than cap {cap}")
     return out
+
+
+def _prefix_covers(P: Poset, order) -> tuple:
+    """The prefix covers of each position k of `order`: the positions of the
+    maximal elements of order[:k] below order[k], and of the minimal ones
+    above it.  An isotone prefix takes its largest value below order[k] on
+    the first and its smallest value above it on the second.
+
+    Each is found by climbing, from the highest element left, through the
+    up (down) masks inside what is left to a maximal (minimal) element,
+    whose down-set (up-set) is then dropped, so the work follows the covers.
+    """
+    up, down = P.up, P.down
+    at = dict(zip(order, range(len(order))))
+    below, above = [], []
+    placed = 0
+    for p in order:
+        for out, rest, climb, fall in ((below, down[p] & placed, up, down), (above, up[p] & placed, down, up)):
+            found = []
+            while rest:
+                q = rest.bit_length() - 1
+                while beyond := climb[q] & rest ^ 1 << q:
+                    q = beyond.bit_length() - 1
+                found.append(at[q])
+                rest &= ~fall[q]
+            out.append(found)
+        placed |= 1 << p
+    return below, above
 
 
 def minimal_of(maps: Iterable[tuple]) -> list:
@@ -253,8 +279,12 @@ class HomIdeal:
         if self.kind == "cofinite":
             return self.gens
         if self.kind == "principal":
-            cands = [tuple(self.alpha[p] + 1 if P.leq(p, q) else 0 for q in range(P.n)) for p in range(P.n)]
-            return tuple(minimal_of(cands))
+            # phi_p, alpha(p) + 1 on the up-set of p and 0 elsewhere, lies
+            # above phi_q exactly when q > p and alpha(q) = alpha(p); alpha is
+            # isotone, so phi_p is minimal iff alpha rises along each upper cover
+            a = self.alpha
+            kept = [p for p in range(P.n) if all(a[q] > a[p] for q in _bits(P.upper[p]))]
+            return tuple(sorted(tuple(a[p] + 1 if P.up[p] >> q & 1 else 0 for q in range(P.n)) for p in kept))
         # finite: a minimal map outside is 0, or a member raised by one at a
         # single element (lowering it at a minimal element of its support
         # stays isotone and lands inside).

@@ -295,6 +295,22 @@ def test_gebauer_moeller_criteria_counts():
     assert buchberger(gens, LEX, pair_cap=3) == gens[::-1]
 
 
+def test_criterion_b_spares_a_pair_sharing_its_lcm_with_the_new_head():
+    # Criterion B may delete a pending pair only when the new head's lcm with
+    # each of the pair's two heads differs from the pair's lcm.  An engine
+    # that skips the test on the pair's second head deletes a needed pair here
+    # and returns two elements; the basis of this unit ideal is {1}.
+    order = lex_order([X, Y])
+    system = [
+        poly(([(X, 3), (Y, 3)], 1), ([(X, 3), (Y, 2)], 2), ([(Y, 3)], -1)),
+        poly(([(X, 3), (Y, 3)], 2), ([(X, 3), (Y, 2)], 2), ([(X, 2), (Y, 2)], 1)),
+        poly(([(X, 3), (Y, 2)], -1), ([], -1)),
+    ]
+    expected = ref_buchberger(system, order)
+    assert len(expected) == 1
+    assert buchberger(system, order) == expected
+
+
 def test_inputs_reducing_to_zero_form_no_pairs():
     # x^2 - y^2 = (x + y)(x - y) reduces to zero modulo x - y, which joins
     # first (smaller leading term), so no S-pair is left to reduce

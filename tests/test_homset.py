@@ -10,12 +10,13 @@ from letterplace.errors import ExplosionGuard, MixedPosets, NotIsotone
 from letterplace.homset import (
     HomIdeal,
     Marker,
+    _prefix_covers,
     dominates,
     enumerate_isotone,
     is_isotone,
     minimal_of,
 )
-from letterplace.poset import antichain, chain, poset_from_covers
+from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
 from util import (
     all_labeled_posets,
@@ -23,9 +24,11 @@ from util import (
     brute_is_marker,
     brute_isotone,
     brute_minimal,
+    brute_minimal_elements,
     brute_minimal_markers,
     draw_poset,
     random_cofinite_ideal,
+    ref_prefix_positions,
 )
 
 
@@ -140,11 +143,14 @@ def test_complement_gens_principal_zero_is_minimal():
 
 
 def test_complement_gens_principal_matches_bruteforce():
-    for P in all_labeled_posets(3):
-        for alpha in enumerate_isotone(P, 2):
-            J = HomIdeal.principal(P, alpha)
-            bound = max(alpha) + 1 if alpha else 0
-            assert list(J.complement_gens()) == brute_complement_gens(J, bound)
+    # every labelled poset on 3 elements with alpha valued <= 2, and on 4
+    # elements with alpha valued <= 1: alpha stays level along some covers
+    # and rises along others
+    for n, top in ((3, 2), (4, 1)):
+        for P in all_labeled_posets(n):
+            for alpha in enumerate_isotone(P, top):
+                J = HomIdeal.principal(P, alpha)
+                assert list(J.complement_gens()) == brute_complement_gens(J, max(alpha) + 1)
 
 
 def test_complement_gens_finite_antichain_pair():
@@ -362,6 +368,35 @@ def test_enumerate_isotone_matches_brute_filter(data):
     assert enumerate_isotone(P, bound) == maps
     isotone = set(maps)
     assert all(is_isotone(P, m) == (m in isotone) for m in product(range(bound + 1), repeat=P.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prefix_covers_are_the_extremes_of_the_earlier_comparable_positions(data):
+    # for all of P and for every ideal of P, as the walk of minimal_markers
+    # takes them; element numbers in any order against the poset
+    P = draw_poset(data, 5)
+    for elements in [range(P.n), *P.ideals()]:
+        order = sorted(elements)
+        ref_below, ref_above = ref_prefix_positions(P, order)
+        below, above = _prefix_covers(P, order)
+        for k in range(len(order)):
+            highest = brute_minimal_elements(ref_below[k], lambda i, j: P.leq(order[j], order[i]))
+            lowest = brute_minimal_elements(ref_above[k], lambda i, j: P.leq(order[i], order[j]))
+            assert sorted(below[k]) == sorted(highest)
+            assert sorted(above[k]) == sorted(lowest)
+
+
+@pytest.mark.parametrize("upward", [True, False], ids=["bottom-up", "top-down"])
+def test_deep_chain_walk_reads_one_prefix_cover_per_element(upward):
+    # 0 < 1 < ... < 2999, or the reverse: each position after the first has
+    # one prefix cover, its predecessor, below it or above it
+    n = 3000
+    P = chain(n) if upward else Poset(n, [(i + 1, i) for i in range(n - 1)])
+    assert enumerate_isotone(P, 0) == [(0,) * n]
+    below, above = _prefix_covers(P, range(n))
+    assert sum(map(len, below)) + sum(map(len, above)) == n - 1
+    assert (below if upward else above)[1:] == [[k] for k in range(n - 1)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -371,6 +371,15 @@ def brute_isotone(P: Poset, bound: int) -> list:
     return [m for m in product(range(bound + 1), repeat=P.n) if all(m[p] <= m[q] for p, q in order)]
 
 
+def ref_prefix_positions(P: Poset, order) -> tuple:
+    """Oracle for homset._prefix_covers: for each position k of `order`, all
+    earlier positions whose elements lie below order[k], and all those whose
+    elements lie above it, by a test of every earlier position."""
+    below = [[j for j in range(k) if P.down[p] >> order[j] & 1] for k, p in enumerate(order)]
+    above = [[j for j in range(k) if P.up[p] >> order[j] & 1] for k, p in enumerate(order)]
+    return below, above
+
+
 def draw_poset(data, max_n: int) -> Poset:
     """A poset on at most max_n elements drawn by hypothesis: relations i < j
     between the positions of a drawn order of the elements, so that the
