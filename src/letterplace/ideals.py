@@ -79,7 +79,7 @@ def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
 def _checked_support(J: HomIdeal, L: MonomialIdeal) -> frozenset:
     """support(J) read off L, checked against the hull.  L is letterplace_ideal(J)
     or its Alexander dual coletterplace_ideal(J): the two use the same variables."""
-    out = frozenset((v.a, v.b) for g in L.gens for v in g.support())
+    out = frozenset((v.a, v.b) for g in L.gens for v, _ in g.exps)
     # the empty ideal, the one without the zero map, has no hull; its
     # letterplace ideal is the unit ideal, with no variables
     if J.is_finite_repr and J.member((0,) * J.poset.n):

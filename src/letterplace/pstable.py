@@ -10,6 +10,7 @@ exchange move, which is what is_p_stable tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
@@ -338,6 +339,15 @@ def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
     return MonomialIdeal(gens, variables)
 
 
+@lru_cache(maxsize=16)
+def _power_codes(n: int, d: int) -> tuple:
+    """(radix, codes): the radix with bases d + 1 on n elements, as a tuple,
+    and the frozenset of the codes of the degree-d monomials, the generators
+    of m^d.  They depend on n and d only, and _stable_exact only reads them."""
+    radix = tuple(_radix([d + 1] * n))
+    return radix, frozenset(map(sum, combinations_with_replacement(radix, d)))
+
+
 def max_ideal_power_stable(P: Poset, d: int) -> tuple:
     """(exact stability verdict for m^d, one-cover forest verdict); they must agree.
 
@@ -346,7 +356,6 @@ def max_ideal_power_stable(P: Poset, d: int) -> tuple:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    radix = _radix([d + 1] * P.n)
-    gens = set(map(sum, combinations_with_replacement(radix, d)))
+    radix, gens = _power_codes(P.n, d)
     verdict = _stable_exact(P, gens, [d] * P.n, radix, _CAP)
     return verdict, all(upper.bit_count() <= 1 for upper in P.upper)

@@ -200,6 +200,13 @@ def regular_quotient_check(I: MonomialIdeal, f: FiberMap) -> bool:
     of fiber differences is regular iff the numerator of the projected ideal
     equals the numerator of the source ideal.  The projected side never
     becomes monomials: K runs on the kept masks of _projection.
+
+    Dividing by a regular sequence of linear forms keeps the graded Betti
+    numbers, the number of minimal generators among them.  So a projection
+    with fewer minimal generators than I is not regular, and is rejected
+    before either numerator is computed.
     """
     _, masks, levels = _projection(I, f)
+    if len(masks) < len(I.gens):
+        return False
     return hilbert_numerator(I) == _numerator(masks, levels)

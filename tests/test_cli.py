@@ -412,6 +412,9 @@ GOLDEN_IDEALS = ("principal", "finite", "cofinite")
     + [
         ("ss_dualize", ["ss", "dualize", "--gens", "ss_gens.txt"]),
         ("ss_dualize_bound_3", ["ss", "dualize", "--gens", "ss_gens.txt", "--bound", "3"]),
+        ("regular-check_letterplace_chain_merge",
+         ["regular-check", "--ideal", "chain_principal.json", "--side", "letterplace",
+          "--map", "chain_merge_map.json"]),
     ],
 )
 def test_golden_stdout(name, argv, capsys):
@@ -424,7 +427,11 @@ def test_golden_stdout(name, argv, capsys):
     `ss dualize`; `<name>.out` holds what
     `letterplace <argv>` printed when the outputs were recorded.  The fence
     is not a chain, so its p2 quotients are not regular and `regular-check`
-    exits 1 on them.
+    exits 1 on them.  `chain_merge_map.json` merges x[0,0] into x[1,1] on
+    the letterplace ideal of the 2-chain at (1, 1) (`chain_principal.json`):
+    the three generators keep distinct, incomparable images, so the
+    generator count passes and only the numerators tell that the quotient
+    is not regular.
     """
     argv = [str(GOLDEN / a) if a.endswith((".json", ".txt")) else a for a in argv]
     code, out = run(capsys, *argv)

@@ -376,6 +376,39 @@ def test_buchberger_matches_reference_engine(order, system):
     assert buchberger(system, order, pair_cap=2_000) == expected
 
 
+FOUR_VARS = (X, Y, Z, W)
+four_variable_polynomials = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                m(*[(v, e) for v, e in zip(FOUR_VARS, es) if e])
+                for es in product(range(4), repeat=4)
+                if sum(es) <= 6
+            ]
+        ),
+        coefficients,
+    ),
+    min_size=1,
+    max_size=3,
+).map(Polynomial)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(system=st.lists(four_variable_polynomials, min_size=1, max_size=7))
+def test_buchberger_matches_reference_engine_on_larger_lex_systems(system):
+    # Up to seven generators in four variables leave many pairs pending when
+    # a head joins, so criterion B meets pairs whose lcm the new head shares;
+    # the pinned system above is one of them.  A system the reference engine
+    # does not finish below lcm degree 10 and 200 pairs is skipped, which
+    # keeps this under a few seconds.
+    order = lex_order(FOUR_VARS)
+    try:
+        expected = ref_buchberger(system, order, degree_cap=10, pair_cap=200)
+    except BudgetExceeded:
+        return
+    assert buchberger(system, order, pair_cap=2_000) == expected
+
+
 @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex"])
 @settings(max_examples=80, deadline=None)
 @given(system=st.lists(polynomials, min_size=1, max_size=3), data=st.data())

@@ -187,6 +187,46 @@ def test_regular_quotient_check_matches_monomial_oracle(case):
     assert regular_quotient_check(I, fmap) == (ref_hilbert_numerator(I) == ref_hilbert_numerator(projected))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(merged_pair_ideals())
+def test_equal_numerators_keep_every_minimal_generator(case):
+    # a regular quotient keeps the graded Betti numbers, so the count test
+    # that regular_quotient_check runs first never rejects a regular one
+    I, fmap = case
+    if ref_hilbert_numerator(I) == ref_hilbert_numerator(ref_project_ideal(I, fmap)):
+        assert len(_projection(I, fmap)[1]) == len(I.gens)
+
+
+def test_regular_check_rejects_a_lost_generator_without_numerators(monkeypatch):
+    # merging the two incomparable pairs of the antichain sends both
+    # generators of L to one, so no numerator is needed to reject it
+    import letterplace.quotient
+
+    calls = []
+    refuse = [True]
+
+    def spy(original):
+        def numerator(*args):
+            calls.append(original.__name__)
+            if refuse[0]:
+                raise RuntimeError("a numerator was computed")
+            return original(*args)
+        return numerator
+
+    for name in ("hilbert_numerator", "_numerator"):
+        monkeypatch.setattr(letterplace.quotient, name, spy(getattr(letterplace.quotient, name)))
+    P = antichain(2)
+    J = HomIdeal.principal(P, (0, 0))
+    L = letterplace_ideal(J)
+    S = sorted(support(J))
+    assert regular_quotient_check(L, nonstrict_merge_map(P, S)) is False
+    assert calls == []
+    # the control: a regular map on the same ideal computes both numerators
+    refuse[0] = False
+    assert regular_quotient_check(L, FiberMap.identity(S)) is True
+    assert calls == ["hilbert_numerator", "_numerator"]
+
+
 def test_project_rejects_outside_variables():
     J = HomIdeal.principal(chain(2), (1, 1))
     L = letterplace_ideal(J)
