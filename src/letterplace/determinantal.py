@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .errors import NotTerrace
 from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
-from .ideals import principal_letterplace_gens
-from .monomial import MonomialIdeal, _make, height, pair_var
+from .ideals import _multichain_pairs
+from .monomial import MonomialIdeal, _of_sorted_pairs, height, pair_var
 from .poset import chain
 
 
@@ -87,31 +87,37 @@ def _laplace_minors(M: DetMatrix, row: dict) -> list:
     column tuple is expanded once.
     """
     seq = M.seq
+    # one memo per call, handed down to _minor: a recursive closure over it
+    # would keep it in a reference cycle after the call returns
     memo = {(): {0: 1}}
-
-    def minor(cols):
-        if cols not in memo:
-            entries = row[seq.a + len(cols) - 1]
-            acc = {}
-            for j, p in enumerate(cols):
-                u = entries.get(p)
-                if u is None:
-                    continue
-                sign = -1 if (len(cols) - 1 + j) % 2 else 1
-                for term, k in minor(cols[:j] + cols[j + 1 :]).items():
-                    acc[term + u] = sign * k
-            memo[cols] = acc
-        return memo[cols]
-
     out = []
     for c in range(seq.a + 1, seq.b + 1):
         rows = tuple(range(seq.a, c))
         col_pool = range(seq[seq.a] + 1, seq[c] + 1)
         for cols in combinations(col_pool, c - seq.a):
-            terms = minor(cols)
+            terms = _minor(row, seq.a, memo, cols)
             if terms:
                 out.append((c, rows, cols, terms))
     return out
+
+
+def _minor(row: dict, a: int, memo: dict, cols: tuple) -> dict:
+    """The terms of the minor on rows a..a+len(cols)-1 and columns cols,
+    expanded along its last row; memo maps each column tuple already
+    expanded to its terms."""
+    terms = memo.get(cols)
+    if terms is None:
+        entries = row[a + len(cols) - 1]
+        terms = {}
+        for j, p in enumerate(cols):
+            u = entries.get(p)
+            if u is None:
+                continue
+            sign = -1 if (len(cols) - 1 + j) % 2 else 1
+            for term, k in _minor(row, a, memo, cols[:j] + cols[j + 1 :]).items():
+                terms[term + u] = sign * k
+        memo[cols] = terms
+    return terms
 
 
 def _packed_minors(seq: LSequence) -> tuple:
@@ -206,13 +212,11 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    # on a chain the j-th pair of every generator is in column j, so the shift
-    # adds the same to the j-th pair of each: it keeps each generator's pairs
-    # and the generators in sort_key order
-    L = principal_letterplace_gens(chain(len(alpha)), alpha)
-    shifted = {v: (pair_var(v.a + lo + v.b + a, v.b + a), 1) for v in L.universe}  # exponent items
-    gens = [_make(tuple([shifted[v] for v, _ in g.exps]), g.degree()) for g in L.gens]
-    return MonomialIdeal._of_canonical(gens)
+    # on a chain the j-th pair of every generator is (p_j, j), and the shift
+    # adds lo + j + a to p_j and a to j: it keeps each generator's pairs
+    # ascending and the generators in sort_key order
+    gens = _multichain_pairs(chain(len(alpha)), alpha, None)
+    return MonomialIdeal._of_canonical([_of_sorted_pairs([(p + lo + j + a, j + a) for p, j in g]) for g in gens])
 
 
 def codim_formulas(seq: LSequence) -> dict:
@@ -250,17 +254,26 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     in buchberger (a negative cap raises ValueError), and the report echoes
     them under "budget"; BudgetExceeded is raised if the basis computation
     overruns them.  For a non-terrace input the report also carries the
-    terrace-reduced instance.
+    terrace-reduced instance under "terrace_instance", and "ok" holds both.
+    terrace is idempotent, so the two instances share the terrace, the
+    i-sequence, the target ly_ideal and its height, each built once.
     """
     _check_caps(degree_cap, pair_cap)
-    return _verify(seq, degree_cap, pair_cap)
+    ter = terrace(seq)
+    iseq = i_sequence(ter)
+    target = ly_ideal(iseq)
+    h = height(target)
+    report = _report(seq, ter, iseq, target, h, degree_cap, pair_cap)
+    if ter != seq:
+        report["terrace_instance"] = _report(ter, ter, iseq, target, h, degree_cap, pair_cap)
+        report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
+    return report
 
 
-def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
-    """verify_main's report on seq; known is the target ly_ideal of seq's
-    i-sequence and its height, when the caller has built them.  terrace is
-    idempotent, so the terrace instance of seq has the target and height of
-    seq and takes them from its caller.
+def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIdeal, h: int,
+            degree_cap, pair_cap) -> dict:
+    """verify_main's report on seq alone, given its terrace ter, the
+    i-sequence of ter, the target and its height.
 
     The minors are built packed and stay packed through the basis
     computation; the target's generators are packed by the codec of the
@@ -268,14 +281,6 @@ def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
     """
     row, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
-    ter = terrace(seq)
-    iseq = i_sequence(ter)
-    # built after the minors: built before them, the target raised
-    # det-verify's peak RSS by about 0.6 MB
-    if known is None:
-        target = ly_ideal(iseq)
-        known = target, height(target)
-    target, h = known
     diag_ok = _diagonal_leads(row, minors)
     basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
     # each reduced element lists its leading term first; the leading terms
@@ -285,7 +290,7 @@ def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
     initial_ok = packed is not None and len(basis) == len(target.gens) and leads == packed
     codims = _codims(seq, iseq)
     codim_ok = h == codims["from_i"] == codims["max_formula"]
-    report = {
+    return {
         "a": seq.a,
         "l": list(seq.vals),
         "terrace": list(ter.vals),
@@ -300,10 +305,6 @@ def _verify(seq: LSequence, degree_cap, pair_cap, known: tuple = None) -> dict:
         "ok": diag_ok and initial_ok and codim_ok,
         "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
     }
-    if ter != seq:
-        report["terrace_instance"] = _verify(ter, degree_cap, pair_cap, known)
-        report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
-    return report
 
 
 def _packed_gens(ideal: MonomialIdeal, codec: _Codec) -> set | None:

@@ -136,11 +136,17 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
 def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
     """principal_letterplace_gens(P, alpha), with its multichains bounded by
     `cap` as in _multichains."""
-    chains = _multichains(P, check_isotone(P, alpha), cap)
-    # a multichain's sorted pairs (p_j, j), listed by (degree, pairs): the sort_key order of the monomials
-    keyed = sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)
     # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
-    return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for _, pairs in keyed])
+    return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for pairs in _multichain_pairs(P, alpha, cap)])
+
+
+def _multichain_pairs(P: Poset, alpha, cap) -> list:
+    """The sorted pairs (p_j, j) of each multichain of
+    principal_letterplace_gens(P, alpha), listed by (degree, pairs): the
+    sort_key order of their monomials.  `cap` bounds the walk as in
+    _multichains."""
+    chains = _multichains(P, check_isotone(P, alpha), cap)
+    return [pairs for _, pairs in sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)]
 
 
 def _multichains(P: Poset, alpha, cap=None) -> list:

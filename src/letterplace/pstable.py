@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ExplosionGuard, IdentifierOutOfRange, NotArtinian
 from .homset import _floor, check_isotone
-from .monomial import Monomial, MonomialIdeal, _of_exponent_list, elem_var, var_text
+from .monomial import Monomial, MonomialIdeal, elem_var, var_text
 from .poset import Poset, _bits
 
 
@@ -321,22 +321,6 @@ def _stable_bounded(P: Poset, gens: list, radix: list, depth: int) -> bool:
                     return False
                 candidates ^= low
     return True
-
-
-def _compositions(n: int, d: int):
-    """The exponent tuples of the degree-d monomials in x[0..n-1]."""
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for p in combo:
-            e[p] += 1
-        yield tuple(e)
-
-
-def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
-    """The d-th power of (x_p : p in P), generated by all degree-d monomials."""
-    variables = [elem_var(p) for p in range(P.n)]
-    gens = [_of_exponent_list(variables, e) for e in _compositions(P.n, d)]
-    return MonomialIdeal(gens, variables)
 
 
 @lru_cache(maxsize=16)

@@ -32,7 +32,6 @@ from letterplace.pstable import (
     lambda_bar,
     lambda_bar_inv,
     max_ideal_power_stable,
-    maximal_ideal_power,
 )
 from letterplace.quotient import FiberMap, fiber_kind, regular_quotient_check
 from letterplace.stable import borel_closure, dualize_ss, dualize_ss_bounded
@@ -41,6 +40,7 @@ from util import (
     all_labeled_posets,
     artinian_ideals,
     brute_letterplace,
+    maximal_ideal_power,
     monomials_up_to,
     nonstrict_merge_map,
     poset_classes,

@@ -1,5 +1,6 @@
 """Staircase matrices, terrace/i sequences, and the initial-ideal theorem."""
 
+import gc
 import json
 import random
 from itertools import combinations_with_replacement
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import letterplace as lp
 import letterplace.determinantal as determinantal
 from letterplace.cli import main
 from letterplace.determinantal import (
@@ -396,20 +398,27 @@ def test_reduction_lemma_membership():
 
 
 def test_ly_ideal_builds_one_ideal(monkeypatch):
-    # the shifted generators go straight from the principal letterplace
-    # generators into one ideal, never through the general constructor's
-    # minimalization
+    # the shifted generators of the multichains go straight into one
+    # canonical ideal: no unshifted ideal is built first, and nothing takes
+    # the general constructor's minimalization
     builds = []
+    canonical = MonomialIdeal._of_canonical.__func__
     init = MonomialIdeal.__init__
 
-    def counted(self, *args, **kwargs):
+    def counted_canonical(cls, gens, universe=None):
+        builds.append("canonical")
+        return canonical(cls, gens, universe)
+
+    def counted_init(self, *args, **kwargs):
         builds.append("general")
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+    monkeypatch.setattr(MonomialIdeal, "_of_canonical", classmethod(counted_canonical))
+    monkeypatch.setattr(MonomialIdeal, "__init__", counted_init)
     iseq = LSequence(0, (0, 1, 2, 3, 4))
     target = ly_ideal(iseq)
-    assert builds == []
+    # positive control: the spy sees the one canonical build
+    assert builds == ["canonical"]
     monkeypatch.undo()
     assert target == ref_ly_ideal(iseq)
 
@@ -433,3 +442,44 @@ def test_codim_formulas_agree_random():
             vals.append(vals[-1] + rng.randint(0, 3))
         forms = codim_formulas(LSequence(a, tuple(vals)))
         assert forms["from_i"] == forms["max_formula"]
+
+
+def test_entry_points_leave_no_cyclic_garbage():
+    # each benchmark entry point frees what it built when it returns: with
+    # the collector off, a collection after each call finds nothing.  The
+    # first cli.main call builds the cached parser, so the second is counted.
+    fence = lp.poset_from_covers(4, [(0, 2), (1, 2), (1, 3)])
+    principal = lp.HomIdeal.principal(fence, (1, 1, 2, 1))
+    cofinite = lp.HomIdeal.cofinite(fence, [(0, 1, 1, 1), (1, 0, 2, 0)])
+    x = [lp.elem_var(p) for p in range(4)]
+    square = lp.MonomialIdeal([Monomial([(u, 1), (v, 1)]) for u, v in combinations_with_replacement(x, 2)], x)
+    L = lp.letterplace_ideal(principal)
+    p1 = lp.FiberMap.projection_first((v.a, v.b) for v in L.universe)
+    ss = lp.borel_closure([Monomial([(x[0], 1), (x[1], 2)])], x[:3])
+    order = diagonal_order([pair_var(p, i) for p in (1, 2) for i in (0, 1)])
+    minors = ideal_gens(LSequence(0, (0, 2, 2)))
+    argv = ["regular-check", "--ideal", str(GOLDEN / "principal.json"), "--side", "letterplace", "--map", "p1"]
+    calls = [
+        ("verify_main", lambda: verify_main(LSequence(0, (0, 2, 3, 5, 8)))),
+        ("letterplace principal", lambda: lp.letterplace_ideal(principal)),
+        ("letterplace cofinite", lambda: lp.letterplace_ideal(cofinite)),
+        ("coletterplace principal", lambda: lp.coletterplace_ideal(principal)),
+        ("coletterplace cofinite", lambda: lp.coletterplace_ideal(cofinite)),
+        ("hilbert_numerator", lambda: lp.hilbert_numerator(L)),
+        ("regular_quotient_check", lambda: lp.regular_quotient_check(L, p1)),
+        ("is_p_stable exact", lambda: lp.is_p_stable(fence, square, "exact")),
+        ("is_p_stable bounded", lambda: lp.is_p_stable(fence, square, "bounded")),
+        ("max_ideal_power_stable", lambda: lp.max_ideal_power_stable(fence, 3)),
+        ("dualize_ss_bounded", lambda: lp.dualize_ss_bounded(ss, 3)),
+        ("buchberger", lambda: lp.buchberger(minors, order)),
+        ("cli.main", lambda: main(argv)),
+    ]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls:
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -22,7 +22,6 @@ from letterplace.pstable import (
     lambda_bar_inv,
     longest_b_chain,
     max_ideal_power_stable,
-    maximal_ideal_power,
 )
 from letterplace.quotient import FiberMap, project_ideal
 from letterplace.monomial import associated_primes
@@ -31,11 +30,13 @@ from util import (
     all_labeled_posets,
     artinian_generators,
     artinian_ideals,
+    maximal_ideal_power,
     monomials_up_to,
     poset_classes,
     ref_lambda_bar_inv,
     ref_longest_b_chain,
     ref_stable_bounded,
+    ref_stable_by_projection,
     ref_stable_exact,
 )
 
@@ -474,6 +475,46 @@ VEE = poset_from_covers(3, [(0, 1), (0, 2)])
 def test_bounded_matches_scan(instance):
     P, I, depth = instance
     assert is_p_stable(P, I, "bounded", depth) == ref_stable_bounded(P, I, depth)
+
+
+@st.composite
+def posets_with_stability_instances(draw):
+    """A labelled poset on 1 to 4 elements and an ideal of k[x_P] with
+    exponents at most 3: a pure power of every variable (artinian) or of
+    some, and at most four mixed generators.  In half the draws the mixed
+    generators have one degree d in {2, 3} and each pure power is x_p^d or
+    x_p: ideals near m^d, and ideals whose upper elements never enter a
+    standard monomial, are where a violation can lie above every standard
+    monomial."""
+    P = draw(st.sampled_from(POSETS_UP_TO_4[1:]))
+    n = P.n
+    keep = [True] * n if draw(st.booleans()) else draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 3))
+        powers = [d if draw(st.booleans()) else 1 for _ in range(n)]
+        degree_d = [tuple(c.count(p) for p in range(n)) for c in combinations_with_replacement(range(n), d)]
+        exps = draw(st.lists(st.sampled_from(degree_d), max_size=4))
+    else:
+        powers = draw(st.tuples(*[st.integers(1, 3)] * n))
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    mixed = [emono(*enumerate(e)) for e in exps if sum(map(bool, e)) >= 2]
+    gens = [emono((p, e)) for p, e in enumerate(powers) if keep[p]] + mixed
+    return P, MonomialIdeal(gens, [elem_var(p) for p in range(n)])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(instance=posets_with_stability_instances())
+# m^2 on the vee: its only violations lie above the last standard monomial
+@example(instance=(VEE, maximal_ideal_power(VEE, 2)))
+def test_stability_matches_projection_oracle(instance):
+    # an artinian ideal takes exact mode; otherwise bounded mode, which is
+    # sound, must pass every ideal the oracle calls stable
+    P, I = instance
+    stable = ref_stable_by_projection(P, I)
+    if {g.exps[0][0].a for g in I.gens if len(g.exps) == 1} == set(range(P.n)):
+        assert is_p_stable(P, I) == stable
+    elif stable:
+        assert is_p_stable(P, I, "bounded", I.max_degree() + 4)
 
 
 def test_artinian_ideals_are_minimal_by_construction():

@@ -33,6 +33,7 @@ from letterplace.homset import (
     enumerate_isotone,
     minimal_of,
 )
+from letterplace.ideals import letterplace_ideal
 from letterplace.monomial import (
     IntPoly,
     Monomial,
@@ -43,7 +44,8 @@ from letterplace.monomial import (
     pair_var,
 )
 from letterplace.poset import Poset, chain
-from letterplace.pstable import lambda_bar, longest_b_chain
+from letterplace.pstable import lambda_bar, lambda_bar_inv, longest_b_chain
+from letterplace.quotient import FiberMap
 
 
 def all_labeled_posets(n: int):
@@ -103,6 +105,14 @@ def monomials_up_to(variables, degree: int) -> list:
         for combo in combinations_with_replacement(vs, d)
     ]
     return sorted(out, key=Monomial.sort_key)
+
+
+def maximal_ideal_power(P: Poset, d: int) -> MonomialIdeal:
+    """The d-th power of (x_p : p in P), generated by all degree-d monomials,
+    through the general constructors."""
+    variables = [elem_var(p) for p in range(P.n)]
+    gens = [Monomial((v, 1) for v in combo) for combo in combinations_with_replacement(variables, d)]
+    return MonomialIdeal(gens, variables)
 
 
 def opposite(P: Poset) -> Poset:
@@ -304,6 +314,22 @@ def ref_stable_bounded(P: Poset, I: MonomialIdeal, depth: int) -> bool:
                     if not I.contains(stripped * Monomial.variable(variables[a])):
                         return False
     return True
+
+
+def ref_stable_by_projection(P: Poset, I: MonomialIdeal) -> bool:
+    """Oracle for is_p_stable on every ideal of k[x_P], artinian or not: I is
+    P-stable iff it is the p1 projection of the letterplace ideal L(J, P),
+    where J is the cofinite ideal whose complement filter is generated by
+    the maps lambda_bar_inv(g), one per generator g of I.
+
+    g | m gives lambda_bar_inv(g) <= lambda_bar_inv(m), and p1 sends the
+    ascent monomial of a map to its lambda_bar image.  So p1(L) is generated
+    by the images of the filter, contains I, and equals I exactly when the
+    maps of the monomials of I form a filter."""
+    J = HomIdeal.cofinite(P, [lambda_bar_inv(P, g) for g in I.gens])
+    L = letterplace_ideal(J)
+    f = FiberMap.projection_first((v.a, v.b) for v in L.universe)
+    return set(ref_project_ideal(L, f).gens) == set(I.gens)
 
 
 def ref_down(P: Poset) -> tuple:
