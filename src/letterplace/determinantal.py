@@ -226,7 +226,7 @@ def codim_formulas(seq: LSequence) -> dict:
     running maxima of the shifted differences, whose first entry never exceeds
     the second.
     """
-    return _codims(seq, i_sequence(terrace(seq)))
+    return _codims(seq, _shift_rises(terrace(seq), -1))
 
 
 def _codims(seq: LSequence, iseq: LSequence) -> dict:
@@ -260,7 +260,7 @@ def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000)
     """
     _check_caps(degree_cap, pair_cap)
     ter = terrace(seq)
-    iseq = i_sequence(ter)
+    iseq = _shift_rises(ter, -1)  # i_sequence(ter): a terrace needs no check
     target = ly_ideal(iseq)
     h = height(target)
     report = _report(seq, ter, iseq, target, h, degree_cap, pair_cap)
@@ -276,8 +276,8 @@ def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIde
     i-sequence of ter, the target and its height.
 
     The minors are built packed and stay packed through the basis
-    computation; the target's generators are packed by the codec of the
-    basis to meet its leading terms.
+    computation; the codec of the basis packs the target's generators to
+    meet its leading terms.
     """
     row, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
@@ -286,8 +286,8 @@ def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIde
     # each reduced element lists its leading term first; the leading terms
     # must be the target's generators, each once
     leads = {next(iter(d)) for d in basis}
-    packed = _packed_gens(target, codec)
-    initial_ok = packed is not None and len(basis) == len(target.gens) and leads == packed
+    packed = codec.terms(target.gens)
+    initial_ok = len(basis) == len(packed) and None not in packed and leads == set(packed)
     codims = _codims(seq, iseq)
     codim_ok = h == codims["from_i"] == codims["max_formula"]
     return {
@@ -306,19 +306,3 @@ def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIde
         "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
     }
 
-
-def _packed_gens(ideal: MonomialIdeal, codec: _Codec) -> set | None:
-    """The generators of ideal packed by codec, or None if one of them has a
-    variable the codec does not rank or an exponent its fields cannot hold:
-    no packed term of the codec equals such a generator."""
-    unit, top = codec.unit, 1 << codec.width - 1
-    out = set()
-    for g in ideal.gens:
-        e = 0
-        for v, k in g.exps:
-            u = unit.get(v)
-            if u is None or k >= top:
-                return None
-            e += k * u
-        out.add(e)
-    return out

@@ -18,7 +18,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .errors import BudgetExceeded
-from .monomial import Monomial, MonomialIdeal, Var, _of_exponent_list
+from .monomial import Monomial, MonomialIdeal, Var, _make
 
 
 class TermOrder:
@@ -197,19 +197,33 @@ class _Codec:
             raise _Overflow
         return m
 
-    def pack(self, f: Polynomial) -> dict:
-        unit = self.unit
-        out = {}
-        for m, c in f.terms.items():
-            try:
-                e = sum(k * unit[v] for v, k in m.exps)
-            except KeyError as missing:
-                raise ValueError(f"variable {missing.args[0]} not ranked by this order") from None
-            out[e] = c.numerator if c.denominator == 1 else c
+    def terms(self, monomials) -> list:
+        """Each monomial packed, or None where it has a variable the codec does
+        not rank or an exponent (lex) or degree (grevlex) its fields cannot hold."""
+        unit, top, lex = self.unit, 1 << self.width - 1, self.order.kind == "lex"
+        out = []
+        for m in monomials:
+            e = 0
+            for v, k in m.exps:
+                u = unit.get(v)
+                if u is None or k >= top:
+                    e = None
+                    break
+                e += k * u
+            out.append(e if lex or m.degree() < top else None)
         return out
 
+    def pack(self, f: Polynomial) -> dict:
+        """f's terms, which fit the fields of a codec from holding."""
+        packed = self.terms(f.terms)
+        if None in packed:
+            # raises ValueError on an unranked variable; holding fits the rest
+            self.order.exponents(next(m for m, e in zip(f.terms, packed) if e is None))
+        return {e: c.numerator if c.denominator == 1 else c for e, c in zip(packed, f.terms.values())}
+
     def monomial(self, e: int) -> Monomial:
-        return _of_exponent_list(self._vars, self.exponents(e))
+        exps = self.exponents(e)
+        return _make(tuple([(v, k) for v, k in zip(self._vars, exps) if k]), sum(exps))
 
     def polynomial(self, d: dict) -> Polynomial:
         return Polynomial({self.monomial(e): c for e, c in d.items()})

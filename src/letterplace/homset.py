@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
-from .monomial import _PAIR, _make, _minimal_masks, _pair_entry, _polarize
+from .monomial import _make, _minimal_masks, _pair_items, _polarize
 from .poset import Poset, _bits, _int_list
 
 
@@ -99,8 +99,7 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     below, above = _prefix_covers(P, order)
     tops = [upper[p] for p in order]
     if graphs:
-        # the interned exponent items of x[p, v] for v in 0..upper[p]
-        parts = [[_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)] for p, top in zip(order, tops)]
+        parts = _pair_items(zip(order, tops))
     last = m - 1
     out = []
     stack = [((), ())]

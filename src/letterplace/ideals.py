@@ -130,12 +130,12 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     with alpha(p_r) = r and alpha(p_j) > j for j < r: the letterplace ideal of
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
-    return _principal_letterplace(P, alpha, None)
+    return _principal_letterplace(P, check_isotone(P, alpha), None)
 
 
 def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
-    """principal_letterplace_gens(P, alpha), with its multichains bounded by
-    `cap` as in _multichains."""
+    """principal_letterplace_gens(P, alpha) for an isotone alpha, with its
+    multichains bounded by `cap` as in _multichains."""
     # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
     return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for pairs in _multichain_pairs(P, alpha, cap)])
 
@@ -143,9 +143,9 @@ def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
 def _multichain_pairs(P: Poset, alpha, cap) -> list:
     """The sorted pairs (p_j, j) of each multichain of
     principal_letterplace_gens(P, alpha), listed by (degree, pairs): the
-    sort_key order of their monomials.  `cap` bounds the walk as in
-    _multichains."""
-    chains = _multichains(P, check_isotone(P, alpha), cap)
+    sort_key order of their monomials.  alpha must be isotone, and `cap`
+    bounds the walk, as in _multichains."""
+    chains = _multichains(P, alpha, cap)
     return [pairs for _, pairs in sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)]
 
 

@@ -233,11 +233,10 @@ def _of_sorted_pairs(pairs) -> Monomial:
     return _make(exps, len(exps))
 
 
-def _of_exponent_list(variables, exps) -> Monomial:
-    """The monomial with exponent exps[i] >= 0 at variables[i], a sorted
-    sequence of distinct variables."""
-    table = tuple([(v, e) for v, e in zip(variables, exps) if e])
-    return _make(table, sum(e for _, e in table))
+def _pair_items(tops) -> list:
+    """For each (p, top) in tops, the list of the exponent items of x[p, v]
+    for v in 0..top."""
+    return [[_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)] for p, top in tops]
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")

@@ -61,22 +61,26 @@ class Poset:
     # -- queries ------------------------------------------------------------
 
     def leq(self, p: int, q: int) -> bool:
+        self._mask((p, q))
         return bool(self.up[p] >> q & 1)
 
     def lt(self, p: int, q: int) -> bool:
-        return p != q and self.leq(p, q)
+        return self.leq(p, q) and p != q
 
     def comparable(self, p: int, q: int) -> bool:
-        return self.leq(p, q) or self.leq(q, p)
+        self._mask((p, q))
+        return bool((self.up[p] | self.down[p]) >> q & 1)
 
     @property
     def elements(self) -> range:
         return range(self.n)
 
     def up_set(self, p: int) -> frozenset:
+        self._mask((p,))
         return frozenset(_bits(self.up[p]))
 
     def down_set(self, p: int) -> frozenset:
+        self._mask((p,))
         return frozenset(_bits(self.down[p]))
 
     def covers(self) -> list:
@@ -84,47 +88,47 @@ class Poset:
         return [(p, q) for p in range(self.n) for q in _bits(self.upper[p])]
 
     def is_chain(self) -> bool:
-        return all(self.comparable(p, q) for p in range(self.n) for q in range(p))
+        return all(up | down == (1 << self.n) - 1 for up, down in zip(self.up, self.down))
 
     # -- subsets ------------------------------------------------------------
 
-    def _check_range(self, A) -> set:
-        """The elements of A, read once, as a set; each must lie in 0..n-1."""
-        A = set(A)
+    def _mask(self, A) -> int:
+        """The bitmask of the elements of A, read once; each must lie in 0..n-1."""
+        m = 0
         for p in A:
             if not 0 <= p < self.n:
                 raise IdentifierOutOfRange(f"element {p} not in 0..{self.n - 1}")
-        return A
+            m |= 1 << p
+        return m
 
     def closure(self, A: Iterable[int], direction: str) -> PSubset:
         """Smallest ideal ("down") or filter ("up") containing A."""
-        A = self._check_range(A)
+        A = self._mask(A)
         masks = self.down if direction == "down" else self.up
         if direction not in ("down", "up"):
             raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
         m = 0
-        for p in A:
+        for p in _bits(A):
             m |= masks[p]
         return PSubset(frozenset(_bits(m)), "ideal" if direction == "down" else "filter")
 
     def min_elements(self, S: Iterable[int]) -> PSubset:
         """Elements of S with no strictly smaller element of S; an antichain."""
-        S = self._check_range(S)
-        mins = {p for p in S if not any(self.lt(q, p) for q in S)}
-        return PSubset(frozenset(mins), "antichain")
+        S = self._mask(S)
+        return PSubset(frozenset(p for p in _bits(S) if self.down[p] & S == 1 << p), "antichain")
 
     def max_elements(self, S: Iterable[int]) -> PSubset:
-        S = self._check_range(S)
-        maxs = {p for p in S if not any(self.lt(p, q) for q in S)}
-        return PSubset(frozenset(maxs), "antichain")
+        S = self._mask(S)
+        return PSubset(frozenset(p for p in _bits(S) if self.up[p] & S == 1 << p), "antichain")
 
     def is_ideal(self, S: Iterable[int]) -> bool:
-        S = set(S)
-        return all(self.down_set(p) <= S for p in S)
+        S = self._mask(S)
+        return all(not self.down[p] & ~S for p in _bits(S))
 
     def is_antichain(self, S: Iterable[int]) -> bool:
         S = list(S)
-        return all(not self.comparable(p, q) for i, p in enumerate(S) for q in S[:i])
+        self._mask(S)
+        return all(not (self.up[p] | self.down[p]) >> q & 1 for i, p in enumerate(S) for q in S[:i])
 
     def ideals(self) -> list:
         """All order ideals, as frozensets, in increasing order of their masks.

@@ -128,10 +128,7 @@ def is_p_stable(P: Poset, I: MonomialIdeal, mode: str = "exact", depth=None,
         if missing:
             raise NotArtinian(f"no pure power of elements {missing} in the ideal")
         radix = _radix([e + 1 for e in power])
-        # no walked monomial has an exponent above its pure power, so a
-        # generator with one is never looked up (and its code could alias)
-        codes = {_code(g, radix) for g in I.gens if all(e <= power[v.a] for v, e in g.exps)}
-        return _stable_exact(P, codes, power, radix, cap)
+        return _stable_exact(P, {_code(g, radix) for g in I.gens}, power, radix, cap)
     if mode == "bounded":
         if depth is None:
             depth = I.max_degree() + 2
@@ -174,8 +171,9 @@ def _stable_exact(P: Poset, gens: set, power: list, radix: list, cap: int) -> bo
     and the ideal is stable iff every such j is standard.  Once the levels up to deg j are
     complete, that is a set lookup, so j waits in `pending` until then; a j
     still waiting when the walk ends lies above every standard monomial.
-    A standard monomial has every exponent below power[p] and an exchange
-    result none above it, so no code stands for two of them.
+    A standard monomial has every exponent below power[p], and an exchange
+    result or a minimal generator (not a multiple of a pure power) none
+    above it, so no code stands for two of them.
     """
     n = P.n
     below = _lower_covers(P)

@@ -310,10 +310,9 @@ def test_packed_target_rejects_exponents_its_fields_cannot_hold():
     _, codec, _ = determinantal._packed_minors(LSequence(0, (0, 2)))
     assert codec.width == 2
     y10, y20 = pair_var(1, 0), pair_var(2, 0)
-    assert determinantal._packed_gens(MonomialIdeal([ymono((1, 0))]), codec) == {codec.unit[y10]}
     assert codec.unit[y10] == 4 * codec.unit[y20]
-    assert determinantal._packed_gens(MonomialIdeal([Monomial.variable(y20, 4)]), codec) is None
-    assert determinantal._packed_gens(MonomialIdeal([Monomial.variable(y20, 1)]), codec) == {codec.unit[y20]}
+    powers = [Monomial.variable(y20, k) for k in (4, 2, 1)]
+    assert codec.terms([ymono((1, 0)), *powers]) == [codec.unit[y10], None, None, codec.unit[y20]]
 
 
 def test_verify_main_eight_rows_at_default_caps():

@@ -1,6 +1,7 @@
 """Term orders, polynomial arithmetic, division, and basis computation."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -210,6 +211,30 @@ def test_dense_s_polynomial_by_hand():
     # x + 2y + z and x + 2y: the y terms cancel
     hj = (e(1, 0, 0), [(e(0, 1, 0), 2)])
     assert _s_polynomial(hi, hj, e(1, 0, 0), G) == {e(0, 0, 1): 1}
+
+
+def test_codec_terms_give_none_where_the_fields_cannot_hold():
+    # 3-bit fields hold exponents (lex) or degrees (grevlex) up to 3
+    lex = _Codec(LEX, 3)
+    assert lex.terms([m((X, 3), (Z, 1)), m((Y, 4)), m((W, 1)), m()]) == [
+        3 * lex.unit[X] + lex.unit[Z], None, None, 0]
+    grevlex = _Codec(grevlex_order([X, Y, Z]), 3)
+    assert grevlex.terms([m((X, 1), (Y, 2)), m((X, 1), (Y, 3)), m((Z, 4))]) == [
+        grevlex.unit[X] + 2 * grevlex.unit[Y], None, None]
+    # each packed term is the one pack gives
+    f = poly(([(X, 3), (Z, 1)], 2), ([], 1))
+    assert lex.pack(f) == dict(zip(lex.terms(f.terms), (2, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"variable {W} not ranked by this order")):
+        lex.pack(poly(([(X, 1)], 1), ([(W, 1)], 1)))
+
+
+@pytest.mark.parametrize("order", [LEX, grevlex_order([X, Y, Z])], ids=["lex", "grevlex"])
+@settings(max_examples=100, deadline=None)
+@given(a=small_monomials)
+def test_codec_unpacks_what_it_packs(order, a):
+    codec = _Codec(order, 5)
+    back = codec.monomial(codec.terms([a])[0])
+    assert back == a and back.exps == a.exps and back.degree() == a.degree()
 
 
 def test_budget_degree_cap():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letterplace.errors import ExplosionGuard, InfiniteIdeal
+from letterplace.errors import ExplosionGuard, InfiniteIdeal, NotIsotone
 from letterplace.homset import HomIdeal, dominates, enumerate_isotone
 from letterplace.ideals import (
     _checked_support,
@@ -168,6 +168,14 @@ def test_hull_map_examples():
 def test_principal_gens_running_example():
     got = principal_letterplace_gens(chain(3), (1, 1, 2))
     assert got.gens == brute_letterplace(HomIdeal.principal(chain(3), (1, 1, 2))).gens
+
+
+def test_principal_gens_reject_a_map_that_is_not_isotone():
+    # principal_letterplace_gens is the one entry that takes a raw alpha
+    with pytest.raises(NotIsotone):
+        principal_letterplace_gens(chain(2), (1, 0))
+    with pytest.raises(NotIsotone):
+        principal_letterplace_gens(antichain(2), (0, -1))
 
 
 def test_principal_gens_antichain_zero():

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,55 @@ def test_identifier_range_rejected():
     P = poset_from_covers(2, [(0, 1)])
     with pytest.raises(IdentifierOutOfRange):
         P.closure({5}, "down")
+
+
+@pytest.mark.parametrize(
+    "query, args",
+    [
+        ("up_set", (-1,)),
+        ("down_set", (9,)),
+        ("is_ideal", ([-1],)),
+        ("is_ideal", ([7],)),
+        ("is_antichain", ([7, 8],)),
+        ("leq", (0, 9)),
+        ("leq", (0, -1)),
+        ("lt", (5, 5)),
+        ("comparable", (5, 0)),
+        ("closure", ([3], "down")),
+        ("min_elements", ([-1, 0],)),
+        ("max_elements", ([3],)),
+    ],
+)
+def test_queries_reject_out_of_range_identifiers(query, args):
+    with pytest.raises(IdentifierOutOfRange, match=r"not in 0\.\.2"):
+        getattr(chain(3), query)(*args)
+
+
+def test_queries_match_their_definitions_on_all_small_posets():
+    # each query read from the pairs p <= q, over every subset (and for
+    # is_antichain every list of at most three entries, repeats included)
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            le = {(p, q) for p in range(n) for q in range(n) if P.up[p] >> q & 1}
+            assert P.is_chain() == all((p, q) in le or (q, p) in le for p in range(n) for q in range(n))
+            for p in range(n):
+                assert P.up_set(p) == {q for q in range(n) if (p, q) in le}
+                assert P.down_set(p) == {q for q in range(n) if (q, p) in le}
+                for q in range(n):
+                    assert P.leq(p, q) == ((p, q) in le)
+                    assert P.lt(p, q) == ((p, q) in le and p != q)
+                    assert P.comparable(p, q) == ((p, q) in le or (q, p) in le)
+            for bits in range(1 << n):
+                S = {p for p in range(n) if bits >> p & 1}
+                below = {p for p in S if any((q, p) in le and q != p for q in S)}
+                above = {p for p in S if any((p, q) in le and q != p for q in S)}
+                assert set(P.min_elements(S)) == S - below
+                assert set(P.max_elements(S)) == S - above
+                assert P.is_ideal(S) == all(q in S for p in S for q in range(n) if (q, p) in le)
+            for k in range(4):
+                for S in product(range(n), repeat=k):
+                    want = all((p, q) not in le and (q, p) not in le for i, p in enumerate(S) for q in S[:i])
+                    assert P.is_antichain(S) == want
 
 
 def test_closure_examples():

@@ -14,8 +14,10 @@ from letterplace.ideals import letterplace_ideal, support
 from letterplace.monomial import Monomial, MonomialIdeal, elem_var, nat_var, pair_var
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 from letterplace.pstable import (
+    _code,
     _exchanges,
     _lower_covers,
+    _power_codes,
     _radix,
     is_p_stable,
     lambda_bar,
@@ -528,9 +530,11 @@ def test_artinian_ideals_are_minimal_by_construction():
 
 
 def test_maximal_ideal_power_is_minimal_by_construction():
-    # maximal_ideal_power builds through the general constructor, which
-    # must find nothing to drop or reorder
+    # _power_codes hands max_ideal_power_stable the codes of m^d without
+    # building any ideal: they must be the codes of the generators that the
+    # general constructor keeps
     for n in range(6):
-        for d in range(4):
-            I = maximal_ideal_power(antichain(n), d)
-            assert MonomialIdeal(I.gens, I.universe) == I
+        for d in range(5):
+            radix = _radix([d + 1] * n)
+            gens = maximal_ideal_power(antichain(n), d).gens
+            assert _power_codes(n, d) == (tuple(radix), {_code(g, radix) for g in gens})

@@ -42,6 +42,14 @@ def test_fiber_kind_projections():
     assert fiber_kind(P, FiberMap.identity(S)) == "both"
 
 
+def test_fiber_kind_reads_the_opposite_order():
+    # a chain fiber pairs the smaller second coordinate with the larger or
+    # equal first one, as (opposite of P) x N orders them
+    P = chain(3)
+    assert fiber_kind(P, FiberMap.make([(2, 0), (0, 1)], [elem_var(0)] * 2)) == "both"
+    assert fiber_kind(P, FiberMap.make([(0, 0), (2, 1)], [elem_var(0)] * 2)) == "neither"
+
+
 def test_fiber_map_json_round_trip():
     S = [(0, 0), (0, 1), (1, 0)]
     for fmap in (FiberMap.projection_first(S), FiberMap.projection_second(S), FiberMap.identity(S)):
