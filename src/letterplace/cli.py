@@ -58,10 +58,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_homideal(path: str) -> HomIdeal:
-    return HomIdeal.from_json(_read(path))
-
-
 def read_ideal_file(path: str) -> MonomialIdeal:
     """Monomial-ideal file: '# family=<elem|nat|pair> n=<k>' then one monomial per line."""
     lines = [ln.strip() for ln in _read(path).splitlines() if ln.strip()]
@@ -112,9 +108,7 @@ def _fiber_map(selector: str, ideal: MonomialIdeal) -> FiberMap:
 def _side_ideal(J: HomIdeal, side: str) -> MonomialIdeal:
     if side == "letterplace":
         return letterplace_ideal(J)
-    if side == "coletterplace":
-        return coletterplace_ideal(J)
-    raise ValueError(f"unknown side {side!r}")
+    return coletterplace_ideal(J)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -128,15 +122,15 @@ def _cmd_hom_enumerate(args) -> int:
 
 
 def _cmd_markers(args) -> int:
-    J = _load_homideal(args.ideal)
+    J = HomIdeal.from_json(_read(args.ideal))
     marks = [{"domain": sorted(m.domain), "graph": sorted(m.graph())} for m in J.minimal_markers()]
     _emit({"markers": marks}, args.output, args.format)
     return 0
 
 
-def _cmd_letterplace(args, side: str) -> int:
-    J = _load_homideal(args.ideal)
-    ideal = _side_ideal(J, side)
+def _cmd_letterplace(args) -> int:
+    J = HomIdeal.from_json(_read(args.ideal))
+    ideal = _side_ideal(J, args.side)
     doc = {
         "generators": ideal.text_lines(J.poset.labels),
         "support": sorted(list(s) for s in _checked_support(J, ideal)),
@@ -149,7 +143,7 @@ def _cmd_letterplace(args, side: str) -> int:
 
 
 def _cmd_dual_check(args) -> int:
-    J = _load_homideal(args.ideal)
+    J = HomIdeal.from_json(_read(args.ideal))
     if J.kind == "principal":
         # the multichain route builds L independently of C
         L = letterplace_ideal(J)
@@ -170,7 +164,7 @@ def _cmd_dual_check(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    J = _load_homideal(args.ideal)
+    J = HomIdeal.from_json(_read(args.ideal))
     ideal = _side_ideal(J, args.side)
     fmap = _fiber_map(args.map, ideal)
     out = project_ideal(ideal, fmap)
@@ -179,7 +173,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_regular_check(args) -> int:
-    J = _load_homideal(args.ideal)
+    J = HomIdeal.from_json(_read(args.ideal))
     ideal = _side_ideal(J, args.side)
     fmap = _fiber_map(args.map, ideal)
     ok = regular_quotient_check(ideal, fmap)
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(side, help=f"{side} generators of a HomIdeal")
         p.add_argument("--ideal", required=True)
         add_output(p)
-        p.set_defaults(func=lambda a, s=side: _cmd_letterplace(a, s))
+        p.set_defaults(func=_cmd_letterplace, side=side)
 
     p = sub.add_parser("dual-check", help="verify the two ideals are Alexander dual")
     p.add_argument("--ideal", required=True)
@@ -317,7 +311,7 @@ def main(argv=None) -> int:
         # by name at call time: the parser outlives the call that built it,
         # and a handler replaced on this module since (a test double, a
         # tracer) must be the one that runs
-        return globals().get(args.func.__name__, args.func)(args)
+        return globals()[args.func.__name__](args)
     except (BudgetExceeded, ExplosionGuard) as exc:
         _emit({"error": str(exc), "reason": type(exc).__name__})
         return 3

@@ -162,18 +162,14 @@ def terrace(seq: LSequence) -> LSequence:
     input and satisfies the terrace step condition.
     """
     a, vals = seq.a, seq.vals
-    n = len(vals)
-    diffs = [vals[0] - a] + [vals[k] - (a + k - 1) for k in range(1, n)]
-    maxima = []
-    running = diffs[0]
-    for k in range(1, n):
-        if diffs[k] > running:
-            running = diffs[k]
-            maxima.append(k)
-    marks = [0] + maxima + [n]
-    out = []
-    for m, nxt in zip(marks, marks[1:]):
-        out.extend([vals[m]] * (nxt - m))
+    running, out = vals[0] - a, [vals[0]]
+    for k in range(1, len(vals)):
+        d = vals[k] - (a + k - 1)
+        if d > running:
+            running = d
+            out.append(vals[k])
+        else:
+            out.append(out[-1])
     return LSequence(a, out)
 
 

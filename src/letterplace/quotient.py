@@ -5,9 +5,10 @@ fiber corresponds to dividing the polynomial ring by the differences of its
 variables.  Whether that basis of differences is a regular sequence for a
 quotient by a monomial ideal is detected exactly through Hilbert-series
 numerators: for graded linear forms the quotient is regular iff the numerator
-is unchanged by the substitution.  The projected side is polarized and
-minimalized as bitmasks and goes to the Hilbert recursion as such; only
-project_ideal turns the kept masks into monomials.
+is unchanged by the substitution.  The image of an ideal takes one route:
+_projection polarizes and minimalizes it as bitmasks, regular_quotient_check
+hands those kept masks to the Hilbert recursion as they are, and
+project_ideal reads each of them back as one monomial.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from typing import Iterable
 
 from .errors import VariableOutsideSource
 from .monomial import (
+    Monomial,
     MonomialIdeal,
     Var,
     _make,
+    _mask_vars,
     _minimal_masks,
     _numerator,
     _polarize,
@@ -147,19 +150,30 @@ def fiber_kind(P: Poset, f: FiberMap) -> str:
 
 
 def project_ideal(I: MonomialIdeal, f: FiberMap) -> MonomialIdeal:
-    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize."""
-    targets, rows = _rows(I, f)
+    """Substitute x[p,i] -> target variable; exponents accumulate; minimalize.
+
+    One monomial per kept mask of _projection: a mask holds each column's
+    levels up to its exponent, so the last level read is the exponent."""
+    targets, masks, levels = _projection(I, f)
     gens = []
-    for row in rows:
-        exps = tuple([(targets[k], e) for k, e in sorted(row.items())])
-        gens.append(_make(exps, sum(row.values())))
-    return MonomialIdeal(gens, targets)
+    for mask in masks:
+        row = dict(_mask_vars(mask, levels))
+        gens.append(_make(tuple([(targets[k], e) for k, e in row.items()]), sum(row.values())))
+    gens.sort(key=Monomial.sort_key)
+    return MonomialIdeal._of_canonical(gens, targets)
 
 
-def _rows(I: MonomialIdeal, f: FiberMap) -> tuple:
-    """(targets, rows): the sorted targets of f and the exponent row of the
-    image of each generator of I, a dict {column: exponent} over targets;
-    exponents accumulate."""
+def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
+    """(targets, masks, levels): the sorted targets of f and the level
+    polarization (see monomial._polarize) of the image of I, minimal.
+
+    The image of a generator is its exponent row over targets.  The masks
+    of the rows are minimalized by monomial._minimal_masks, so equal rows
+    are kept once and proper multiples are dropped.  A level held only by
+    dropped rows stays in levels: its bit is in no kept mask, or always with
+    the next level of its column, so the weighted popcount of every OR of
+    kept masks is still the degree of the lcm.
+    """
     targets = sorted(set(f.targets))
     column = {t: k for k, t in enumerate(targets)}
     where = {pair_var(p, i): column[t] for (p, i), t in zip(f.source, f.targets)}
@@ -171,23 +185,8 @@ def _rows(I: MonomialIdeal, f: FiberMap) -> tuple:
             if k is None:
                 raise VariableOutsideSource(f"variable {v} not in the fiber map source")
             row[k] = row[k] + e if k in row else e
-        rows.append(row)
-    return targets, rows
-
-
-def _projection(I: MonomialIdeal, f: FiberMap) -> tuple:
-    """(targets, masks, levels): the sorted targets of f and the level
-    polarization (see monomial._polarize) of the image of I, minimal.
-
-    The masks of the exponent rows of _rows are minimalized by
-    monomial._minimal_masks, so equal rows are kept once and proper multiples
-    are dropped.  A level held only by dropped rows stays in levels:
-    its bit is in no kept mask, or always with the next level of its
-    column, so the weighted popcount of every OR of kept masks is still the
-    degree of the lcm.
-    """
-    targets, rows = _rows(I, f)
-    masks, levels = _polarize([row.items() for row in rows])
+        rows.append(row.items())
+    masks, levels = _polarize(rows)
     return targets, tuple(sorted(_minimal_masks(masks))), levels
 
 

@@ -14,8 +14,8 @@ from typing import Iterable
 from .errors import NotAChain, NotStronglyStable
 from .homset import HomIdeal
 from .ideals import coletterplace_ideal, letterplace_ideal
-from .monomial import Monomial, MonomialIdeal, Var, elem_var
-from .poset import Poset, chain
+from .monomial import Monomial, MonomialIdeal, Var, _make, elem_var
+from .poset import chain
 from .pstable import lambda_bar_inv
 from .quotient import FiberMap, project_ideal
 
@@ -51,14 +51,10 @@ def _moves(m: Monomial, step: dict):
             yield m / Monomial.variable(v) * Monomial.variable(step[v])
 
 
-def _require_chain(P: Poset) -> None:
-    if not P.is_chain():
-        raise NotAChain("operation requires a chain poset")
-
-
 def ss_from_homideal(J: HomIdeal) -> MonomialIdeal:
     """Project the letterplace ideal onto first coordinates; strongly stable."""
-    _require_chain(J.poset)
+    if not J.poset.is_chain():
+        raise NotAChain("operation requires a chain poset")
     L = letterplace_ideal(J)
     pairs = {(v.a, v.b) for g in L.gens for v, _ in g.exps}
     out = project_ideal(L, FiberMap.projection_first(pairs))
@@ -102,13 +98,14 @@ def dualize_ss_bounded(I: MonomialIdeal, bound: int) -> MonomialIdeal:
     and ones generated in degrees <= m in x_1..x_bound; an involution.
 
     Computed as dualize_ss followed by reindexing natural variable index j to
-    the chain element with identifier j (displayed 1-based as x_{j+1}).
+    the chain element with identifier j (displayed 1-based as x_{j+1}).  The
+    rename keeps the order of variables inside each generator and between
+    generators, so the dual stays minimal and canonically sorted.
     """
     if I.max_degree() > bound:
         raise ValueError(f"ideal is not generated in degrees <= {bound}")
     nat = dualize_ss(I)
-    top = max((v.a for g in nat.gens for v in g.support()), default=-1)
-    if top >= bound:
+    if any(v.a >= bound for g in nat.gens for v, _ in g.exps):
         raise AssertionError("dual exceeded the regularity window")
-    gens = [Monomial((elem_var(v.a), e) for v, e in g.exps) for g in nat.gens]
-    return MonomialIdeal(gens, [elem_var(p) for p in range(bound)])
+    gens = [_make(tuple([(elem_var(v.a), e) for v, e in g.exps]), g.degree()) for g in nat.gens]
+    return MonomialIdeal._of_canonical(gens, [elem_var(p) for p in range(bound)])

@@ -8,10 +8,11 @@ the replacement and the test files expected to kill it.  The listed test
 files are first run on an unmutated copy of src/, which must pass.  Then,
 for each mutant, src/ is copied to a temporary directory, the mutant is
 applied, and pytest runs its test files with -x under the per-mutant
-TIMEOUT.  A mutant is killed when some test fails; it survives when every
-test passes, and it is undecided when pytest cannot run or the timeout is
-hit.  The script exits non-zero, listing them, if any mutant survives or
-is undecided.
+TIMEOUT and with its address space capped at MEMORY bytes.  A mutant is
+killed when some test fails (a MemoryError in a test is a failure); it
+survives when every test passes, and it is undecided when pytest cannot run
+or the timeout is hit.  The script exits non-zero, listing them, if any
+mutant survives or is undecided.
 
 Pytest collects only test_*.py, so it does not collect this file.
 """
@@ -19,6 +20,7 @@ Pytest collects only test_*.py, so it does not collect this file.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +32,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 SRC = os.path.join(ROOT, "src")
 TIMEOUT = 120  # seconds per pytest run
+MEMORY = 1 << 31  # bytes of address space per pytest run: a mutant that grows without end fails
 
 
 class Mutant(NamedTuple):
@@ -55,6 +58,9 @@ MUTANTS = [
     Mutant("isotone-admits-equal-drop", "homset",
            "if values[low.bit_length() - 1] < v:", "if values[low.bit_length() - 1] <= v:",
            ("test_homset.py", "test_poset.py")),
+    Mutant("markers-domain-cut-one-too-low", "homset",
+           "tops[q] = min(tops[q], reach[p] - 1)", "tops[q] = min(tops[q], reach[p] - 2)",
+           ("test_homset.py",)),
     # monomial
     Mutant("minimal-masks-keep-test", "monomial",
            "if all(k & outside for k in below):", "if any(k & outside for k in below):",
@@ -64,6 +70,9 @@ MUTANTS = [
            ("test_monomial.py",)),
     Mutant("mask-split-colon", "monomial",
            "if all(q & outside for q in quotients):", "if any(q & outside for q in quotients):",
+           ("test_monomial.py",)),
+    Mutant("height-packing-counts-overlapping-edges", "monomial",
+           "if not e & packed:", "if True:",
            ("test_monomial.py",)),
     # ideals
     Mutant("multichains-end-condition", "ideals",
@@ -86,6 +95,9 @@ MUTANTS = [
     Mutant("power-codes-without-repeats", "pstable",
            "combinations_with_replacement(radix, d)", '__import__("itertools").combinations(radix, d)',
            ("test_pstable.py",)),
+    Mutant("bounded-walk-admits-comparable-sets", "pstable",
+           "for B, seen in grown if not seen >> b & 1]", "for B, seen in grown]",
+           ("test_pstable.py",)),
     # stable
     Mutant("exchange-moves-upward", "stable",
            "step = dict(zip(I.universe[1:], I.universe))", "step = dict(zip(I.universe, I.universe[1:]))",
@@ -93,12 +105,19 @@ MUTANTS = [
     Mutant("bounded-dual-degree-window", "stable",
            "if I.max_degree() > bound:", "if I.max_degree() >= bound:",
            ("test_stable.py",)),
+    Mutant("bounded-dual-shifts-its-rename", "stable",
+           "elem_var(v.a)", "elem_var(v.a + 1)",
+           ("test_stable.py",)),
     # quotient
     Mutant("regular-check-generator-count", "quotient",
            "if len(masks) < len(I.gens):", "if len(masks) <= len(I.gens):",
            ("test_quotient.py",)),
     Mutant("fiber-kind-chain-direction", "quotient",
            "chain_ok = P.leq(q, p) if i < j", "chain_ok = P.leq(p, q) if i < j",
+           ("test_quotient.py",)),
+    Mutant("project-reads-the-first-level", "quotient",
+           "row = dict(_mask_vars(mask, levels))",
+           "row = {}; [row.setdefault(k, e) for k, e in _mask_vars(mask, levels)]",
            ("test_quotient.py",)),
     # groebner
     Mutant("criterion-b-keep-condition", "groebner",
@@ -110,6 +129,16 @@ MUTANTS = [
     Mutant("interreduce-skips-every-tail", "groebner",
            "if low is not None and lt > low:", "if False:",
            ("test_groebner.py",)),
+    Mutant("codec-lcm-takes-the-smaller-field", "groebner",
+           "m = b ^ ((a ^ b)", "m = a ^ ((a ^ b)",
+           ("test_groebner.py",)),
+    # the overflow test of _normal_form sits deeper than those of _s_polynomial
+    Mutant("normal-form-misses-overflow", "groebner",
+           " " * 20 + "if t & guard:", " " * 20 + "if False:",
+           ("test_groebner.py",)),
+    Mutant("s-polynomial-misses-overflow", "groebner",
+           "t = e + qi\n        if t & guard:", "t = e + qi\n        if False:",
+           ("test_groebner.py",)),
     Mutant("normal-form-drops-equal-head", "groebner",
            "while rest and rest[-1][0] > e:", "while rest and rest[-1][0] >= e:",
            ("test_groebner.py",)),
@@ -119,6 +148,9 @@ MUTANTS = [
            ("test_determinantal.py",)),
     Mutant("shift-rises-on-ties", "determinantal",
            "if vals[k] > vals[k - 1] else out[-1]", "if vals[k] >= vals[k - 1] else out[-1]",
+           ("test_determinantal.py",)),
+    Mutant("terrace-rises-on-ties", "determinantal",
+           "if d > running:", "if d >= running:",
            ("test_determinantal.py",)),
     Mutant("verify-skips-terrace-instance", "determinantal",
            "if ter != seq:", "if False:",
@@ -155,13 +187,18 @@ def _env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, TESTS]), PYTHONDONTWRITEBYTECODE="1")
 
 
+def _capped() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def _pytest(src: str, tests, timeout: float) -> str:
     """'passed', 'failed' or 'undecided' for the test files run on src."""
     env = _env(src)
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            *(os.path.join(TESTS, t) for t in tests)]
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout,
+                              preexec_fn=_capped)
     except subprocess.TimeoutExpired:
         return "undecided"
     # pytest exits 0 when every test passed and 1 when some test failed;

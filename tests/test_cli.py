@@ -440,6 +440,17 @@ def test_golden_stdout(name, argv, capsys):
     assert out == expected
 
 
+def test_bounded_ss_dual_round_trip_is_golden(tmp_path, capsys):
+    # the golden ideal lives in degrees <= 3 over four variables: its dual at
+    # bound 3, dualized back at bound 4, is the input file byte for byte
+    dual = tmp_path / "dual.txt"
+    code, out = run(capsys, "ss", "dualize", "--gens", str(GOLDEN / "ss_gens.txt"), "--bound", "3", "-o", str(dual))
+    assert code == 0 and out == ""
+    code, out = run(capsys, "ss", "dualize", "--gens", str(dual), "--bound", "4")
+    assert code == 0
+    assert out == (GOLDEN / "ss_gens.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -565,6 +576,20 @@ def test_handlers_are_looked_up_at_call_time(capsys, monkeypatch):
     code, out = run(capsys, "hilbert", "--gens", str(GOLDEN / "hilbert_gens.txt"))
     assert code == 0 and len(calls) == 1
     assert out == (GOLDEN / "hilbert.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("side", ["letterplace", "coletterplace"])
+def test_replaced_side_handler_runs_for_both_sides(side, running_example, capsys, monkeypatch):
+    # both side subcommands share one handler, told apart by args.side; a
+    # replacement on the module after the parser was built is the one that runs
+    import letterplace.cli
+
+    expected = run(capsys, side, "--ideal", str(running_example))
+    sides = []
+    original = letterplace.cli._cmd_letterplace
+    monkeypatch.setattr(letterplace.cli, "_cmd_letterplace", lambda args: sides.append(args.side) or original(args))
+    assert run(capsys, side, "--ideal", str(running_example)) == expected
+    assert sides == [side]
 
 
 @pytest.mark.parametrize(

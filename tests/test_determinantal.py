@@ -35,6 +35,7 @@ from util import (
     ref_diagonal_leads_ok,
     ref_ly_ideal,
     ref_minors,
+    ref_terrace,
     ref_verify_main,
     same_ideal_by_membership,
 )
@@ -122,6 +123,16 @@ def test_terrace_below_input():
         t = terrace(s)
         assert all(x <= y for x, y in zip(t.vals, s.vals))
         assert is_terrace(t)
+
+
+def test_terrace_matches_the_marked_maxima_oracle():
+    # every weakly increasing sequence of length 2 to 6 with values 0 to 7,
+    # for a in {0, 1, 2}: ties of the running maximum repeat the previous entry
+    for a in (0, 1, 2):
+        for n in range(2, 7):
+            for vals in combinations_with_replacement(range(8), n):
+                seq = LSequence(a, vals)
+                assert terrace(seq) == ref_terrace(seq), seq
 
 
 def test_i_sequence_worked_values():

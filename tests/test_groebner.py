@@ -237,6 +237,16 @@ def test_codec_unpacks_what_it_packs(order, a):
     assert back == a and back.exps == a.exps and back.degree() == a.degree()
 
 
+@pytest.mark.parametrize("order", [LEX, grevlex_order([X, Y, Z])], ids=["lex", "grevlex"])
+@settings(max_examples=100, deadline=None)
+@given(a=small_monomials, b=small_monomials)
+def test_codec_lcm_is_the_lcm_of_the_monomials(order, a, b):
+    # 5-bit fields hold the degree 12 of any lcm here, so lcm cannot overflow
+    codec = _Codec(order, 5)
+    ea, eb = codec.terms([a, b])
+    assert codec.monomial(codec.lcm(ea, eb)) == a.lcm(b)
+
+
 def test_budget_degree_cap():
     f = poly(([(X, 2)], 1), ([(Y, 1)], -1))
     g = poly(([(X, 1), (Y, 1)], 1), ([], -1))

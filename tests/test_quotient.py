@@ -302,10 +302,3 @@ def test_quotient_order_ok_detects_cycles():
     fmap = FiberMap(tuple(S), targets)
     assert not quotient_order_ok(P, fmap)
     assert quotient_order_ok(P, FiberMap.identity(S))
-
-
-def test_fiber_map_json_round_trip():
-    S = [(0, 0), (0, 1), (1, 0)]
-    fmap = FiberMap.projection_first(S)
-    again = FiberMap.from_json(fmap.to_json())
-    assert again == fmap

@@ -201,6 +201,21 @@ def test_bounded_duality_involution_small():
                 assert back.gens == I.gens
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dualize_ss_bounded_matches_the_general_constructor(data):
+    # the renamed dual is handed over as canonical: it must be what the
+    # general constructor makes of the same generators, parts included
+    m = data.draw(st.integers(1, 3))
+    universe = elem_universe(m)
+    pool = [x for x in monomials_up_to(universe, 3) if x]
+    I = borel_closure(data.draw(st.lists(st.sampled_from(pool), max_size=3)), universe)
+    bound = data.draw(st.integers(max(I.max_degree(), 1), 3))
+    D = dualize_ss_bounded(I, bound)
+    assert D == MonomialIdeal(list(D.gens), elem_universe(bound))
+    assert all(g.degree() == sum(e for _, e in g.exps) for g in D.gens)
+
+
 def test_two_variable_family_example():
     # x1^a, x1^{a-1} x2^{b1+1}, ..., x2^{ba+a} pairs with the smallest
     # 2-regular stable ideal containing x_{r} x_{b_{a-r} + a - 1}

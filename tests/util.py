@@ -1006,6 +1006,26 @@ def ref_minors(seq: LSequence) -> list:
     return out
 
 
+def ref_terrace(seq: LSequence) -> LSequence:
+    """Oracle for determinantal.terrace: list the differences
+    l_a - a, l_{a+1} - a, ..., l_b - (b-1), mark the strict running maxima
+    after the first entry, and repeat the value at each mark up to the next."""
+    a, vals = seq.a, seq.vals
+    n = len(vals)
+    diffs = [vals[0] - a] + [vals[k] - (a + k - 1) for k in range(1, n)]
+    maxima = []
+    running = diffs[0]
+    for k in range(1, n):
+        if diffs[k] > running:
+            running = diffs[k]
+            maxima.append(k)
+    marks = [0] + maxima + [n]
+    out = []
+    for m, nxt in zip(marks, marks[1:]):
+        out.extend([vals[m]] * (nxt - m))
+    return LSequence(a, out)
+
+
 def ref_ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """Oracle for ly_ideal: the multichain recursion written out on the shifted
     chain i_a+1..i_b, with value c on (i_c, i_{c+1}] and positions from a."""
