@@ -86,7 +86,8 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     `elements`, so that every partial map extends to a full one.
 
     `cap` (None: no limit) bounds the maps actually produced: ExplosionGuard
-    is raised as soon as there are more than cap of them.
+    is raised as soon as there are more than cap of them, the one map of an
+    empty domain included.
 
     Depth first on an explicit stack, over sorted(elements): a frame is the
     value tuple of a prefix and, with `graphs`, its graph's exponent table.
@@ -94,17 +95,19 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     """
     order = sorted(range(P.n) if elements is None else elements)
     m = len(order)
-    if not m:
-        return [_make((), 0)] if graphs else [()]
     below, above = _prefix_covers(P, order)
     tops = [upper[p] for p in order]
     if graphs:
         parts = _pair_items(zip(order, tops))
     last = m - 1
-    out = []
-    stack = [((), ())]
+    out = [] if m else [_make((), 0) if graphs else ()]
+    stack = [((), ())] if m else []
     pop, push = stack.pop, stack.append
-    while stack:
+    while True:
+        if cap is not None and len(out) > cap:
+            raise ExplosionGuard(f"produced {len(out)} isotone maps, more than cap {cap}")
+        if not stack:
+            return out
         prefix, exps = pop()
         k = len(prefix)
         lo = 0
@@ -130,9 +133,6 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
             out += [_make(exps + (items[v],), m) for v in range(lo, hi + 1)]
         else:
             out += [prefix + (v,) for v in range(lo, hi + 1)]
-        if cap is not None and len(out) > cap:
-            raise ExplosionGuard(f"produced {len(out)} isotone maps, more than cap {cap}")
-    return out
 
 
 def _prefix_covers(P: Poset, order) -> tuple:
@@ -332,15 +332,16 @@ class HomIdeal:
         iff each maximal p kills a generator that no other element of I
         kills.  Such a p has a value below max_g g(p), and every q below p
         a value at most p's: each domain's box is cut there.
-        ExplosionGuard is raised when one poset ideal carries more than cap
-        maps in its box.
+        `cap` bounds the maps walked, for a cofinite J in all boxes together;
+        past it ExplosionGuard is raised.
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         P = self.poset
         if self.is_finite_repr:
             full = frozenset(range(P.n))
-            return [Marker(full, m) for m in self.members()]
+            maps = self.members() if self.kind == "finite" else _isotone_maps(P, self.alpha, cap=cap)
+            return [Marker(full, m) for m in maps]
         gens = self.complement_gens()
         if not gens:
             return [Marker(frozenset(), (None,) * P.n)]
@@ -352,6 +353,7 @@ class HomIdeal:
             for p in range(P.n)
         ]
         found = []
+        walked = 0
         for dom in P.ideals():
             order = sorted(dom)
             inside = sum(1 << p for p in order)
@@ -366,7 +368,13 @@ class HomIdeal:
                     if P.down[p] >> q & 1:
                         tops[q] = min(tops[q], reach[p] - 1)
             kills = [kill[p] for p in order]
-            for vals in _isotone_maps(P, tops, order, cap):
+            try:
+                maps = _isotone_maps(P, tops, order, cap - walked)
+            except ExplosionGuard:
+                raise ExplosionGuard(f"walked {walked} isotone maps before poset ideal {order}, whose box "
+                                     f"holds more than the {cap - walked} left of cap {cap}") from None
+            walked += len(maps)
+            for vals in maps:
                 seen = twice = 0
                 for k, v in enumerate(vals):
                     hit = kills[k][v]

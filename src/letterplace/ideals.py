@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ExplosionGuard, InfiniteIdeal
 from .homset import HomIdeal, _floor, _isotone_maps, check_isotone
-from .monomial import MonomialIdeal, _of_sorted_pairs, alexander_dual
+from .monomial import MonomialIdeal, _make, _pair_items, alexander_dual
 from .poset import Poset
 
 
@@ -52,8 +52,8 @@ def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     The minimal markers of a finite-representation J are its members, so
     their graphs are read straight from J's maps; for a principal J the
     isotone-map walk builds them, already in sort_key order.  `cap` bounds
-    the maps that walk produces, and for a cofinite J the maps of its marker
-    walk on one poset ideal; past it ExplosionGuard is raised.
+    the maps that walk produces, and for a cofinite J all the maps of its
+    marker walk together; past it ExplosionGuard is raised.
     """
     if J.is_finite_repr:
         if cap < 0:
@@ -61,10 +61,14 @@ def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
         if J.kind == "principal":
             return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, cap=cap, graphs=True))
         # members come lexicographically and all have degree n: sort_key order
-        return MonomialIdeal._of_canonical([_of_sorted_pairs(enumerate(m)) for m in J.members()])
+        members, n = J.members(), J.poset.n
+        items = _pair_items(enumerate(map(max, zip(*members))))  # up to their pointwise maximum
+        return MonomialIdeal._of_canonical([_make(tuple([items[p][v] for p, v in enumerate(m)]), n) for m in members])
     # minimal markers have distinct graphs, none inside another, and come by
     # (domain size, sorted graph), which is sort_key order of their monomials
-    return MonomialIdeal._of_canonical([_of_sorted_pairs(sorted(m.graph())) for m in J.minimal_markers(cap)])
+    items = _pair_items(enumerate([J.nmax() - 1] * J.poset.n))  # marker values lie below nmax
+    gens = [tuple([items[p][v] for p, v in sorted(m.graph())]) for m in J.minimal_markers(cap)]
+    return MonomialIdeal._of_canonical([_make(g, len(g)) for g in gens])
 
 
 def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
@@ -136,8 +140,11 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
 def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
     """principal_letterplace_gens(P, alpha) for an isotone alpha, with its
     multichains bounded by `cap` as in _multichains."""
-    # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j
-    return MonomialIdeal._of_canonical([_of_sorted_pairs(pairs) for pairs in _multichain_pairs(P, alpha, cap)])
+    # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j;
+    # the chain p^(alpha(p)+1) uses every pair (p, j <= alpha(p)): the table is no larger than the output
+    gens = _multichain_pairs(P, alpha, cap)
+    items = _pair_items(enumerate(alpha))
+    return MonomialIdeal._of_canonical([_make(tuple([items[p][j] for p, j in g]), len(g)) for g in gens])
 
 
 def _multichain_pairs(P: Poset, alpha, cap) -> list:

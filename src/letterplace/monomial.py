@@ -215,28 +215,10 @@ _new_monomial = object.__new__
 _make = Monomial._make
 
 
-# Each pair variable x[p,i] gets its exponent item (x[p,i], 1), keyed by
-# the int pair (p, i), so that a squarefree pair monomial is read from
-# (p, i) ints without building or comparing Vars.  The table grows on demand.
-_PAIR = {}
-
-
-def _pair_entry(key: tuple) -> tuple:
-    item = _PAIR[key] = (pair_var(*key), 1)
-    return item
-
-
-def _of_sorted_pairs(pairs) -> Monomial:
-    """The squarefree monomial on distinct (p, i) int pairs given in
-    ascending order, which is the Var order of their variables."""
-    exps = tuple([_PAIR.get(key) or _pair_entry(key) for key in pairs])
-    return _make(exps, len(exps))
-
-
 def _pair_items(tops) -> list:
-    """For each (p, top) in tops, the list of the exponent items of x[p, v]
-    for v in 0..top."""
-    return [[_PAIR.get((p, v)) or _pair_entry((p, v)) for v in range(top + 1)] for p, top in tops]
+    """For each (p, top) in tops, the list of the exponent items (x[p, v], 1)
+    for v in 0..top: one table per call of a builder of pair monomials."""
+    return [[(pair_var(p, v), 1) for v in range(top + 1)] for p, top in tops]
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")

@@ -61,6 +61,12 @@ MUTANTS = [
     Mutant("markers-domain-cut-one-too-low", "homset",
            "tops[q] = min(tops[q], reach[p] - 1)", "tops[q] = min(tops[q], reach[p] - 2)",
            ("test_homset.py",)),
+    Mutant("markers-budget-per-poset-ideal", "homset",
+           "_isotone_maps(P, tops, order, cap - walked)", "_isotone_maps(P, tops, order, cap)",
+           ("test_homset.py",)),
+    Mutant("principal-markers-ignore-the-cap", "homset",
+           "_isotone_maps(P, self.alpha, cap=cap)", "_isotone_maps(P, self.alpha)",
+           ("test_homset.py",)),
     # monomial
     Mutant("minimal-masks-keep-test", "monomial",
            "if all(k & outside for k in below):", "if any(k & outside for k in below):",
@@ -154,6 +160,9 @@ MUTANTS = [
            ("test_determinantal.py",)),
     Mutant("verify-skips-terrace-instance", "determinantal",
            "if ter != seq:", "if False:",
+           ("test_determinantal.py",)),
+    Mutant("ly-ideal-drops-the-row-shift", "determinantal",
+           "items[p + j][j + a]", "items[p + j][j]",
            ("test_determinantal.py",)),
     # cli
     Mutant("usage-error-exits-1", "cli",

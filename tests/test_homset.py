@@ -70,6 +70,35 @@ def test_minimal_markers_cofinite_guard():
         J.minimal_markers(cap=10)
 
 
+def test_principal_minimal_markers_honour_the_cap():
+    # the markers of a principal J are its 6435 members; the member walk,
+    # like the co-letterplace walk over the same maps, stops past the cap
+    J = HomIdeal.principal(chain(8), (7,) * 8)
+    with pytest.raises(ExplosionGuard, match="more than cap 5"):
+        J.minimal_markers(cap=5)
+    assert len(J.minimal_markers(cap=6435)) == 6435
+
+
+def test_empty_domain_walk_honours_the_cap():
+    # the empty poset carries one map, which a cap of 0 does not allow
+    P = poset_from_covers(0, [])
+    with pytest.raises(ExplosionGuard, match="produced 1 isotone maps, more than cap 0"):
+        enumerate_isotone(P, 0, cap=0)
+    assert enumerate_isotone(P, 0, cap=1) == [()]
+
+
+def test_cofinite_marker_walk_charges_one_budget():
+    # the 63 nonempty poset ideals of antichain(6) carry 728 maps in their
+    # boxes together, and no one of them more than 64
+    J = HomIdeal.cofinite(antichain(6), [(2,) * 6])
+    first = r"walked 64 isotone maps before poset ideal \[0, 1, 2, 3\], whose box holds more than the 0 left of cap 64"
+    with pytest.raises(ExplosionGuard, match=first):
+        J.minimal_markers(cap=64)
+    with pytest.raises(ExplosionGuard, match="walked 664 isotone maps .* more than the 63 left of cap 727"):
+        J.minimal_markers(cap=727)
+    assert len(J.minimal_markers(cap=728)) == 12
+
+
 def test_negative_caps_are_rejected():
     with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
         enumerate_isotone(chain(2), 2, cap=-1)

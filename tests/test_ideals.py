@@ -380,9 +380,9 @@ def test_principal_routes_match_enumeration(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_principal_coletterplace_is_the_graphs_of_brute_members(data):
-    # the walk builds each graph monomial from interned parts and lists them
-    # in walk order; the oracle builds them through the general constructor
-    # and sorts them
+    # the walk builds each graph monomial from an item table made for the
+    # call and lists them in walk order; the oracle builds them through the
+    # general constructor and sorts them
     P = draw_poset(data, 5)
     maps = brute_isotone(P, 3)
     alpha = data.draw(st.sampled_from(maps))
@@ -435,6 +435,35 @@ def test_coletterplace_with_many_new_variables_fits_600_mb():
     out = subprocess.run([sys.executable, "-c", code, poset], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr[-1000:]
     assert out.stdout.split() == ["60001"]
+
+
+def test_dropped_pair_ideals_leave_nothing_traced():
+    # every builder of pair monomials reads an item table made for the call,
+    # so nothing outlives the ideals built; a process-wide table of the
+    # (x[p,i], 1) items kept 4.8 MB here.  A fresh process, so that no
+    # earlier test has made these variables already
+    poset = os.path.join(os.path.dirname(__file__), "data", "golden_cli", "poset.json")
+    code = (
+        "import gc, sys, tracemalloc\n"
+        "from letterplace.homset import HomIdeal\n"
+        "from letterplace.ideals import coletterplace_ideal, letterplace_ideal\n"
+        "from letterplace.poset import Poset\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    P = Poset.from_json(fh.read())\n"
+        "tracemalloc.start()\n"
+        "L = letterplace_ideal(HomIdeal.principal(P, (0, 0, 20000, 0)))\n"
+        "C = coletterplace_ideal(HomIdeal.principal(P, (1, 1, 2000, 2)))\n"
+        "print(len(L.gens), len(C.gens))\n"
+        "del L, C\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, poset], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr[-1000:]
+    sizes, traced = out.stdout.splitlines()
+    assert sizes == "4 20003"
+    assert int(traced) < 256 * 1024
 
 
 def test_long_multichain_ideal_has_four_generators():
