@@ -123,7 +123,7 @@ def _cmd_hom_enumerate(args) -> int:
 
 def _cmd_markers(args) -> int:
     J = HomIdeal.from_json(_read(args.ideal))
-    marks = [{"domain": sorted(m.domain), "graph": sorted(m.graph())} for m in J.minimal_markers()]
+    marks = [{"domain": [p for p, _ in row], "graph": row} for row in J._marker_graphs()]
     _emit({"markers": marks}, args.output, args.format)
     return 0
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from .errors import NotTerrace
 from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
 from .ideals import _multichain_pairs
-from .monomial import MonomialIdeal, _make, _pair_items, height, pair_var
+from .monomial import MonomialIdeal, _pair_ideal, height, pair_var
 from .poset import chain
 
 
@@ -208,11 +208,10 @@ def ly_ideal(iseq: LSequence) -> MonomialIdeal:
     """
     a, lo = iseq.a, iseq[iseq.a] + 1
     alpha = [c - a for c in range(a, iseq.b) for _ in range(iseq[c] + 1, iseq[c + 1] + 1)]
-    # on a chain the j-th pair of every generator is (p_j, j); the shift to column lo + a + k, k = p_j + j,
+    # on a chain the j-th pair of every generator is (p_j, j); the shift to column p_j + j + lo + a
     # and row j + a keeps each generator's pairs ascending and the generators in sort_key order
     gens = _multichain_pairs(chain(len(alpha)), alpha, None)
-    items = _pair_items((lo + a + k, iseq.b - 1) for k in range(len(alpha) + iseq.b - a - 1))
-    return MonomialIdeal._of_canonical([_make(tuple([items[p + j][j + a] for p, j in g]), len(g)) for g in gens])
+    return _pair_ideal([[(p + j + lo + a, j + a) for p, j in g] for g in gens])
 
 
 def codim_formulas(seq: LSequence) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExplosionGuard, MixedPosets, NotIsotone
-from .monomial import _make, _minimal_masks, _pair_items, _polarize
+from .monomial import _make, _minimal_masks, _polarize, pair_var
 from .poset import Poset, _bits, _int_list
 
 
@@ -40,8 +40,9 @@ def is_isotone(P: Poset, values) -> bool:
 
 
 def check_isotone(P: Poset, values) -> tuple:
+    """values as a tuple if they are ints >= 0 (no bools) isotone on P; else NotIsotone."""
     values = tuple(values)
-    if any(v < 0 for v in values) or not is_isotone(P, values):
+    if any(type(v) is not int or v < 0 for v in values) or not is_isotone(P, values):
         raise NotIsotone(f"{values} is not an isotone map on {P!r}")
     return values
 
@@ -98,7 +99,7 @@ def _isotone_maps(P: Poset, upper, elements=None, cap=None, graphs=False) -> lis
     below, above = _prefix_covers(P, order)
     tops = [upper[p] for p in order]
     if graphs:
-        parts = _pair_items(zip(order, tops))
+        parts = [[(pair_var(p, v), 1) for v in range(top + 1)] for p, top in zip(order, tops)]
     last = m - 1
     out = [] if m else [_make((), 0) if graphs else ()]
     stack = [((), ())] if m else []
@@ -318,8 +319,12 @@ class HomIdeal:
         )
 
     def minimal_markers(self, cap: int = 10**7) -> list:
-        """Markers whose graphs are inclusion-minimal among all marker graphs,
-        sorted by (domain size, sorted graph).
+        """The minimal markers, one Marker per row of _marker_graphs(cap)."""
+        return [Marker.on([p for p, _ in row], dict(row), self.poset.n) for row in self._marker_graphs(cap)]
+
+    def _marker_graphs(self, cap: int = 10**7) -> list:
+        """The graphs inclusion-minimal among all marker graphs, each as its
+        sorted (p, value) pairs, listed by domain size and then graph.
 
         For a finite ideal every marker's domain is all of P (a proper ideal
         leaves room for unbounded extensions), so the minimal markers are
@@ -339,12 +344,11 @@ class HomIdeal:
             raise ValueError(f"cap must be >= 0, got {cap}")
         P = self.poset
         if self.is_finite_repr:
-            full = frozenset(range(P.n))
             maps = self.members() if self.kind == "finite" else _isotone_maps(P, self.alpha, cap=cap)
-            return [Marker(full, m) for m in maps]
+            return [list(enumerate(m)) for m in maps]
         gens = self.complement_gens()
         if not gens:
-            return [Marker(frozenset(), (None,) * P.n)]
+            return [[]]
         every = (1 << len(gens)) - 1
         reach = [max(g[p] for g in gens) for p in range(P.n)]  # max_g g(p)
         nmax = self.nmax()
@@ -381,9 +385,9 @@ class HomIdeal:
                     twice |= seen & hit
                     seen |= hit
                 if seen == every and all(kills[k][vals[k]] & ~twice for k in maxima):
-                    found.append((len(order), list(zip(order, vals)), order))
-        found.sort(key=lambda f: f[:2])
-        return [Marker.on(order, dict(pairs), P.n) for _, pairs, order in found]
+                    found.append(list(zip(order, vals)))
+        found.sort(key=lambda row: (len(row), row))
+        return found
 
     # -- serialization ---------------------------------------------------------
 

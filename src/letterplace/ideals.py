@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ExplosionGuard, InfiniteIdeal
 from .homset import HomIdeal, _floor, _isotone_maps, check_isotone
-from .monomial import MonomialIdeal, _make, _pair_items, alexander_dual
+from .monomial import MonomialIdeal, _pair_ideal, alexander_dual
 from .poset import Poset
 
 
@@ -42,33 +42,25 @@ def letterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if J.kind == "principal":
-        return _principal_letterplace(J.poset, J.alpha, cap)
+        return _pair_ideal(_multichain_pairs(J.poset, J.alpha, cap))
     return alexander_dual(coletterplace_ideal(J, cap))
 
 
 def coletterplace_ideal(J: HomIdeal, cap: int = 10**7) -> MonomialIdeal:
     """Minimal graph monomials over the minimal markers of J.
 
-    The minimal markers of a finite-representation J are its members, so
-    their graphs are read straight from J's maps; for a principal J the
-    isotone-map walk builds them, already in sort_key order.  `cap` bounds
-    the maps that walk produces, and for a cofinite J all the maps of its
-    marker walk together; past it ExplosionGuard is raised.
+    For a principal J the isotone-map walk builds the graphs of the maps
+    below alpha; any other J takes the rows of J._marker_graphs, so no
+    Marker is built.  Both come in sort_key order.  `cap` bounds the maps
+    either walk produces (for a cofinite J, in all its boxes together);
+    past it ExplosionGuard is raised.
     """
-    if J.is_finite_repr:
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
-        if J.kind == "principal":
-            return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, cap=cap, graphs=True))
-        # members come lexicographically and all have degree n: sort_key order
-        members, n = J.members(), J.poset.n
-        items = _pair_items(enumerate(map(max, zip(*members))))  # up to their pointwise maximum
-        return MonomialIdeal._of_canonical([_make(tuple([items[p][v] for p, v in enumerate(m)]), n) for m in members])
-    # minimal markers have distinct graphs, none inside another, and come by
-    # (domain size, sorted graph), which is sort_key order of their monomials
-    items = _pair_items(enumerate([J.nmax() - 1] * J.poset.n))  # marker values lie below nmax
-    gens = [tuple([items[p][v] for p, v in sorted(m.graph())]) for m in J.minimal_markers(cap)]
-    return MonomialIdeal._of_canonical([_make(g, len(g)) for g in gens])
+    if J.kind != "principal":
+        # minimal markers have distinct graphs, none inside another
+        return _pair_ideal(J._marker_graphs(cap))
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    return MonomialIdeal._of_canonical(_isotone_maps(J.poset, J.alpha, cap=cap, graphs=True))
 
 
 def support(J: HomIdeal, cap: int = 10**7) -> frozenset:
@@ -134,24 +126,15 @@ def principal_letterplace_gens(P: Poset, alpha) -> MonomialIdeal:
     with alpha(p_r) = r and alpha(p_j) > j for j < r: the letterplace ideal of
     the principal ideal on alpha (Fløystad–Greve–Herzog, JPAA 2017).
     """
-    return _principal_letterplace(P, check_isotone(P, alpha), None)
-
-
-def _principal_letterplace(P: Poset, alpha, cap) -> MonomialIdeal:
-    """principal_letterplace_gens(P, alpha) for an isotone alpha, with its
-    multichains bounded by `cap` as in _multichains."""
-    # g | h would make g's multichain a proper prefix of h's, but each ends at its first alpha(p_j) = j;
-    # the chain p^(alpha(p)+1) uses every pair (p, j <= alpha(p)): the table is no larger than the output
-    gens = _multichain_pairs(P, alpha, cap)
-    items = _pair_items(enumerate(alpha))
-    return MonomialIdeal._of_canonical([_make(tuple([items[p][j] for p, j in g]), len(g)) for g in gens])
+    return _pair_ideal(_multichain_pairs(P, check_isotone(P, alpha), None))
 
 
 def _multichain_pairs(P: Poset, alpha, cap) -> list:
     """The sorted pairs (p_j, j) of each multichain of
     principal_letterplace_gens(P, alpha), listed by (degree, pairs): the
     sort_key order of their monomials.  alpha must be isotone, and `cap`
-    bounds the walk, as in _multichains."""
+    bounds the walk, as in _multichains.  No row holds another, as each
+    multichain ends at its first alpha(p_j) = j."""
     chains = _multichains(P, alpha, cap)
     return [pairs for _, pairs in sorted((len(c), sorted(zip(c, range(len(c))))) for c in chains)]
 

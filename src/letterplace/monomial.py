@@ -215,10 +215,22 @@ _new_monomial = object.__new__
 _make = Monomial._make
 
 
-def _pair_items(tops) -> list:
-    """For each (p, top) in tops, the list of the exponent items (x[p, v], 1)
-    for v in 0..top: one table per call of a builder of pair monomials."""
-    return [[(pair_var(p, v), 1) for v in range(top + 1)] for p, top in tops]
+def _pair_ideal(rows) -> "MonomialIdeal":
+    """The ideal of the monomials prod x[p, i] over rows of ascending (p, i)
+    pairs, listed in sort_key order with none inside another (not checked).
+    The item (x[p, i], 1) is made the first time a row holds (p, i): rows
+    share it, and no item outlives the ideal."""
+    items = {}
+    gens = []
+    for row in rows:
+        exps = []
+        for pair in row:
+            item = items.get(pair)
+            if item is None:
+                item = items[pair] = (pair_var(*pair), 1)
+            exps.append(item)
+        gens.append(_make(tuple(exps), len(exps)))
+    return MonomialIdeal._of_canonical(gens)
 
 
 _VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")

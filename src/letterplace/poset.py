@@ -46,6 +46,8 @@ class Poset:
     __slots__ = ("n", "_labels", "up", "down", "lower", "upper", "order")
 
     def __init__(self, n: int, covers: Iterable[tuple] = (), labels=None):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"poset n must be a non-negative integer, got {json.dumps(n, default=repr)}")
         covers = [tuple(c) for c in covers]
         if labels is not None and len(labels) != n:
             raise IdentifierOutOfRange(f"expected {n} labels, got {len(labels)}")
@@ -176,8 +178,6 @@ class Poset:
         if not isinstance(doc, dict):
             raise ValueError("a poset must be a JSON object with keys n and covers")
         n, covers, labels = doc.get("n"), doc.get("covers"), doc.get("labels")
-        if type(n) is not int or n < 0:
-            raise ValueError(f"poset n must be a non-negative integer, got {json.dumps(n)}")
         if not isinstance(covers, list) or any(len(_int_list(c, "a cover")) != 2 for c in covers):
             raise ValueError(f"poset covers must be a list of pairs, got {json.dumps(covers)}")
         if labels is not None and not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):

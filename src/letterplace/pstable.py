@@ -83,6 +83,7 @@ def longest_b_chain(P: Poset, m: Monomial, b: int) -> tuple:
     `length` is the weight of a longest one, lambda_bar_inv(P, m)[b].
     `through` holds the elements a <= b on some longest one.
     """
+    P._mask((b,))
     weight = _weights(P, m)
     ending = _heaviest(P.order, P.lower, weight)
     return ending[b], frozenset(_bits(_through(P, weight, ending, b)))

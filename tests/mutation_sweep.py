@@ -51,6 +51,9 @@ MUTANTS = [
     Mutant("range-check-admits-n", "poset",
            "if not 0 <= p < self.n:", "if not 0 <= p <= self.n:",
            ("test_poset.py",)),
+    Mutant("poset-admits-a-negative-size", "poset",
+           "if type(n) is not int or n < 0:", "if type(n) is not int:",
+           ("test_poset.py",)),
     # homset
     Mutant("floor-skips-a-step", "homset",
            "if v > top:", "if v > top + 1:",
@@ -67,6 +70,12 @@ MUTANTS = [
     Mutant("principal-markers-ignore-the-cap", "homset",
            "_isotone_maps(P, self.alpha, cap=cap)", "_isotone_maps(P, self.alpha)",
            ("test_homset.py",)),
+    Mutant("marker-graphs-sorted-by-graph-alone", "homset",
+           "found.sort(key=lambda row: (len(row), row))", "found.sort()",
+           ("test_homset.py",)),
+    Mutant("isotone-check-admits-non-ints", "homset",
+           "any(type(v) is not int or v < 0 for v in values)", "any(v < 0 for v in values)",
+           ("test_homset.py",)),
     # monomial
     Mutant("minimal-masks-keep-test", "monomial",
            "if all(k & outside for k in below):", "if any(k & outside for k in below):",
@@ -80,18 +89,24 @@ MUTANTS = [
     Mutant("height-packing-counts-overlapping-edges", "monomial",
            "if not e & packed:", "if True:",
            ("test_monomial.py",)),
+    Mutant("pair-ideal-makes-an-item-per-occurrence", "monomial",
+           "item = items.get(pair)", "item = None",
+           ("test_ideals.py",)),
     # ideals
     Mutant("multichains-end-condition", "ideals",
            "if top == pos:", "if top == pos + 1:",
            ("test_ideals.py",)),
     Mutant("principal-gens-skip-isotone-check", "ideals",
-           "return _principal_letterplace(P, check_isotone(P, alpha), None)",
-           "return _principal_letterplace(P, alpha, None)",
+           "return _pair_ideal(_multichain_pairs(P, check_isotone(P, alpha), None))",
+           "return _pair_ideal(_multichain_pairs(P, alpha, None))",
            ("test_ideals.py",)),
     Mutant("ascent-starts-above-floor", "ideals",
            "range(_floor(phi, P.lower[p]), top)", "range(_floor(phi, P.lower[p]) + 1, top)",
            ("test_ideals.py",)),
     # pstable
+    Mutant("longest-chain-skips-the-range-check", "pstable",
+           "P._mask((b,))", "None",
+           ("test_pstable.py",)),
     Mutant("exchanges-tie-case", "pstable",
            "elif v == top:", "elif False:",
            ("test_pstable.py",)),
@@ -162,7 +177,7 @@ MUTANTS = [
            "if ter != seq:", "if False:",
            ("test_determinantal.py",)),
     Mutant("ly-ideal-drops-the-row-shift", "determinantal",
-           "items[p + j][j + a]", "items[p + j][j]",
+           "(p + j + lo + a, j + a)", "(p + j + lo + a, j)",
            ("test_determinantal.py",)),
     # cli
     Mutant("usage-error-exits-1", "cli",

@@ -495,16 +495,34 @@ def test_dual_check_catches_a_dropped_coletterplace_generator(kind, capsys, monk
 def test_dual_check_walks_the_cofinite_markers_once(capsys, monkeypatch):
     # L of a cofinite J is the dual of C, so the markers behind C serve both
     calls = []
-    original = HomIdeal.minimal_markers
+    original = HomIdeal._marker_graphs
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(HomIdeal, "minimal_markers", counting)
+    monkeypatch.setattr(HomIdeal, "_marker_graphs", counting)
     code, out = run(capsys, "dual-check", "--ideal", str(GOLDEN / "cofinite.json"))
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["dual_ok"] is True
+
+
+@pytest.mark.parametrize("cmd", ["markers", "coletterplace"])
+@pytest.mark.parametrize("kind", ["finite", "cofinite"])
+def test_marker_routes_build_no_marker(cmd, kind, capsys, monkeypatch):
+    # both commands read the graphs of HomIdeal._marker_graphs as they come
+    import letterplace.homset
+
+    class NoMarker:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a Marker was built")
+
+        on = classmethod(__init__)
+
+    monkeypatch.setattr(letterplace.homset, "Marker", NoMarker)
+    code, out = run(capsys, cmd, "--ideal", str(GOLDEN / f"{kind}.json"))
+    assert code == 0
+    assert out == (GOLDEN / f"{cmd}_{kind}.out").read_text(encoding="utf-8")
 
 
 def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monkeypatch):

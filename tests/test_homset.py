@@ -11,12 +11,14 @@ from letterplace.homset import (
     HomIdeal,
     Marker,
     _prefix_covers,
+    check_isotone,
     dominates,
     enumerate_isotone,
     is_isotone,
     minimal_of,
 )
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
+from letterplace.pstable import lambda_bar
 
 from util import (
     all_labeled_posets,
@@ -154,6 +156,15 @@ def test_member_monotone_small():
 def test_principal_not_isotone_rejected():
     with pytest.raises(NotIsotone):
         HomIdeal.principal(chain(2), (1, 0))
+
+
+@pytest.mark.parametrize("values", [(0, 1.5, 2), (0, 1, 2.5), (0, True, 1), (0, 1, "2")])
+def test_map_values_must_be_ints(values):
+    # lambda_bar(chain(3), (0, 1.5, 2)) returned x[1]^1.5*x[2]^0.5, and a
+    # principal ideal on (0, 1, 2.5) failed later inside range
+    for build in (check_isotone, HomIdeal.principal, lambda_bar):
+        with pytest.raises(NotIsotone):
+            build(chain(3), values)
 
 
 def test_finite_requires_downward_closure():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from letterplace.determinantal import LSequence, ly_ideal
 from letterplace.errors import ExplosionGuard, InfiniteIdeal, NotIsotone
 from letterplace.homset import HomIdeal, dominates, enumerate_isotone
 from letterplace.ideals import (
@@ -21,7 +22,7 @@ from letterplace.ideals import (
     principal_letterplace_gens,
     support,
 )
-from letterplace.monomial import Monomial, MonomialIdeal, alexander_dual, hilbert_numerator, pair_var
+from letterplace.monomial import Monomial, MonomialIdeal, _pair_ideal, alexander_dual, hilbert_numerator, pair_var
 from letterplace.poset import Poset, antichain, chain, poset_from_covers
 
 from util import (
@@ -341,6 +342,29 @@ def test_pair_table_builders_match_sorted_var_oracle(data):
     assert coletterplace_ideal(J) == MonomialIdeal(map(ref_pairs_monomial, graphs))
 
 
+def test_pair_ideal_makes_one_item_per_pair():
+    # _pair_ideal makes the item (x[p,i], 1) the first time a row holds
+    # (p, i), and every later row reads that one object; the oracle builds
+    # each monomial through the general constructor
+    rows = [[(0, 0)], [(0, 1), (1, 0)], [(0, 1), (1, 1)], [(1, 0), (2, 1)]]
+    assert _pair_ideal(rows) == MonomialIdeal(map(ref_pairs_monomial, rows))
+    fence = poset_from_covers(4, [(0, 2), (1, 2), (1, 3)])
+    alpha = (1, 2, 3, 2)
+    built = [
+        _pair_ideal(rows),
+        letterplace_ideal(HomIdeal.principal(fence, alpha)),
+        principal_letterplace_gens(fence, alpha),
+        coletterplace_ideal(HomIdeal.finite(fence, HomIdeal.principal(fence, (0, 1, 1, 1)).members())),
+        coletterplace_ideal(HomIdeal.cofinite(fence, [(1, 1, 2, 2), (0, 2, 2, 3)])),
+        ly_ideal(LSequence(1, (0, 1, 3, 4, 6))),
+    ]
+    for I in built:
+        items = [item for g in I.gens for item in g.exps]
+        pairs = {item[0] for item in items}
+        assert len(pairs) < len(items)  # some pair recurs
+        assert len({id(item) for item in items}) == len(pairs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_finite_and_cofinite_letterplace_match_the_box_walk(data):
@@ -380,9 +404,9 @@ def test_principal_routes_match_enumeration(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_principal_coletterplace_is_the_graphs_of_brute_members(data):
-    # the walk builds each graph monomial from an item table made for the
-    # call and lists them in walk order; the oracle builds them through the
-    # general constructor and sorts them
+    # the walk builds each graph monomial from items it makes per call from
+    # its bounds and lists them in walk order; the oracle builds them
+    # through the general constructor and sorts them
     P = draw_poset(data, 5)
     maps = brute_isotone(P, 3)
     alpha = data.draw(st.sampled_from(maps))
@@ -438,10 +462,10 @@ def test_coletterplace_with_many_new_variables_fits_600_mb():
 
 
 def test_dropped_pair_ideals_leave_nothing_traced():
-    # every builder of pair monomials reads an item table made for the call,
-    # so nothing outlives the ideals built; a process-wide table of the
-    # (x[p,i], 1) items kept 4.8 MB here.  A fresh process, so that no
-    # earlier test has made these variables already
+    # every builder of pair monomials (_pair_ideal and the isotone graph
+    # walk) makes its items per call, so nothing outlives the ideals built;
+    # a process-wide table of the (x[p,i], 1) items kept 4.8 MB here.  A
+    # fresh process, so that no earlier test has made these variables already
     poset = os.path.join(os.path.dirname(__file__), "data", "golden_cli", "poset.json")
     code = (
         "import gc, sys, tracemalloc\n"

@@ -1,6 +1,7 @@
 """Poset construction, closures, and subset classification."""
 
 import json
+import re
 import sys
 from itertools import product
 
@@ -135,6 +136,25 @@ def test_identifier_range_rejected():
     P = poset_from_covers(2, [(0, 1)])
     with pytest.raises(IdentifierOutOfRange):
         P.closure({5}, "down")
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: Poset(-1), "-1"),
+        (lambda: chain(-2, one_based=False), "-2"),
+        (lambda: chain(-2), "-2"),
+        (lambda: antichain(-1), "-1"),
+        (lambda: Poset(2.0), "2.0"),
+        (lambda: Poset(True), "true"),
+    ],
+    ids=["Poset(-1)", "chain(-2,False)", "chain(-2)", "antichain(-1)", "Poset(2.0)", "Poset(True)"],
+)
+def test_poset_size_must_be_a_non_negative_int(build, shown):
+    # the constructor runs the check that Poset.from_json ran alone: Poset(-1)
+    # built a "poset" with n < 0 and chain(-2) raised a labels error
+    with pytest.raises(ValueError, match=re.escape(f"poset n must be a non-negative integer, got {shown}")):
+        build()
 
 
 @pytest.mark.parametrize(

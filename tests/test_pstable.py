@@ -100,6 +100,13 @@ def test_longest_chain_trivial():
     assert longest_b_chain(chain(2), Monomial.one(), 1)[0] == 0
 
 
+def test_longest_b_chain_rejects_an_element_outside_the_poset():
+    # b = -1 answered for element n - 1, and b = n raised IndexError
+    for b in (-1, 3):
+        with pytest.raises(IdentifierOutOfRange, match=f"element {b} not in 0..2"):
+            longest_b_chain(chain(3), emono((0, 1), (2, 2)), b)
+
+
 def test_bijection_rejects_elements_outside_the_poset():
     for p in (3, -1):
         with pytest.raises(IdentifierOutOfRange, match=f"element {p} not in 0..2"):

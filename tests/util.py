@@ -495,9 +495,10 @@ def ref_multichains(P: Poset, alpha) -> list:
 
 
 def ref_pairs_monomial(pairs) -> Monomial:
-    """Oracle for the builders of pair monomials, which read each exponent
-    table from an item table of monomial._pair_items: the squarefree
-    monomial on (p, i) pairs in any order, through the general constructor."""
+    """Oracle for the builders of pair monomials, monomial._pair_ideal and
+    the isotone graph walk, which make each exponent item once per call:
+    the squarefree monomial on (p, i) pairs in any order, through the
+    general constructor."""
     return Monomial((pair_var(p, i), 1) for p, i in pairs)
 
 
