@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotTerrace
-from .groebner import _basis, _check_caps, _Codec, _exactly, diagonal_order
+from .groebner import _basis, _check_cap, _Codec, _exactly, diagonal_order
 from .ideals import _multichain_pairs
 from .monomial import MonomialIdeal, _pair_ideal, height, pair_var
 from .poset import chain
@@ -29,6 +29,8 @@ class LSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "vals", tuple(self.vals))
+        if any(type(x) is not int for x in (self.a, *self.vals)):
+            raise ValueError(f"start {self.a!r} and entries {self.vals} must be ints")
         if len(self.vals) < 2:
             raise ValueError("need at least two entries (a < b)")
         if any(x > y for x, y in zip(self.vals, self.vals[1:])):
@@ -241,32 +243,32 @@ def diagonal_leads_ok(seq: LSequence) -> bool:
     return _diagonal_leads(row, minors)
 
 
-def verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
+def verify_main(seq: LSequence, pair_cap: int = 200_000) -> dict:
     """End-to-end check: initial ideal equals the shifted letterplace ideal and
     the codimension formulas agree with the height of that monomial ideal.
 
-    degree_cap (off unless given) and pair_cap bound the basis computation as
-    in buchberger (a negative cap raises ValueError), and the report echoes
-    them under "budget"; BudgetExceeded is raised if the basis computation
-    overruns them.  For a non-terrace input the report also carries the
-    terrace-reduced instance under "terrace_instance", and "ok" holds both.
+    pair_cap bounds the basis computation as in buchberger (a negative cap
+    raises ValueError), and the report echoes it under "budget";
+    BudgetExceeded is raised if the basis computation overruns it.  For a
+    non-terrace input the report also carries the terrace-reduced instance
+    under "terrace_instance", and "ok" holds both.
     terrace is idempotent, so the two instances share the terrace, the
     i-sequence, the target ly_ideal and its height, each built once.
     """
-    _check_caps(degree_cap, pair_cap)
+    _check_cap(pair_cap)
     ter = terrace(seq)
     iseq = _shift_rises(ter, -1)  # i_sequence(ter): a terrace needs no check
     target = ly_ideal(iseq)
     h = height(target)
-    report = _report(seq, ter, iseq, target, h, degree_cap, pair_cap)
+    report = _report(seq, ter, iseq, target, h, pair_cap)
     if ter != seq:
-        report["terrace_instance"] = _report(ter, ter, iseq, target, h, degree_cap, pair_cap)
+        report["terrace_instance"] = _report(ter, ter, iseq, target, h, pair_cap)
         report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
     return report
 
 
 def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIdeal, h: int,
-            degree_cap, pair_cap) -> dict:
+            pair_cap: int) -> dict:
     """verify_main's report on seq alone, given its terrace ter, the
     i-sequence of ter, the target and its height.
 
@@ -277,7 +279,7 @@ def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIde
     row, codec, minors = _packed_minors(seq)
     gens = [terms for _, _, _, terms in minors]
     diag_ok = _diagonal_leads(row, minors)
-    basis, codec = _exactly(_basis, gens, codec, degree_cap, pair_cap)
+    basis, codec = _exactly(_basis, gens, codec, pair_cap)
     # each reduced element lists its leading term first; the leading terms
     # must be the target's generators, each once
     leads = {next(iter(d)) for d in basis}
@@ -298,6 +300,6 @@ def _report(seq: LSequence, ter: LSequence, iseq: LSequence, target: MonomialIde
         "codim": {"height": h, **codims},
         "codim_ok": codim_ok,
         "ok": diag_ok and initial_ok and codim_ok,
-        "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
+        "budget": {"pair_cap": pair_cap},
     }
 

@@ -27,9 +27,11 @@ class TermOrder:
     kind "lex": compare exponent vectors in ranking order.
     kind "grevlex": total degree first, ties by smallest exponent on the
     lowest-ranked variable winning.
+    Every comparison is made on the packed ints of a _Codec, whose integer
+    order is the term order.
     """
 
-    __slots__ = ("kind", "vars", "_pos")
+    __slots__ = ("kind", "vars")
 
     def __init__(self, kind: str, variables: Iterable[Var]):
         if kind not in ("lex", "grevlex"):
@@ -38,21 +40,6 @@ class TermOrder:
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variables in ranking")
-        self._pos = {v: i for i, v in enumerate(self.vars)}
-
-    def exponents(self, m: Monomial) -> tuple:
-        e = [0] * len(self.vars)
-        for v, k in m.exps:
-            if v not in self._pos:
-                raise ValueError(f"variable {v} not ranked by this order")
-            e[self._pos[v]] = k
-        return tuple(e)
-
-    def key(self, m: Monomial):
-        e = self.exponents(m)
-        if self.kind == "lex":
-            return e
-        return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def lex_order(variables: Iterable[Var]) -> TermOrder:
@@ -97,7 +84,8 @@ class Polynomial:
     def leading_monomial(self, order: TermOrder) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        codec = _Codec.holding(order, [self])
+        return codec.monomial(max(codec.pack(self)))
 
     def leading_coeff(self, order: TermOrder) -> Fraction:
         return self.terms[self.leading_monomial(order)]
@@ -109,10 +97,13 @@ class Polynomial:
     def text(self, order: TermOrder = None, labels=None, letter: str = "y") -> str:
         if not self.terms:
             return "0"
-        monos = sorted(self.terms, key=Monomial.sort_key if order is None else order.key, reverse=True)
+        if order is None:
+            terms = sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
+        else:
+            codec = _Codec.holding(order, [self])
+            terms = [(codec.monomial(e), c) for e, c in sorted(codec.pack(self).items(), reverse=True)]
         parts = []
-        for m in monos:
-            c = self.terms[m]
+        for m, c in terms:
             coeff = str(abs(c))  # "3" or "3/2"
             parts.append(("+" if c > 0 else "-") + (f"{coeff}*{m.text(labels, letter)}" if m else coeff))
         return "".join(parts)
@@ -133,7 +124,9 @@ class Polynomial:
 # the exponents and determine them, so integer order is grevlex.  Either way
 # multiplying monomials adds their ints, and a sum that sets a guard bit has
 # outgrown the width: it raises _Overflow, and the computation starts over at
-# twice the width.  Dividing, e - lt, never borrows across fields.
+# twice the width.  Dividing, e - lt, never borrows across fields.  The packed
+# ints are the library's one term order: leading terms, initial ideals and the
+# printed order of terms are all read off them.
 
 
 class _Overflow(Exception):
@@ -217,8 +210,9 @@ class _Codec:
         """f's terms, which fit the fields of a codec from holding."""
         packed = self.terms(f.terms)
         if None in packed:
-            # raises ValueError on an unranked variable; holding fits the rest
-            self.order.exponents(next(m for m, e in zip(f.terms, packed) if e is None))
+            # holding fits every exponent, so a variable is left unranked
+            v = next(v for m in f.terms for v, _ in m.exps if v not in self.unit)
+            raise ValueError(f"variable {v} not ranked by this order")
         return {e: c.numerator if c.denominator == 1 else c for e, c in zip(packed, f.terms.values())}
 
     def monomial(self, e: int) -> Monomial:
@@ -341,12 +335,7 @@ def _s_polynomial(hi: tuple, hj: tuple, L: int, guard: int) -> dict:
     return s
 
 
-def buchberger(
-    gens: Iterable[Polynomial],
-    order: TermOrder,
-    degree_cap: int = None,
-    pair_cap: int = 200_000,
-) -> list:
+def buchberger(gens: Iterable[Polynomial], order: TermOrder, pair_cap: int = 200_000) -> list:
     """Reduced Groebner basis: auto-reduced, monic, sorted by leading term.
 
     The inputs join in ascending order of leading term, each first reduced to
@@ -366,32 +355,29 @@ def buchberger(
     only the tails of elements after which one with a smaller leading term
     joined are reduced again: the others are in normal form already.
 
-    pair_cap bounds the pairs reduced; degree_cap, off unless given, bounds
-    their lcm degree.  A negative cap raises ValueError; 0 is a valid cap.
-    Hitting either raises BudgetExceeded with the counts of the work done so
-    far: pairs popped (each is reduced unless a cap stops it), dropped as
-    coprime, dropped by criteria B, M and F ("chain"), reduced, and the
-    highest lcm degree reduced.  The counts are those of the run that
+    pair_cap, the one budget, bounds the pairs reduced.  A negative cap
+    raises ValueError; 0 is a valid cap.  Hitting it raises BudgetExceeded
+    with the counts of the work done so far: pairs popped (each is reduced
+    unless the cap stops it), dropped as coprime, dropped by criteria B, M
+    and F ("chain"), reduced, and the highest lcm degree reduced.  The counts are those of the run that
     raised; a run started over at a wider field width counts afresh.  They
     may depend on which divisor reduces a term, since a normal form modulo
     elements that are not yet a Groebner basis does; the basis does not.
     """
-    _check_caps(degree_cap, pair_cap)
+    _check_cap(pair_cap)
     gens = [f for f in gens if f]
     codec = _Codec.holding(order, gens)
-    basis, codec = _exactly(_basis, [codec.pack(f) for f in gens], codec, degree_cap, pair_cap)
+    basis, codec = _exactly(_basis, [codec.pack(f) for f in gens], codec, pair_cap)
     return [codec.polynomial(d) for d in basis]
 
 
-def _check_caps(degree_cap, pair_cap) -> None:
+def _check_cap(pair_cap) -> None:
     """Reject a negative cap; a cap of 0 is a budget that allows no work."""
     if pair_cap < 0:
         raise ValueError(f"pair_cap must be >= 0, got {pair_cap}")
-    if degree_cap is not None and degree_cap < 0:
-        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
 
 
-def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
+def _basis(inputs: list, codec: _Codec, pair_cap: int) -> list:
     """buchberger on nonzero packed inputs, as monic dicts sorted by leading
     term, each with its leading term as first key."""
     G = codec.guard
@@ -439,15 +425,6 @@ def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
         live[:] = kept + [j]
         insort(reducers, h, key=_descending)
 
-    def over(cap):
-        raise BudgetExceeded(
-            f"{cap} after {counts['popped']} S-pairs popped and {counts['reduced']} "
-            f"reduced, highest lcm degree reduced {counts['max_degree']}; "
-            f"{counts['coprime']} pairs dropped as coprime, {counts['chain']} by "
-            f"criteria B, M and F",
-            counts,
-        )
-
     for d in sorted(inputs, key=max):
         r = _normal_form(dict(d), reducers, G)
         if r:
@@ -456,14 +433,17 @@ def _basis(inputs: list, codec: _Codec, degree_cap: int, pair_cap: int) -> list:
     while queue:
         L, j, i = heappop(queue)
         counts["popped"] += 1
-        degree = codec.degree(L)
-        if degree_cap is not None and degree > degree_cap:
-            over(f"S-pair lcm degree {degree} exceeds cap {degree_cap}")
         if counts["reduced"] >= pair_cap:
-            over(f"more than {pair_cap} S-pairs to reduce")
+            raise BudgetExceeded(
+                f"more than {pair_cap} S-pairs to reduce after {counts['popped']} S-pairs popped "
+                f"and {counts['reduced']} reduced, highest lcm degree reduced "
+                f"{counts['max_degree']}; {counts['coprime']} pairs dropped as coprime, "
+                f"{counts['chain']} by criteria B, M and F",
+                counts,
+            )
         r = _normal_form(_s_polynomial(heads[i], heads[j], L, G), reducers, G)
         counts["reduced"] += 1
-        counts["max_degree"] = max(counts["max_degree"], degree)
+        counts["max_degree"] = max(counts["max_degree"], codec.degree(L))
         if r:
             join(r)
 
@@ -502,6 +482,6 @@ def _interreduce(heads: list, guard: int) -> list:
 
 def initial_ideal(basis: Iterable[Polynomial], order: TermOrder) -> MonomialIdeal:
     """Ideal of leading terms of a (reduced) Groebner basis."""
-    return MonomialIdeal(
-        [g.leading_monomial(order) for g in basis if g], order.vars
-    )
+    basis = [g for g in basis if g]
+    codec = _Codec.holding(order, basis)
+    return MonomialIdeal([codec.monomial(max(codec.pack(g))) for g in basis], order.vars)

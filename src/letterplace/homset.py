@@ -70,8 +70,12 @@ def enumerate_isotone(P: Poset, bound: int, cap: int = 10**7) -> list:
     """All isotone maps P -> {0..bound}, in lexicographic value order.
 
     Raises ExplosionGuard once more than cap maps have been produced, and
-    ValueError for a negative bound or cap.
+    ValueError for a bound or cap that is negative or not an int (bools
+    included).
     """
+    for name, value in (("bound", bound), ("cap", cap)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if cap < 0:
@@ -251,7 +255,8 @@ class HomIdeal:
         return self.kind in ("principal", "finite")
 
     def member(self, phi) -> bool:
-        phi = tuple(phi)
+        """phi lies in the ideal; NotIsotone unless phi is an isotone map on the poset."""
+        phi = check_isotone(self.poset, phi)
         if self.kind == "principal":
             return dominates(self.alpha, phi)
         if self.kind == "finite":

@@ -233,39 +233,29 @@ def _pair_ideal(rows) -> "MonomialIdeal":
     return MonomialIdeal._of_canonical(gens)
 
 
-_VAR_RE = re.compile(r"([A-Za-z]+)\[([^\],]+)(?:,(\d+))?\](?:\^(\d+))?")
+_VAR_RE = re.compile(r"([A-Za-z]+)\[(\d+)(?:,(\d+))?\](?:\^(\d+))?")
 
 
-def parse_monomial(text: str, labels=None, family: str = "pair") -> Monomial:
-    """Parse the text form produced by Monomial.text.
-
-    `family` names the variable kind for single-index variables ("elem" or
-    "nat"); two-index variables are always "pair".  With `labels`, the first
-    index is looked up as a label; otherwise it must be an integer.
+def parse_monomial(text: str, family: str = "pair") -> Monomial:
+    """Parse the text form produced by Monomial.text for variables of one
+    family: x[p,i] for "pair", x[p] for "elem" and "nat", with integer
+    indices.  A factor of another letter or index count raises ValueError.
     """
     text = text.strip()
     if text == "1":
         return Monomial.one()
-    lookup = {lab: i for i, lab in enumerate(labels)} if labels is not None else None
-
-    def first_index(tok):
-        if lookup is not None and tok in lookup:
-            return lookup[tok]
-        return int(tok)
-
+    make = {"pair": pair_var, "elem": elem_var, "nat": nat_var}[family]
     exps = []
     for piece in text.split("*"):
         m = _VAR_RE.fullmatch(piece.strip())
         if not m:
             raise ValueError(f"bad monomial factor {piece!r}")
-        _, p_tok, i_tok, e_tok = m.groups()
-        e = int(e_tok) if e_tok else 1
-        if i_tok is not None:
-            exps.append((pair_var(first_index(p_tok), int(i_tok)), e))
-        elif family == "nat":
-            exps.append((nat_var(int(p_tok)), e))
-        else:
-            exps.append((elem_var(first_index(p_tok)), e))
+        letter, p_tok, i_tok, e_tok = m.groups()
+        if letter != "x" or (i_tok is None) == (family == "pair"):
+            shape = "x[p,i]" if family == "pair" else "x[p]"
+            raise ValueError(f"factor {piece.strip()!r} is not a variable {shape} of family {family}")
+        indices = (int(p_tok),) if i_tok is None else (int(p_tok), int(i_tok))
+        exps.append((make(*indices), int(e_tok) if e_tok else 1))
     return Monomial(exps)
 
 

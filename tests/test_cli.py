@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +50,7 @@ def test_letterplace_running_example(running_example, capsys):
         "x[3,0]*x[3,1]*x[3,2]",
     ]
     assert doc["bound_used"] == 3
-    assert doc["version"] == 2
+    assert doc["version"] == 3
 
 
 def test_byte_identical_reruns(running_example, capsys):
@@ -223,12 +224,17 @@ def test_pstable_rejects_foreign_variables(tmp_path, capsys, mode, text, shown):
      ("# family=elem N=3", "header token 'N=3' has an unknown key; expected family and n"),
      ("# family=elem n=x", "n='x' in the ideal file header is not a non-negative integer"),
      ("# family=elem n=-1", "n='-1' in the ideal file header is not a non-negative integer"),
-     ("# family=elem family=nat n=2", "ideal file header gives the key 'family' twice")],
+     ("# family=elem family=nat n=2", "ideal file header gives the key 'family' twice"),
+     # the monomial lines must use the header's family: the file goes on with x[0]^2
+     ("# family=pair n=0", "factor 'x[0]^2' is not a variable x[p,i] of family pair"),
+     ("# family=pair n=0\nx[3]*x[0,1]", "factor 'x[3]' is not a variable x[p,i] of family pair"),
+     ("# family=nat n=3\nx[0,1]*y[2]", "factor 'x[0,1]' is not a variable x[p] of family nat"),
+     ("# family=elem n=3\ny[2]", "factor 'y[2]' is not a variable x[p] of family elem")],
 )
 def test_ideal_file_header_is_checked(tmp_path, capsys, header, message):
     path = tmp_path / "gens.txt"
     path.write_text(f"{header}\nx[0]^2\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_ideal_file(path)
     code, out = run(capsys, "hilbert", "--gens", str(path))
     assert code == 2
@@ -346,7 +352,7 @@ def test_hilbert_command_high_exponents(tmp_path, capsys):
     assert json.loads(out) == {
         "numerator": {str(d): c for d, c in sorted(K.coeffs().items())},
         "variables": 3,
-        "version": 2,
+        "version": 3,
     }
 
 
@@ -375,10 +381,12 @@ def test_det_verify_echoes_budget(capsys):
     code, out = run(capsys, "det", "verify", "--l", "0,1,3")
     assert code == 0
     doc = json.loads(out)
-    assert doc["budget"] == {"degree_cap": None, "pair_cap": 200000}
-    code, out = run(capsys, "det", "verify", "--l", "0,1,3", "--degree-cap", "5", "--pair-cap", "9")
+    assert doc["budget"] == {"pair_cap": 200000}
+    code, out = run(capsys, "det", "verify", "--l", "0,1,3", "--pair-cap", "9")
     assert code == 0
-    assert json.loads(out)["budget"] == {"degree_cap": 5, "pair_cap": 9}
+    assert json.loads(out)["budget"] == {"pair_cap": 9}
+    # the pair cap is the one budget: a degree cap is an unknown option
+    assert main(["det", "verify", "--l", "0,1,3", "--degree-cap", "5"]) == 2
 
 
 def test_output_file_writing(running_example, tmp_path, capsys):
@@ -552,7 +560,6 @@ def test_letterplace_command_builds_the_ideal_once(running_example, capsys, monk
     "argv, reason",
     [
         (["det", "verify", "--l", "0,2,4,6,8", "--pair-cap", "-1"], "pair_cap must be >= 0, got -1"),
-        (["det", "verify", "--l", "0,1", "--degree-cap", "-7"], "degree_cap must be >= 0, got -7"),
         (["hom", "enumerate", "--poset", "poset.json", "--bound", "2", "--cap", "-1"], "cap must be >= 0, got -1"),
     ],
 )
@@ -560,7 +567,7 @@ def test_negative_caps_exit_two(argv, reason, capsys):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     code, out = run(capsys, *argv)
     assert code == 2
-    assert json.loads(out) == {"error": reason, "reason": "ValueError", "version": 2}
+    assert json.loads(out) == {"error": reason, "reason": "ValueError", "version": 3}
 
 
 def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
@@ -569,7 +576,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
     monkeypatch.setattr(letterplace.cli, "_parser", None)
     spy = mock.Mock(wraps=letterplace.cli.build_parser)
     monkeypatch.setattr(letterplace.cli, "build_parser", spy)
-    assert main(["det", "verify", "--degree-cap", "3"]) == 2  # --l missing
+    assert main(["det", "verify", "--pair-cap", "3"]) == 2  # --l missing
     assert main(["--help"]) == 0
     assert "det" in capsys.readouterr().out
     code, out = run(capsys, "det", "verify", "--l", "0,2,3,5,8")
@@ -626,7 +633,7 @@ def test_malformed_fiber_map_exit_two(tmp_path, capsys, command, doc, message):
         "--map", str(fmap_path),
     )
     assert code == 2
-    assert json.loads(out) == {"error": message, "reason": "ValueError", "version": 2}
+    assert json.loads(out) == {"error": message, "reason": "ValueError", "version": 3}
 
 
 def _dump(value, repeat=(None,), path=()) -> str:
@@ -805,7 +812,7 @@ def _fuzz_once(data, work: Path) -> tuple:
     elif command == "det":
         values = data.draw(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), max_size=4))
         argv = ["det", "verify", "--l=" + ",".join(values), "--a", small()]
-        argv += data.draw(st.sampled_from([[], ["--pair-cap", small()], ["--degree-cap", small()]]))
+        argv += data.draw(st.sampled_from([[], ["--pair-cap", small()]]))
     else:
         kind = data.draw(st.sampled_from(GOLDEN_IDEALS))
         ideal, fmap = golden(f"{kind}.json"), json.loads(_fiber_map_json())

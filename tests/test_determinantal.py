@@ -54,6 +54,15 @@ def test_lsequence_validation():
     assert s.b == 4 and s[2] == 3 and s[4] == 5
 
 
+@pytest.mark.parametrize(
+    "a, vals", [(0, (0, 1.5, 3)), (0, (0, True, 3)), (0.0, (0, 1)), (False, (0, 1)), (0, (0, "1"))],
+)
+def test_lsequence_entries_must_be_ints(a, vals):
+    # a float entry reached range() in the matrix as a TypeError
+    with pytest.raises(ValueError, match="must be ints"):
+        LSequence(a, vals)
+
+
 def test_matrix_seventeen_variables():
     M = build_matrix(LSequence(0, (0, 0, 3, 4, 6)))
     assert len(M.variables()) == 17
@@ -251,9 +260,9 @@ def test_verify_main_reports_terrace_instance():
 
 
 def test_verify_main_six_rows_at_default_caps():
-    # there is no default degree cap; the report echoes none
+    # the pair cap is the one budget, and the report echoes its default
     report = verify_main(LSequence(0, (0, 2, 4, 6, 8, 10)))
-    assert report["budget"] == {"degree_cap": None, "pair_cap": 200_000}
+    assert report["budget"] == {"pair_cap": 200_000}
     assert report["ok"] and report["initial_equals_target"]
     assert report["gb_size"] == 24
 
@@ -367,7 +376,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_cli"
 @pytest.mark.parametrize("vals", ["0,0,3,4,6", "0,2,4,6,8", "0,2,3,5,8", "0,2,4,6,8,10"])
 def test_det_verify_golden_report(vals, capsys):
     """`letterplace det verify --l <vals>` prints the recorded report, byte for
-    byte; the files were recorded at format version 2."""
+    byte; the files were recorded at format version 3."""
     assert main(["det", "verify", "--l", vals]) == 0
     expected = (GOLDEN / f"det_verify_{vals.replace(',', '_')}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
@@ -383,7 +392,7 @@ def test_det_verify_golden_budget_counts(capsys):
 
 @pytest.mark.parametrize(
     "caps, message",
-    [({"pair_cap": -1}, "pair_cap must be >= 0, got -1"), ({"degree_cap": -7}, "degree_cap must be >= 0, got -7")],
+    [({"pair_cap": -1}, "pair_cap must be >= 0, got -1")],
 )
 def test_verify_main_rejects_negative_caps(caps, message):
     with pytest.raises(ValueError, match=message):

@@ -110,6 +110,17 @@ def test_negative_caps_are_rejected():
         enumerate_isotone(chain(2), 2, cap=0)
 
 
+@pytest.mark.parametrize(
+    "bound, cap, message",
+    [(1.5, 10, "bound must be an int, got 1.5"), (True, 10, "bound must be an int, got True"),
+     (2, 10.0, "cap must be an int, got 10.0"), (2, False, "cap must be an int, got False")],
+)
+def test_non_int_bounds_and_caps_are_rejected(bound, cap, message):
+    # a float reached range() as a TypeError, and True ran as the bound 1
+    with pytest.raises(ValueError, match=message):
+        enumerate_isotone(chain(2), bound, cap)
+
+
 def test_enumerate_empty_poset():
     P = poset_from_covers(0, [])
     assert enumerate_isotone(P, 3) == [()]
@@ -132,6 +143,16 @@ def test_member_examples():
     K = HomIdeal.cofinite(A, [(1, 1)])
     assert K.member((0, 5))
     assert not K.member((1, 1))
+    # a map of the wrong length, or one that drops along a cover, is no map
+    # on the poset: a prefix or a pointwise test would call each a member
+    L = HomIdeal.principal(chain(2), (1, 1))
+    for bad in [(0,), (0, 0, 5), (1, 0), (0, -1), (0, True)]:
+        with pytest.raises(NotIsotone):
+            L.member(bad)
+    with pytest.raises(NotIsotone):
+        K.member((0,))
+    with pytest.raises(NotIsotone):
+        HomIdeal.finite(chain(2), [(0, 0)]).member((0, 0, 0))
 
 
 def test_member_monotone_small():

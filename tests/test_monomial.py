@@ -263,12 +263,21 @@ def test_dual_membership_characterization_exhaustive():
 def test_monomial_text_and_parse():
     m = mono((pair_var(0, 0), 2), (pair_var(2, 1), 1))
     assert m.text(labels=["a", "b", "c"]) == "x[a,0]^2*x[c,1]"
-    assert parse_monomial("x[a,0]^2*x[c,1]", labels=["a", "b", "c"]) == m
+    assert parse_monomial(m.text()) == m
     assert parse_monomial("1") == Monomial.one()
     e = mono((elem_var(1), 3))
     assert parse_monomial(e.text(), family="elem") == e
     nv = mono((nat_var(4), 1))
     assert parse_monomial(nv.text(), family="nat") == nv
+    # each factor must be a variable x of the family's index count
+    for text, family in [("x[3]*x[0,1]", "pair"), ("x[0,1]", "nat"), ("x[0,1]", "elem"),
+                         ("y[2]", "nat"), ("y[0,1]", "pair")]:
+        with pytest.raises(ValueError, match=f"of family {family}$"):
+            parse_monomial(text, family=family)
+    # indices are non-negative integers: there are no labels
+    for text in ("x[a,0]", "x[-1,0]"):
+        with pytest.raises(ValueError, match="bad monomial factor"):
+            parse_monomial(text)
 
 
 def test_pickled_monomials_carry_no_support_bits():

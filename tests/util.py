@@ -791,17 +791,46 @@ def nonstrict_merge_map(P, pairs):
 # The sparse engine the library used before its dense one: Monomial-keyed
 # polynomials, leading terms recomputed on every reduction, and only the coprime
 # pair criterion.  It is the oracle for letterplace.groebner and shares none of
-# its arithmetic: from that module it uses only Polynomial's terms and leading
-# terms, and TermOrder.key.
+# its arithmetic, nor its term order: from that module it uses only
+# Polynomial's terms and TermOrder's kind and ranking.  Its order compares
+# exponent tuples, where the library compares packed ints.
+
+
+def ref_order_key(order: TermOrder, m: Monomial) -> tuple:
+    """A key whose tuple order is the term order: the exponent vector in
+    ranking order under lex; the degree, then the negated exponents from the
+    lowest-ranked variable up, under grevlex."""
+    pos = {v: i for i, v in enumerate(order.vars)}
+    e = [0] * len(pos)
+    for v, k in m.exps:
+        if v not in pos:
+            raise ValueError(f"variable {v} not ranked by this order")
+        e[pos[v]] = k
+    if order.kind == "lex":
+        return tuple(e)
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def ref_leading_monomial(order: TermOrder, f: Polynomial) -> Monomial:
+    return max(f.terms, key=lambda m: ref_order_key(order, m))
+
+
+def _ref_monic(order: TermOrder, f: Polynomial) -> Polynomial:
+    lc = f.terms[ref_leading_monomial(order, f)]
+    return Polynomial({m: c / lc for m, c in f.terms.items()})
 
 
 def ref_reduce(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Full normal form of f modulo basis, deterministic in the listed order."""
-    heads = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if g]
+    heads = []
+    for g in basis:
+        if g:
+            lt = ref_leading_monomial(order, g)
+            heads.append((lt, g.terms[lt], g))
     work = dict(f.terms)
     remainder = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=lambda t: ref_order_key(order, t))
         c = work.pop(m)
         for lt, lc, g in heads:
             if lt.divides(m):
@@ -825,10 +854,10 @@ def ref_reduce(f: Polynomial, basis, order: TermOrder) -> Polynomial:
 def ref_s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """(L / lt f) f / lc f - (L / lt g) g / lc g, with L the lcm of the leading
     monomials, term by term on Monomial keys."""
-    L = f.leading_monomial(order).lcm(g.leading_monomial(order))
+    L = ref_leading_monomial(order, f).lcm(ref_leading_monomial(order, g))
     acc = {}
     for h, sign in ((f, 1), (g, -1)):
-        lt = h.leading_monomial(order)
+        lt = ref_leading_monomial(order, h)
         q, lc = L / lt, h.terms[lt]
         for m, c in h.terms.items():
             key = m * q
@@ -863,7 +892,7 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
     if not basis:
         return []
 
-    heads = [(f.leading_monomial(order), f) for f in basis]
+    heads = [(ref_leading_monomial(order, f), f) for f in basis]
     heap = []
     counter = 0
 
@@ -872,7 +901,7 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
         ltj = heads[j][0]
         for i in range(j):
             L = heads[i][0].lcm(ltj)
-            heapq.heappush(heap, (order.key(L), counter, i, j, L))
+            heapq.heappush(heap, (ref_order_key(order, L), counter, i, j, L))
             counter += 1
 
     for j in range(len(basis)):
@@ -895,7 +924,7 @@ def ref_buchberger(gens, order: TermOrder, degree_cap: int = None, pair_cap: int
         r = ref_reduce(s, [g for _, g in heads], order)
         if r:
             r = _primitive(r)
-            heads.append((r.leading_monomial(order), r))
+            heads.append((ref_leading_monomial(order, r), r))
             push_pairs(len(heads) - 1)
 
     return _ref_interreduce([g for _, g in heads], order)
@@ -919,8 +948,8 @@ def _ref_interreduce(basis, order) -> list:
             if r:
                 trimmed.append(_primitive(r))
         basis = trimmed
-    out = [g.monic(order) for g in basis]
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    out = [_ref_monic(order, g) for g in basis]
+    out.sort(key=lambda g: ref_order_key(order, ref_leading_monomial(order, g)))
     return out
 
 
@@ -1063,12 +1092,12 @@ def ref_diagonal_leads_ok(seq: LSequence, order: TermOrder, minors: list) -> boo
     M = DetMatrix(seq)
     for _, rows, cols, det in minors:
         diag = [M.entry(p, i) for p, i in zip(cols, rows)]
-        if None not in diag and det.leading_monomial(order) != Monomial((v, 1) for v in diag):
+        if None not in diag and ref_leading_monomial(order, det) != Monomial((v, 1) for v in diag):
             return False
     return True
 
 
-def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_000) -> dict:
+def ref_verify_main(seq: LSequence, pair_cap: int = 200_000) -> dict:
     """Oracle for verify_main: its report by the public Polynomial route on
     the reference minors and target, ref_minors -> buchberger ->
     initial_ideal against ref_ly_ideal, with the leads checked by
@@ -1081,7 +1110,7 @@ def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_
     iseq = i_sequence(ter)
     target = ref_ly_ideal(iseq)
     diag_ok = ref_diagonal_leads_ok(seq, order, minors)
-    basis = buchberger(gens, order, degree_cap, pair_cap)
+    basis = buchberger(gens, order, pair_cap)
     initial_ok = initial_ideal(basis, order).gens == target.gens
     codims = codim_formulas(seq)
     h = ref_height(target)
@@ -1099,26 +1128,20 @@ def ref_verify_main(seq: LSequence, degree_cap: int = None, pair_cap: int = 200_
         "codim": {"height": h, **codims},
         "codim_ok": codim_ok,
         "ok": diag_ok and initial_ok and codim_ok,
-        "budget": {"degree_cap": degree_cap, "pair_cap": pair_cap},
+        "budget": {"pair_cap": pair_cap},
     }
     if ter != seq:
-        report["terrace_instance"] = ref_verify_main(ter, degree_cap, pair_cap)
+        report["terrace_instance"] = ref_verify_main(ter, pair_cap)
         report["ok"] = report["ok"] and report["terrace_instance"]["ok"]
     return report
 
 
-def same_ideal_by_membership(
-    gens_a,
-    gens_b,
-    order: TermOrder,
-    degree_cap: int = None,
-    pair_cap: int = 200_000,
-) -> bool:
+def same_ideal_by_membership(gens_a, gens_b, order: TermOrder, pair_cap: int = 200_000) -> bool:
     """Bidirectional membership: each side's generators reduce to zero against
     the other side's reduced basis."""
     ga, gb = list(gens_a), list(gens_b)
-    basis_a = buchberger(ga, order, degree_cap, pair_cap)
-    basis_b = buchberger(gb, order, degree_cap, pair_cap)
+    basis_a = buchberger(ga, order, pair_cap)
+    basis_b = buchberger(gb, order, pair_cap)
     return all(not reduce(f, basis_b, order) for f in ga) and all(
         not reduce(f, basis_a, order) for f in gb
     )
